@@ -39,13 +39,12 @@ from .portability import (
     training_view,
 )
 from .recommender import (
+    CatalogModel,
     Provenance,
     RecommenderConfig,
-    ServingContext,
-    Slate,
     TrainedModel,
     popular_list,
-    recommend,
+    serve,
     train,
 )
 
@@ -55,6 +54,7 @@ __all__ = [
     "AuditTrail",
     "BehaviorParams",
     "Catalog",
+    "CatalogModel",
     "ConfigError",
     "ConsumerProfileSeed",
     "ConsumerState",
@@ -69,8 +69,6 @@ __all__ = [
     "RecmarketError",
     "RecommenderConfig",
     "ScenarioConfig",
-    "ServingContext",
-    "Slate",
     "SwitchDecision",
     "SwitchTiming",
     "SyntheticSpec",
@@ -85,10 +83,10 @@ __all__ = [
     "on_switch",
     "popular_list",
     "record_click",
-    "recommend",
     "replay_audit",
     "run_experiment_suite",
     "run_scenario",
+    "serve",
     "standard_suite",
     "train",
     "training_view",

@@ -9,9 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Catalog
 from .errors import ConfigError
-from .recommender import Slate
 
 
 @dataclass(frozen=True)
@@ -52,26 +50,21 @@ class ConsumerState:
         self.tried.add(self.current_recommender)
 
 
-def genre_similarity(preference: Sequence[float], genre_vector: Sequence[int]) -> float:
-    """Cosine similarity; 0 when either vector is all zeros."""
-    p = np.asarray(preference, dtype=float)
-    g = np.asarray(genre_vector, dtype=float)
-    pn = math.sqrt(float(p @ p))
-    gn = math.sqrt(float(g @ g))
-    if pn == 0.0 or gn == 0.0:
-        return 0.0
-    return float(p @ g) / (pn * gn)
+def genre_similarities(preferences: np.ndarray, genre_matrix: np.ndarray) -> np.ndarray:
+    """Cosine similarity of every preference row to every item genre row.
+
+    A pair is 0 when either vector is all zeros.
+    """
+    pref_norm = np.linalg.norm(preferences, axis=1, keepdims=True)
+    pref_norm[pref_norm == 0.0] = 1.0
+    genre_norm = np.linalg.norm(genre_matrix, axis=1, keepdims=True)
+    genre_norm[genre_norm == 0.0] = 1.0
+    return (preferences / pref_norm) @ (genre_matrix / genre_norm).T
 
 
-def list_utility(consumer: ConsumerState, slate: Slate, catalog: Catalog) -> float:
-    """Mean similarity of slate items to the consumer's preferences (0 if empty)."""
-    if not slate.item_ids:
-        return 0.0
-    sims = [
-        genre_similarity(consumer.preference_vector, catalog.items[i].genre_vector)
-        for i in slate.item_ids
-    ]
-    return sum(sims) / len(sims)
+def slate_utility(sims: np.ndarray) -> float:
+    """List utility: mean similarity of the slate's items (0 if empty)."""
+    return float(sims.mean()) if sims.size else 0.0
 
 
 def update_utility(prev: float, observed: float, recency_bias: float) -> float:
@@ -97,37 +90,24 @@ class SwitchDecision:
         return SwitchDecision(False, None)
 
 
-def select_item(
-    consumer: ConsumerState,
-    slate: Slate,
-    catalog: Catalog,
-    params: BehaviorParams,
-    rng: np.random.Generator,
+def choose_item(
+    sims: np.ndarray, select_threshold: float, rng: np.random.Generator
 ) -> int | None:
-    """Pick one slate item with probability proportional to similarity.
+    """Pick one slate position with probability proportional to similarity.
 
-    Items below ``select_threshold`` are not candidates; if nothing on the
-    slate qualifies (or all qualifying similarities are zero), the consumer
+    ``sims`` holds the similarity of each slate item, in slate order. Items
+    below ``select_threshold`` are not candidates; if nothing on the slate
+    qualifies (or all qualifying similarities are zero), the consumer
     selects nothing.
     """
-    if not slate.item_ids:
-        return None
-    sims = np.array(
-        [
-            genre_similarity(consumer.preference_vector, catalog.items[i].genre_vector)
-            for i in slate.item_ids
-        ]
-    )
-    mask = sims >= params.select_threshold
+    mask = sims >= select_threshold
     if not mask.any():
         return None
     weights = sims[mask]
     total = float(weights.sum())
     if total <= 0.0:
         return None
-    ids = np.array(slate.item_ids)[mask]
-    pick = rng.choice(ids, p=weights / total)
-    return int(pick)
+    return int(rng.choice(np.flatnonzero(mask), p=weights / total))
 
 
 def maybe_switch(

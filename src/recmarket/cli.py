@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from . import dataset, engine
 from .behavior import BehaviorParams
@@ -61,6 +64,10 @@ _SECTION_KEYS = {
 
 _REQUIRED = [("scenario", "seed"), ("scenario", "niche_genre")]
 
+# A comment starts with '#' at the start of a line or after whitespace, so a
+# value such as a data path may itself contain '#'.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
 
 @dataclass(frozen=True)
 class DataSource:
@@ -92,7 +99,7 @@ def _parse_sections(text: str, path: str) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -314,37 +321,51 @@ def cmd_run(manifest: RunManifest) -> int:
         spec.scenarios, data, audits=audits, collect_day_rows=collect_days
     )
 
-    (out / "consumer_utility_per_cycle.csv").write_text(
-        "\n".join(engine.cycle_csv_lines(result.reports)) + "\n", encoding="utf-8"
-    )
-    (out / "provider_clicks.csv").write_text(
-        "\n".join(engine.provider_csv_lines(result.reports)) + "\n", encoding="utf-8"
-    )
-    (out / "switch_events.csv").write_text(
-        "\n".join(engine.switch_csv_lines(result.reports)) + "\n", encoding="utf-8"
-    )
-    summary = engine.render_summary(result.reports)
-    (out / "summary.txt").write_text(summary, encoding="utf-8")
-    for report in result.reports:
-        (out / f"report_{report.scenario}.json").write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+    texts = {
+        "consumer_utility_per_cycle.csv": engine.cycle_csv_lines(result.reports),
+        "provider_clicks.csv": engine.provider_csv_lines(result.reports),
+        "switch_events.csv": engine.switch_csv_lines(result.reports),
+    }
     if collect_days:
-        (out / "consumer_utility_per_day.csv").write_text(
-            "\n".join(engine.day_csv_lines(result.reports)) + "\n", encoding="utf-8"
-        )
+        texts["consumer_utility_per_day.csv"] = engine.day_csv_lines(result.reports)
+    for name, lines in texts.items():
+        _write_text(out / name, "\n".join(lines) + "\n")
+    summary = engine.render_summary(result.reports)
+    _write_text(out / "summary.txt", summary)
+    written = set()
+    for report in result.reports:
+        name = f"report_{report.scenario}.json"
+        _write_text(out / name, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        written.add(name)
     for name, trail in audits.items():
-        (out / f"audit_{name}.jsonl").write_text(trail.to_jsonl(), encoding="utf-8")
+        _write_text(out / f"audit_{name}.jsonl", trail.to_jsonl())
+        written.add(f"audit_{name}.jsonl")
     if "model-dump" in manifest.emit:
         for config in spec.scenarios:
             state = engine.prepare_state(config, data)
             engine.train_cycle(state)
             for rid, view in state.models.items():
-                view.model.dump(out / f"model_{config.scenario_name}_{rid}.txt")
+                path = out / f"model_{config.scenario_name}_{rid}.txt"
+                _write_atomically(path, view.model.dump)
+    # `compare results/report_*.json` must not pick up a scenario this run dropped
+    for stale in [*out.glob("report_*.json"), *out.glob("audit_*.jsonl")]:
+        if stale.name not in written:
+            stale.unlink()
 
     sys.stdout.write(summary)
     return 0
+
+
+def _write_atomically(path: Path, write: Callable[[Path], object]) -> None:
+    """Write ``path`` through a temporary file beside it, so that a reader
+    never sees a partly written file."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    write(tmp)
+    os.replace(tmp, path)
+
+
+def _write_text(path: Path, text: str) -> None:
+    _write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def compare_reports(reports: list[dict]) -> list[dict]:

@@ -12,6 +12,7 @@ import enum
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .dataset import (
 )
 from .errors import ConfigError
 from .portability import AuditTrail, PortabilityPolicy, ProfileStore
-from .recommender import ALL_GENRES, Provenance, RecommenderConfig, Slate, TrainedModel
+from .recommender import ALL_GENRES, CatalogModel, Provenance, RecommenderConfig
 
 GENERIC_RECOMMENDER = "generic"
 NICHE_RECOMMENDER = "niche"
@@ -226,12 +227,12 @@ class MetricsReport:
 
 @dataclass
 class _SimIndex:
+    """Catalog-row lookups. Row ``r`` is the ``r``-th smallest catalog item id."""
+
     item_ids: np.ndarray  # sorted catalog item ids
-    row_of_item: dict[int, int]
-    provider_type_of_item: list[str]
-    pools: dict[str, np.ndarray]  # recommender id -> candidate item ids (sorted)
-    sims: np.ndarray  # consumer row x item row cosine similarity
-    row_of_consumer: dict[int, int]
+    provider_type_of_row: list[str]
+    pools: dict[str, np.ndarray]  # recommender id -> candidate catalog rows (ascending)
+    sims: np.ndarray  # consumer row x catalog row cosine similarity
 
 
 def _build_index(
@@ -240,7 +241,6 @@ def _build_index(
     recommenders: Sequence[RecommenderConfig],
 ) -> _SimIndex:
     item_ids = np.array(sorted(catalog.items), dtype=np.int64)
-    row_of_item = {int(i): k for k, i in enumerate(item_ids)}
     genre_mat = np.array(
         [catalog.items[int(i)].genre_vector for i in item_ids], dtype=float
     )
@@ -252,7 +252,7 @@ def _build_index(
     pools: dict[str, np.ndarray] = {}
     for rec in recommenders:
         if rec.specialization == ALL_GENRES:
-            pools[rec.recommender_id] = item_ids.copy()
+            pools[rec.recommender_id] = np.arange(len(item_ids))
         else:
             g = catalog.genre_index(rec.specialization)
             if g is None:
@@ -260,34 +260,27 @@ def _build_index(
                     f"{rec.recommender_id}: specialization genre "
                     f"{rec.specialization!r} not in catalog taxonomy"
                 )
-            mask = genre_mat[:, g] > 0
-            pools[rec.recommender_id] = item_ids[mask]
+            pools[rec.recommender_id] = np.flatnonzero(genre_mat[:, g] > 0)
 
     pref = np.array([c.preference_vector for c in consumers], dtype=float)
-    pref_norm = np.linalg.norm(pref, axis=1, keepdims=True)
-    pref_norm[pref_norm == 0.0] = 1.0
-    genre_norm = np.linalg.norm(genre_mat, axis=1, keepdims=True)
-    genre_norm[genre_norm == 0.0] = 1.0
-    sims = (pref / pref_norm) @ (genre_mat / genre_norm).T
-    row_of_consumer = {c.consumer_id: k for k, c in enumerate(consumers)}
-    return _SimIndex(item_ids, row_of_item, provider_type, pools, sims, row_of_consumer)
+    sims = behavior.genre_similarities(pref, genre_mat)
+    return _SimIndex(item_ids, provider_type, pools, sims)
 
 
-@dataclass
-class _ModelView:
-    """A trained model aligned to catalog item rows for fast scoring."""
-
-    model: TrainedModel
-    item_factors_aligned: np.ndarray  # n_catalog_items x d
-
-    @classmethod
-    def build(cls, model: TrainedModel, index: _SimIndex, d: int) -> "_ModelView":
-        aligned = np.zeros((len(index.item_ids), d))
-        for item_id, row in model.item_index.items():
-            cat_row = index.row_of_item.get(item_id)
-            if cat_row is not None:
-                aligned[cat_row] = model.item_factors[row]
-        return cls(model, aligned)
+def _visibility_matrix(
+    bucket: Mapping[int, list[tuple[int, int]]],
+    consumer_ids: np.ndarray,
+    item_ids: np.ndarray,
+) -> np.ndarray:
+    """Consumer row x catalog row: True where the item is in the profile."""
+    visible = np.zeros((len(consumer_ids), len(item_ids)), dtype=bool)
+    entries = np.array(list(chain.from_iterable(bucket.values())), dtype=np.int64)
+    if entries.size:
+        owners = np.repeat(
+            np.searchsorted(consumer_ids, list(bucket)), [len(e) for e in bucket.values()]
+        )
+        visible[owners, np.searchsorted(item_ids, entries[:, 0])] = True
+    return visible
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +310,19 @@ class EcosystemState:
     active: list[str]  # sorted recommender ids
     rec_configs: dict[str, RecommenderConfig]
     index: _SimIndex
-    global_popular: dict[str, list[int]]
+    global_popular: dict[str, np.ndarray]  # recommender id -> catalog rows, most popular first
     consumer_rngs: dict[int, np.random.Generator]
-    models: dict[str, _ModelView] = field(default_factory=dict)
+    # recommender id -> consumer row x catalog row matrix of the items in the
+    # consumer's profile as visible to that recommender; under the shared
+    # store layout every recommender holds the same matrix object
+    visible: dict[str, np.ndarray]
+    models: dict[str, CatalogModel] = field(default_factory=dict)
     cycle: int = 0
     day: int = 0  # global day counter
     metrics: _MetricsAccumulator = None  # type: ignore[assignment]
     collect_day_rows: bool = False
-    # per-day cache of subscriber click counts for fallback serving
-    _fallback_counts: dict[str, dict[int, int]] = field(default_factory=dict)
+    # per-day cache of subscriber click counts (per catalog row) for fallback serving
+    _fallback_counts: dict[str, np.ndarray] = field(default_factory=dict)
 
     def consumer_types(self) -> list[str]:
         return sorted({c.type_label for c in self.consumers})
@@ -369,9 +366,20 @@ def prepare_state(
 
     index = _build_index(catalog, consumers, config.recommenders)
     global_popular = {
-        rid: recommender.popular_list(log, rec_configs[rid].popular_list_size)
+        rid: np.searchsorted(
+            index.item_ids, recommender.popular_list(log, rec_configs[rid].popular_list_size)
+        )
         for rid in active
     }
+    consumer_ids = np.array([c.consumer_id for c in consumers], dtype=np.int64)
+    if store_policy.shared_layout:
+        shared = _visibility_matrix(store.shared, consumer_ids, index.item_ids)
+        visible = {rid: shared for rid in active}
+    else:
+        visible = {
+            rid: _visibility_matrix(store.per_recommender[rid], consumer_ids, index.item_ids)
+            for rid in active
+        }
     consumer_rngs = {
         c.consumer_id: derive_rng(config.seed, "consumer", c.consumer_id) for c in consumers
     }
@@ -387,6 +395,7 @@ def prepare_state(
         index=index,
         global_popular=global_popular,
         consumer_rngs=consumer_rngs,
+        visible=visible,
         metrics=metrics,
         collect_day_rows=collect_day_rows,
     )
@@ -403,106 +412,53 @@ def train_cycle(state: EcosystemState) -> None:
             seed=derive_seed(state.config.seed, "train", rid, state.cycle),
             trained_at_cycle=state.cycle,
         )
-        state.models[rid] = _ModelView.build(model, state.index, cfg.latent_factors)
+        state.models[rid] = CatalogModel.align(model, state.index.item_ids)
 
 
-def _subscriber_counts(state: EcosystemState, rid: str) -> dict[int, int]:
-    """Click counts over current subscribers' visible profiles (lazy per day)."""
+def _subscriber_counts(state: EcosystemState, rid: str) -> np.ndarray:
+    """Click counts per catalog row over current subscribers' visible profiles.
+
+    Taken lazily at the first popularity-tier serve of each day, so the
+    counts include the same-day clicks of consumers served before it.
+    """
     cached = state._fallback_counts.get(rid)
     if cached is not None:
         return cached
-    counts: dict[int, int] = {}
     shared = state.store_policy.shared_layout
     bucket = state.store.shared if shared else state.store.per_recommender.get(rid, {})
-    for consumer in state.consumers:
-        if consumer.current_recommender != rid:
-            continue
-        for item, _day in bucket.get(consumer.consumer_id, ()):
-            counts[item] = counts.get(item, 0) + 1
+    items = [
+        item
+        for consumer in state.consumers
+        if consumer.current_recommender == rid
+        for item, _day in bucket.get(consumer.consumer_id, ())
+    ]
+    counts = np.bincount(
+        np.searchsorted(state.index.item_ids, items), minlength=len(state.index.item_ids)
+    )
     state._fallback_counts[rid] = counts
     return counts
 
 
-def _serve(state: EcosystemState, consumer: ConsumerState) -> tuple[Slate, np.ndarray]:
-    """Mirror of recommender.recommend over the precomputed index.
-
-    Returns the slate plus the similarity row entries for its items, in
-    slate order.
-    """
+def _serve(
+    state: EcosystemState, row: int, consumer: ConsumerState
+) -> tuple[Provenance, np.ndarray]:
+    """Serve the consumer at consumer row ``row``: the tier and the slate's catalog rows."""
     rid = consumer.current_recommender
-    cid = consumer.consumer_id
-    n = state.config.slate_size
     pool = state.index.pools[rid]
-    seen = portability.visible_items(state.store, state.store_policy, rid, cid)
-    if seen:
-        mask = np.fromiter((int(i) not in seen for i in pool), bool, count=len(pool))
-        cand = pool[mask]
-    else:
-        cand = pool
-    view = state.models[rid]
-    crow = state.index.row_of_consumer[cid]
-
-    if cand.size == 0:
-        tier = (
-            Provenance.MODEL
-            if view.model.knows_consumer(cid)
-            else Provenance.GLOBAL_POPULAR_FALLBACK
-        )
-        return Slate(rid, cid, (), tier), np.zeros(0)
-
-    cand_rows = np.fromiter(
-        (state.index.row_of_item[int(i)] for i in cand), np.intp, count=len(cand)
+    return recommender.serve(
+        state.models[rid],
+        consumer.consumer_id,
+        pool[~state.visible[rid][row, pool]],
+        state.config.slate_size,
+        state.consumer_rngs[consumer.consumer_id],
+        lambda: _subscriber_counts(state, rid),
+        state.global_popular[rid],
     )
-    if view.model.knows_consumer(cid):
-        uvec = view.model.user_factors[view.model.user_index[cid]]
-        scores = view.item_factors_aligned[cand_rows] @ uvec
-        order = np.lexsort((cand, -scores))
-        picks = order[:n]
-        slate = Slate(rid, cid, tuple(int(i) for i in cand[picks]), Provenance.MODEL)
-        return slate, state.index.sims[crow, cand_rows[picks]]
-
-    counts_map = _subscriber_counts(state, rid)
-    counts = np.fromiter((counts_map.get(int(i), 0) for i in cand), np.int64, count=len(cand))
-    if counts.sum() > 0:
-        order = np.lexsort((cand, -counts))
-        picks = order[:n]
-        slate = Slate(
-            rid, cid, tuple(int(i) for i in cand[picks]), Provenance.USER_POPULARITY
-        )
-        return slate, state.index.sims[crow, cand_rows[picks]]
-
-    cand_set = set(int(i) for i in cand)
-    pool_ids = [i for i in state.global_popular[rid] if i in cand_set]
-    rng = state.consumer_rngs[cid]
-    if len(pool_ids) > n:
-        chosen = tuple(
-            int(i) for i in rng.choice(np.array(pool_ids, dtype=np.int64), size=n, replace=False)
-        )
-    else:
-        chosen = tuple(pool_ids)
-    rows = np.array([state.index.row_of_item[i] for i in chosen], dtype=np.intp)
-    slate = Slate(rid, cid, chosen, Provenance.GLOBAL_POPULAR_FALLBACK)
-    return slate, state.index.sims[crow, rows]
 
 
-def _select(
-    state: EcosystemState, consumer: ConsumerState, slate: Slate, sims: np.ndarray
-) -> int | None:
-    """Mirror of behavior.select_item over precomputed similarities."""
-    if not slate.item_ids:
-        return None
-    mask = sims >= state.config.behavior.select_threshold
-    if not mask.any():
-        return None
-    weights = sims[mask]
-    total = float(weights.sum())
-    if total <= 0.0:
-        return None
-    ids = np.array(slate.item_ids)[mask]
-    return int(state.consumer_rngs[consumer.consumer_id].choice(ids, p=weights / total))
-
-
-def _apply_switch(state: EcosystemState, consumer: ConsumerState, day_in_cycle: int) -> None:
+def _apply_switch(
+    state: EcosystemState, row: int, consumer: ConsumerState, day_in_cycle: int
+) -> None:
     from_id = consumer.current_recommender
     decision = behavior.maybe_switch(consumer, state.config.behavior, state.active)
     if not decision.switched:
@@ -516,9 +472,13 @@ def _apply_switch(state: EcosystemState, consumer: ConsumerState, day_in_cycle: 
             cycle=state.cycle,
             day=state.cycle * state.config.days_per_cycle + day_in_cycle,
         )
-    portability.on_switch(
-        state.store, state.store_policy, consumer.consumer_id, from_id, decision.destination
-    )
+    policy = state.store_policy
+    portability.on_switch(state.store, policy, consumer.consumer_id, from_id, decision.destination)
+    if not policy.permanent:
+        source = state.visible[from_id]
+        if not policy.exclusive:
+            state.visible[decision.destination][row] |= source[row]
+        source[row] = False
     state.metrics.switch_events.append(
         SwitchEvent(
             state.cycle,
@@ -544,24 +504,29 @@ def run_day(state: EcosystemState) -> None:
     day_utility = np.zeros(len(state.consumers))
     for k, consumer in enumerate(state.consumers):
         rid = consumer.current_recommender
-        slate, sims = _serve(state, consumer)
-        state.metrics.provenance[slate.provenance.value] += 1
-        mu = float(sims.mean()) if sims.size else 0.0
+        tier, rows = _serve(state, k, consumer)
+        state.metrics.provenance[tier.value] += 1
+        sims = state.index.sims[k, rows]
+        mu = behavior.slate_utility(sims)
         prev = consumer.utility_estimates.get(rid)
         consumer.utility_estimates[rid] = (
             mu if prev is None else behavior.update_utility(prev, mu, cfg.behavior.recency_bias)
         )
         day_utility[k] = mu
-        picked = _select(state, consumer, slate, sims)
+        picked = behavior.choose_item(
+            sims, cfg.behavior.select_threshold, state.consumer_rngs[consumer.consumer_id]
+        )
         if picked is not None:
+            row = int(rows[picked])
+            item = int(state.index.item_ids[row])
             portability.record_click(
-                state.store, state.store_policy, consumer.consumer_id, rid, picked, state.day
+                state.store, state.store_policy, consumer.consumer_id, rid, item, state.day
             )
-            ptype = state.index.provider_type_of_item[state.index.row_of_item[picked]]
-            state.metrics.provider_clicks[ptype] += 1
+            state.visible[rid][k, row] = True
+            state.metrics.provider_clicks[state.index.provider_type_of_row[row]] += 1
             state.metrics.total_clicks += 1
         if per_day_switching:
-            _apply_switch(state, consumer, day_in_cycle)
+            _apply_switch(state, k, consumer, day_in_cycle)
     state.metrics.cycle_sum += day_utility
     if state.collect_day_rows:
         for ctype in state.consumer_types():
@@ -583,8 +548,8 @@ def evaluate_switches(state: EcosystemState) -> list[SwitchEvent]:
     if state.cycle < state.config.warmup_cycles:
         raise ConfigError("switch evaluation before the warm-up period has ended")
     before = len(state.metrics.switch_events)
-    for consumer in state.consumers:
-        _apply_switch(state, consumer, state.config.days_per_cycle - 1)
+    for k, consumer in enumerate(state.consumers):
+        _apply_switch(state, k, consumer, state.config.days_per_cycle - 1)
     return state.metrics.switch_events[before:]
 
 

@@ -10,9 +10,9 @@ global popular list when the recommender has no usable data at all.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,14 +58,6 @@ class Provenance(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Slate:
-    recommender_id: str
-    consumer_id: int
-    item_ids: tuple[int, ...]
-    provenance: Provenance
-
-
-@dataclass(frozen=True)
 class TrainedModel:
     """Immutable factor matrices keyed by consumer and item id."""
 
@@ -82,19 +74,6 @@ class TrainedModel:
 
     def knows_consumer(self, consumer_id: int) -> bool:
         return consumer_id in self.user_index
-
-    def score(self, consumer_id: int, item_ids: Sequence[int]) -> np.ndarray:
-        """Dot-product scores; items unseen in training score 0."""
-        u = self.user_index.get(consumer_id)
-        if u is None:
-            return np.zeros(len(item_ids))
-        scores = np.zeros(len(item_ids))
-        uvec = self.user_factors[u]
-        for k, item_id in enumerate(item_ids):
-            row = self.item_index.get(item_id)
-            if row is not None:
-                scores[k] = float(uvec @ self.item_factors[row])
-        return scores
 
     def dump(self, path: str | Path) -> None:
         """Write factor matrices as ``id,f1,...,fd`` rows (debug aid)."""
@@ -194,60 +173,67 @@ def popular_list(source: InteractionLog | TrainingSnapshot, k: int) -> list[int]
 
 
 @dataclass(frozen=True)
-class ServingContext:
-    """Fallback inputs assembled by the engine for one recommender.
+class CatalogModel:
+    """A trained model with its item factors laid out by catalog row.
 
-    ``subscriber_counts`` holds click counts over the visible profiles of the
-    consumers currently attached to this recommender; ``global_popular`` is
-    the shared popular list computed once from the initial interaction log.
+    Catalog rows index a sorted array of catalog item ids. Items the model
+    never saw in training keep an all-zero row, so they score 0.
     """
 
-    subscriber_counts: Mapping[int, int] = field(default_factory=dict)
-    global_popular: Sequence[int] = ()
+    model: TrainedModel
+    item_factors: np.ndarray  # catalog rows x latent factors
+
+    @classmethod
+    def align(cls, model: TrainedModel, item_ids: np.ndarray) -> "CatalogModel":
+        ids = np.fromiter(model.item_index.keys(), np.int64, count=len(model.item_index))
+        src = np.fromiter(model.item_index.values(), np.intp, count=len(model.item_index))
+        keep = np.isin(ids, item_ids)  # items outside the catalog are never served
+        aligned = np.zeros((len(item_ids), model.item_factors.shape[1]))
+        aligned[np.searchsorted(item_ids, ids[keep])] = model.item_factors[src[keep]]
+        return cls(model, aligned)
+
+    def user_vector(self, consumer_id: int) -> np.ndarray | None:
+        u = self.model.user_index.get(consumer_id)
+        return None if u is None else self.model.user_factors[u]
 
 
-def recommend(
+def serve(
+    model: CatalogModel,
     consumer_id: int,
-    model: TrainedModel,
-    candidates: Sequence[int],
+    cand_rows: np.ndarray,
     n: int,
     rng: np.random.Generator,
-    context: ServingContext,
-    recommender_id: str = "",
-) -> Slate:
+    subscriber_counts: Callable[[], np.ndarray],
+    popular_rows: np.ndarray,
+) -> tuple[Provenance, np.ndarray]:
     """Serve a top-n slate from exactly one provenance tier.
 
-    ``candidates`` must already be filtered by specialization and by the
-    consumer's visible profile at this recommender. A short (possibly empty)
-    slate is returned when candidates run out; tiers never pad each other.
+    ``cand_rows`` are ascending catalog rows, already filtered by
+    specialization and by the consumer's visible profile at this
+    recommender, so equal scores or counts break by ascending item id.
+    ``subscriber_counts`` returns click counts per catalog row and is
+    called only when the popularity tier is tried; ``popular_rows`` is the
+    global popular list as catalog rows, most popular first. Returns the
+    tier and the slate's catalog rows in slate order. A short (possibly
+    empty) slate is returned when candidates run out; tiers never pad each
+    other.
     """
-    rid = recommender_id
-    cand = np.asarray(sorted(candidates), dtype=np.int64)
-    if cand.size == 0:
-        tier = (
-            Provenance.MODEL
-            if model.knows_consumer(consumer_id)
-            else Provenance.GLOBAL_POPULAR_FALLBACK
-        )
-        return Slate(rid, consumer_id, (), tier)
+    uvec = model.user_vector(consumer_id)
+    if cand_rows.size == 0:
+        tier = Provenance.MODEL if uvec is not None else Provenance.GLOBAL_POPULAR_FALLBACK
+        return tier, cand_rows
 
-    if model.knows_consumer(consumer_id):
-        scores = model.score(consumer_id, cand)
-        order = np.lexsort((cand, -scores))
-        picks = cand[order[:n]]
-        return Slate(rid, consumer_id, tuple(int(i) for i in picks), Provenance.MODEL)
+    if uvec is not None:
+        # The product over the candidate subset only: a product over all
+        # catalog rows can differ in the last bit and reorder near-ties.
+        scores = model.item_factors[cand_rows] @ uvec
+        return Provenance.MODEL, cand_rows[np.argsort(-scores, kind="stable")[:n]]
 
-    counts = np.array([context.subscriber_counts.get(int(i), 0) for i in cand])
+    counts = subscriber_counts()[cand_rows]
     if counts.sum() > 0:
-        order = np.lexsort((cand, -counts))
-        picks = cand[order[:n]]
-        return Slate(rid, consumer_id, tuple(int(i) for i in picks), Provenance.USER_POPULARITY)
+        return Provenance.USER_POPULARITY, cand_rows[np.argsort(-counts, kind="stable")[:n]]
 
-    cand_set = set(int(i) for i in cand)
-    pool = [int(i) for i in context.global_popular if int(i) in cand_set]
+    pool = popular_rows[np.isin(popular_rows, cand_rows)]
     if len(pool) > n:
-        picks = rng.choice(np.array(pool, dtype=np.int64), size=n, replace=False)
-        chosen = tuple(int(i) for i in picks)
-    else:
-        chosen = tuple(pool)
-    return Slate(rid, consumer_id, chosen, Provenance.GLOBAL_POPULAR_FALLBACK)
+        pool = rng.choice(pool, size=n, replace=False)
+    return Provenance.GLOBAL_POPULAR_FALLBACK, pool

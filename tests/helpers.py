@@ -1,16 +1,26 @@
-"""Shared test machinery: a reference ledger for profile-store semantics.
+"""Shared test machinery: reference implementations used as oracles.
 
-The reference implementation below is deliberately naive: it tracks every
-consumer's clicks and applies policy rules with plain dict/list operations,
+The reference ledger is deliberately naive: it tracks every consumer's
+clicks and applies policy rules with plain dict/list operations,
 independently of the production store. Property suites replay random event
 sequences through both and compare final states.
+
+The per-item serving and selection functions below work on item ids, one
+item at a time. The engine's array-native path over catalog rows must
+reproduce them exactly, including random-number consumption.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
+import numpy as np
+
+from recmarket.behavior import BehaviorParams, ConsumerState
+from recmarket.dataset import Catalog
 from recmarket.portability import (
     AuditTrail,
     PortabilityPolicy,
@@ -19,6 +29,7 @@ from recmarket.portability import (
     record_click,
     store_state,
 )
+from recmarket.recommender import CatalogModel, Provenance, TrainedModel, serve
 
 RECS = ["generic", "niche"]
 
@@ -113,3 +124,176 @@ def run_random_events(seed: int, policy: PortabilityPolicy, n_events: int = 60) 
 
 def assert_store_matches_reference(run: EventRun) -> None:
     assert store_state(run.store) == run.reference.state()
+
+
+# ---------------------------------------------------------------------------
+# Per-item serving and selection oracles
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Slate:
+    recommender_id: str
+    consumer_id: int
+    item_ids: tuple[int, ...]
+    provenance: Provenance
+
+
+@dataclass(frozen=True)
+class ServingContext:
+    """Fallback inputs for one recommender: subscriber click counts by item
+    id and the global popular list, most popular first."""
+
+    subscriber_counts: Mapping[int, int] = field(default_factory=dict)
+    global_popular: Sequence[int] = ()
+
+
+def score(model: TrainedModel, consumer_id: int, item_ids: Sequence[int]) -> np.ndarray:
+    """Dot-product scores; items unseen in training score 0.
+
+    The scores are one matrix-vector product over the items' stacked factor
+    rows, as the engine computes them. Separate dot products can differ in
+    the last bit, and so can two identical rows at different positions of
+    one product, which reorders ties.
+    """
+    u = model.user_index.get(consumer_id)
+    if u is None:
+        return np.zeros(len(item_ids))
+    d = model.user_factors.shape[1]
+    factors = np.zeros((len(item_ids), d))
+    for k, item_id in enumerate(item_ids):
+        row = model.item_index.get(int(item_id))
+        if row is not None:
+            factors[k] = model.item_factors[row]
+    return factors @ model.user_factors[u]
+
+
+def recommend(
+    consumer_id: int,
+    model: TrainedModel,
+    candidates: Sequence[int],
+    n: int,
+    rng: np.random.Generator,
+    context: ServingContext,
+    recommender_id: str = "",
+) -> Slate:
+    """Serve a top-n slate of item ids from exactly one provenance tier.
+
+    ``candidates`` must already be filtered by specialization and by the
+    consumer's visible profile at this recommender. A short (possibly empty)
+    slate is returned when candidates run out; tiers never pad each other.
+    """
+    rid = recommender_id
+    cand = np.asarray(sorted(candidates), dtype=np.int64)
+    if cand.size == 0:
+        known = model.knows_consumer(consumer_id)
+        tier = Provenance.MODEL if known else Provenance.GLOBAL_POPULAR_FALLBACK
+        return Slate(rid, consumer_id, (), tier)
+
+    if model.knows_consumer(consumer_id):
+        scores = score(model, consumer_id, cand)
+        order = np.lexsort((cand, -scores))
+        picks = cand[order[:n]]
+        return Slate(rid, consumer_id, tuple(int(i) for i in picks), Provenance.MODEL)
+
+    counts = np.array([context.subscriber_counts.get(int(i), 0) for i in cand])
+    if counts.sum() > 0:
+        order = np.lexsort((cand, -counts))
+        picks = cand[order[:n]]
+        return Slate(rid, consumer_id, tuple(int(i) for i in picks), Provenance.USER_POPULARITY)
+
+    cand_set = set(int(i) for i in cand)
+    pool = [int(i) for i in context.global_popular if int(i) in cand_set]
+    if len(pool) > n:
+        picks = rng.choice(np.array(pool, dtype=np.int64), size=n, replace=False)
+        chosen = tuple(int(i) for i in picks)
+    else:
+        chosen = tuple(pool)
+    return Slate(rid, consumer_id, chosen, Provenance.GLOBAL_POPULAR_FALLBACK)
+
+
+def serve_ids(
+    consumer_id: int,
+    model: TrainedModel,
+    candidates: Sequence[int],
+    n: int,
+    rng: np.random.Generator,
+    context: ServingContext = ServingContext(),
+    recommender_id: str = "",
+) -> Slate:
+    """``recommend``'s signature over the production ``recommender.serve``.
+
+    The catalog is every item id the arguments mention, so catalog rows
+    follow id order as in the engine.
+    """
+    item_ids = np.array(
+        sorted(
+            set(candidates)
+            | set(model.item_index)
+            | set(context.subscriber_counts)
+            | set(context.global_popular)
+        ),
+        dtype=np.int64,
+    )
+    counts = np.zeros(len(item_ids), dtype=np.int64)
+    for item, clicks in context.subscriber_counts.items():
+        counts[np.searchsorted(item_ids, item)] = clicks
+    tier, rows = serve(
+        CatalogModel.align(model, item_ids),
+        consumer_id,
+        np.searchsorted(item_ids, sorted(candidates)),
+        n,
+        rng,
+        lambda: counts,
+        np.searchsorted(item_ids, list(context.global_popular)),
+    )
+    return Slate(recommender_id, consumer_id, tuple(int(i) for i in item_ids[rows]), tier)
+
+
+def genre_similarity(preference: Sequence[float], genre_vector: Sequence[int]) -> float:
+    """Cosine similarity; 0 when either vector is all zeros."""
+    p = np.asarray(preference, dtype=float)
+    g = np.asarray(genre_vector, dtype=float)
+    pn = math.sqrt(float(p @ p))
+    gn = math.sqrt(float(g @ g))
+    if pn == 0.0 or gn == 0.0:
+        return 0.0
+    return float(p @ g) / (pn * gn)
+
+
+def list_utility(consumer: ConsumerState, slate: Slate, catalog: Catalog) -> float:
+    """Mean similarity of slate items to the consumer's preferences (0 if empty)."""
+    if not slate.item_ids:
+        return 0.0
+    sims = [
+        genre_similarity(consumer.preference_vector, catalog.items[i].genre_vector)
+        for i in slate.item_ids
+    ]
+    return sum(sims) / len(sims)
+
+
+def select_item(
+    consumer: ConsumerState,
+    slate: Slate,
+    catalog: Catalog,
+    params: BehaviorParams,
+    rng: np.random.Generator,
+) -> int | None:
+    """Pick one slate item id with probability proportional to similarity."""
+    if not slate.item_ids:
+        return None
+    sims = np.array(
+        [
+            genre_similarity(consumer.preference_vector, catalog.items[i].genre_vector)
+            for i in slate.item_ids
+        ]
+    )
+    mask = sims >= params.select_threshold
+    if not mask.any():
+        return None
+    weights = sims[mask]
+    total = float(weights.sum())
+    if total <= 0.0:
+        return None
+    ids = np.array(slate.item_ids)[mask]
+    return int(rng.choice(ids, p=weights / total))

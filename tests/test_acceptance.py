@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import RECS, run_random_events
+from helpers import RECS, run_random_events, score
 from recmarket import engine as eng
 from recmarket.behavior import update_utility
 from recmarket.dataset import GENERIC, NICHE, SyntheticSpec, generate_synthetic
@@ -24,11 +24,11 @@ from recmarket.engine import (
 )
 from recmarket.portability import PortabilityPolicy, replay_audit, store_state
 from recmarket.recommender import (
+    CatalogModel,
     Provenance,
     RecommenderConfig,
-    ServingContext,
     TrainedModel,
-    recommend,
+    serve,
     train,
 )
 from conftest import SUITE_TIMING
@@ -179,6 +179,7 @@ class TestCriterion6RecommenderInvariants:
         )
         horror_pool = catalog.items_with_genre("Horror")
         all_items = sorted(catalog.items)
+        item_ids = np.array(all_items)  # catalog row r holds item_ids[r]
         rng = random.Random(99)
         cfg = RecommenderConfig("probe", latent_factors=6, epochs=4)
         for case in range(1000):
@@ -198,27 +199,31 @@ class TestCriterion6RecommenderInvariants:
                 i: rng.randrange(1, 6)
                 for i in rng.sample(all_items, k=rng.randrange(0, 15))
             }
-            ctx = ServingContext(
-                subscriber_counts=counts,
-                global_popular=[i for i in all_items if rng.random() < 0.4],
+            counts_by_row = np.zeros(len(item_ids), dtype=np.int64)
+            counts_by_row[np.searchsorted(item_ids, list(counts))] = list(counts.values())
+            popular = [i for i in all_items if rng.random() < 0.4]
+            tier, rows = serve(
+                CatalogModel.align(model, item_ids),
+                0,
+                np.searchsorted(item_ids, candidates),
+                10,
+                np.random.default_rng(case),
+                lambda: counts_by_row,
+                np.searchsorted(item_ids, popular),
             )
-            slate = recommend(
-                0, model, candidates, 10, np.random.default_rng(case), ctx, "probe"
-            )
-            assert len(slate.item_ids) == len(set(slate.item_ids))
-            assert set(slate.item_ids) <= set(candidates)  # no reconsumption
+            slate = [int(i) for i in item_ids[rows]]
+            assert len(slate) == len(set(slate))
+            assert set(slate) <= set(candidates)  # no reconsumption
             if specialized:
                 h = catalog.genres.index("Horror")
-                assert all(
-                    catalog.items[i].genre_vector[h] for i in slate.item_ids
-                )  # containment
+                assert all(catalog.items[i].genre_vector[h] for i in slate)  # containment
             # fallback totality: exactly one tier fired and it is the right one
             if model.knows_consumer(0):
-                assert slate.provenance is Provenance.MODEL
+                assert tier is Provenance.MODEL
             elif any(counts.get(i, 0) > 0 for i in candidates):
-                assert slate.provenance is Provenance.USER_POPULARITY
+                assert tier is Provenance.USER_POPULARITY
             else:
-                assert slate.provenance is Provenance.GLOBAL_POPULAR_FALLBACK
+                assert tier is Provenance.GLOBAL_POPULAR_FALLBACK
         print("ACCEPTANCE 6a PASS: 1000 randomized serving states verified")
 
     def test_als_block_toy(self):
@@ -234,7 +239,7 @@ class TestCriterion6RecommenderInvariants:
         for user, own_block in block.items():
             clicked = {i for i, _ in snap[user]}
             cand = [i for i in range(5) if i not in clicked]
-            scores = model.score(user, cand)
+            scores = score(model, user, cand)
             assert cand[int(np.argmax(scores))] in own_block
         print("ACCEPTANCE 6b PASS: ALS block-diagonal sanity holds")
 

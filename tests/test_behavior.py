@@ -10,24 +10,12 @@ from hypothesis import strategies as st
 from recmarket.behavior import (
     BehaviorParams,
     ConsumerState,
-    genre_similarity,
-    list_utility,
+    choose_item,
+    genre_similarities,
     maybe_switch,
-    select_item,
+    slate_utility,
     update_utility,
 )
-from recmarket.dataset import build_catalog
-from recmarket.recommender import Provenance, Slate
-
-GENRES = ("Alpha", "Beta")
-
-
-def catalog_of(vectors):
-    rows = []
-    for item_id, vec in vectors.items():
-        names = [g for g, bit in zip(GENRES, vec) if bit]
-        rows.append((item_id, names, "p0"))
-    return build_catalog(rows, GENRES)
 
 
 def consumer_with(pref, current="generic"):
@@ -36,8 +24,10 @@ def consumer_with(pref, current="generic"):
     )
 
 
-def slate_of(items):
-    return Slate("generic", 0, tuple(items), Provenance.MODEL)
+def sims_of(pref, genre_vectors):
+    """Similarities of one consumer's preference to each item, in slate order."""
+    genres = np.array(genre_vectors, dtype=float).reshape(-1, len(pref))
+    return genre_similarities(np.array([pref], dtype=float), genres)[0]
 
 
 class TestUpdateUtility:
@@ -84,91 +74,66 @@ class TestUpdateUtility:
 
 class TestListUtility:
     def test_identical_direction_is_one(self):
-        cat = catalog_of({1: (1, 0), 2: (1, 0)})
-        consumer = consumer_with((1.0, 0.0))
-        assert list_utility(consumer, slate_of([1, 2]), cat) == pytest.approx(1.0)
+        assert slate_utility(sims_of((1.0, 0.0), [(1, 0), (1, 0)])) == pytest.approx(1.0)
 
     def test_orthogonal_is_zero(self):
-        cat = catalog_of({1: (0, 1)})
-        consumer = consumer_with((1.0, 0.0))
-        assert list_utility(consumer, slate_of([1]), cat) == 0.0
+        assert slate_utility(sims_of((1.0, 0.0), [(0, 1)])) == 0.0
 
     def test_hand_computed_mean(self):
         # cos((.5,.5),(1,0)) = 1/sqrt(2); cos((.5,.5),(1,1)) = 1
-        cat = catalog_of({1: (1, 0), 2: (1, 1)})
-        consumer = consumer_with((0.5, 0.5))
         expected = (1 / math.sqrt(2) + 1.0) / 2
-        got = list_utility(consumer, slate_of([1, 2]), cat)
+        got = slate_utility(sims_of((0.5, 0.5), [(1, 0), (1, 1)]))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.8536, abs=1e-4)
 
     def test_empty_slate_is_zero(self):
-        cat = catalog_of({1: (1, 0)})
-        assert list_utility(consumer_with((1.0, 0.0)), slate_of([]), cat) == 0.0
+        assert slate_utility(sims_of((1.0, 0.0), [])) == 0.0
 
     @given(st.permutations(list(range(1, 6))))
     def test_permutation_invariant(self, order):
-        cat = catalog_of({i: ((1, 0) if i % 2 else (0, 1)) for i in range(1, 6)})
-        consumer = consumer_with((0.7, 0.3))
-        base = list_utility(consumer, slate_of(range(1, 6)), cat)
-        assert list_utility(consumer, slate_of(order), cat) == pytest.approx(base, abs=1e-12)
+        vectors = {i: ((1, 0) if i % 2 else (0, 1)) for i in range(1, 6)}
+        base = slate_utility(sims_of((0.7, 0.3), [vectors[i] for i in range(1, 6)]))
+        permuted = slate_utility(sims_of((0.7, 0.3), [vectors[i] for i in order]))
+        assert permuted == pytest.approx(base, abs=1e-12)
 
     def test_zero_vector_similarity_guard(self):
-        assert genre_similarity((0.0, 0.0), (1, 0)) == 0.0
+        assert sims_of((0.0, 0.0), [(1, 0)])[0] == 0.0
+        assert sims_of((1.0, 0.0), [(0, 0)])[0] == 0.0
 
 
 class TestSelectItem:
-    def params(self, threshold=0.2):
-        return BehaviorParams(select_threshold=threshold)
-
     def test_all_below_threshold_selects_none(self):
-        cat = catalog_of({1: (0, 1), 2: (0, 1)})
-        consumer = consumer_with((1.0, 0.0))
-        rng = np.random.default_rng(0)
-        assert select_item(consumer, slate_of([1, 2]), cat, self.params(), rng) is None
+        sims = sims_of((1.0, 0.0), [(0, 1), (0, 1)])
+        assert choose_item(sims, 0.2, np.random.default_rng(0)) is None
 
     def test_single_candidate_is_certain(self):
-        cat = catalog_of({1: (1, 0), 2: (0, 1)})
-        consumer = consumer_with((1.0, 0.0))
+        sims = sims_of((1.0, 0.0), [(1, 0), (0, 1)])
         for seed in range(5):
-            rng = np.random.default_rng(seed)
-            assert select_item(consumer, slate_of([1, 2]), cat, self.params(), rng) == 1
+            assert choose_item(sims, 0.2, np.random.default_rng(seed)) == 0
 
     def test_proportional_sampling_ratio(self):
         # sims 0.6 vs 0.2 -> 3:1 pick ratio over many draws
-        cat = catalog_of({1: (1, 0), 2: (1, 0)})
-        consumer = consumer_with((1.0, 0.0))
         sims = np.array([0.6, 0.2])
         rng = np.random.default_rng(1234)
-        counts = {1: 0, 2: 0}
-        ids = np.array([1, 2])
+        counts = [0, 0]
         for _ in range(10_000):
-            counts[int(rng.choice(ids, p=sims / sims.sum()))] += 1
-        ratio = counts[1] / counts[2]
+            counts[choose_item(sims, 0.2, rng)] += 1
+        ratio = counts[0] / counts[1]
         assert 3.0 * 0.95 <= ratio <= 3.0 * 1.05
 
     def test_never_selects_below_threshold(self):
-        cat = catalog_of({1: (1, 0), 2: (0, 1), 3: (1, 1)})
-        consumer = consumer_with((0.9, 0.1))
-        params = self.params(0.5)
+        sims = sims_of((0.9, 0.1), [(1, 0), (0, 1), (1, 1)])
         for seed in range(50):
-            pick = select_item(consumer, slate_of([1, 2, 3]), cat, params, np.random.default_rng(seed))
+            pick = choose_item(sims, 0.5, np.random.default_rng(seed))
             if pick is not None:
-                sim = genre_similarity(
-                    consumer.preference_vector, cat.items[pick].genre_vector
-                )
-                assert sim >= params.select_threshold
+                assert sims[pick] >= 0.5
 
     def test_empty_slate_selects_none(self):
-        cat = catalog_of({1: (1, 0)})
-        rng = np.random.default_rng(0)
-        assert select_item(consumer_with((1.0, 0.0)), slate_of([]), cat, self.params(), rng) is None
+        assert choose_item(sims_of((1.0, 0.0), []), 0.2, np.random.default_rng(0)) is None
 
     def test_zero_total_mass_selects_none(self):
-        cat = catalog_of({1: (0, 1)})
-        consumer = consumer_with((1.0, 0.0))
-        rng = np.random.default_rng(0)
-        assert select_item(consumer, slate_of([1]), cat, self.params(0.0), rng) is None
+        sims = sims_of((1.0, 0.0), [(0, 1)])
+        assert choose_item(sims, 0.0, np.random.default_rng(0)) is None
 
 
 class TestMaybeSwitch:

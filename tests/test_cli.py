@@ -112,6 +112,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="quantum"):
             parse_config(write(tmp_path, text))
 
+    def test_hash_inside_a_value_is_not_a_comment(self, tmp_path):
+        text = (
+            "# run 1\n"
+            "[scenario]\n"
+            "seed = 5   # inline comment\n"
+            "niche_genre = Horror\n"
+            "[data]\n"
+            "source = files\n"
+            "ratings = /data/run#1/r.csv\n"
+            "items_file = /data/run#1/items.csv # the catalog\n"
+            "providers_file = /data/run#1/providers.csv\t# tab before the comment\n"
+            "  # indented comment line\n"
+        )
+        spec = parse_config(write(tmp_path, text))
+        assert spec.scenarios[0].seed == 5
+        assert spec.source.ratings == "/data/run#1/r.csv"
+        assert spec.source.items_file == "/data/run#1/items.csv"
+        assert spec.source.providers_file == "/data/run#1/providers.csv"
+
 
 class TestCmdRun:
     def run_once(self, tmp_path, out_name, emit=()):
@@ -160,6 +179,16 @@ class TestCmdRun:
         out = self.run_once(tmp_path, "out", emit=("per-day", "model-dump"))
         assert (out / "consumer_utility_per_day.csv").exists()
         assert (out / "model_baseline_generic.txt").exists()
+
+    def test_rerun_with_fewer_outputs_removes_stale_files(self, tmp_path):
+        out = self.run_once(tmp_path, "out", emit=("audit-log",))
+        assert (out / "report_universal.json").exists()
+        assert (out / "audit_universal.jsonl").exists()
+        fewer = SMALL_RUN.replace("warmup_cycles = 1", "warmup_cycles = 1\npolicies = baseline")
+        assert cmd_run(RunManifest(write(tmp_path, fewer, "fewer.ini"), out)) == 0
+        assert sorted(p.name for p in out.glob("report_*.json")) == ["report_baseline.json"]
+        assert list(out.glob("audit_*.jsonl")) == []
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
     def test_seed_override_changes_results(self, tmp_path):
         config = write(tmp_path, SMALL_RUN)

@@ -1,12 +1,19 @@
 """Simulation loop: ordering, metrics, determinism, switch timing."""
 
-import random
+import copy
+import hashlib
+import os
+import subprocess
+import sys
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from recmarket import engine, portability, recommender
+from helpers import ServingContext, Slate, list_utility, recommend, select_item
+from recmarket import behavior, engine, portability, recommender
 from recmarket.behavior import BehaviorParams
 from recmarket.dataset import GENERIC, NICHE, SyntheticSpec, generate_synthetic
 from recmarket.engine import (
@@ -23,7 +30,7 @@ from recmarket.engine import (
 )
 from recmarket.errors import ConfigError
 from recmarket.portability import AuditTrail, PortabilityPolicy
-from recmarket.recommender import ALL_GENRES, Provenance, RecommenderConfig, ServingContext
+from recmarket.recommender import ALL_GENRES, Provenance, RecommenderConfig
 
 
 def small_data(seed=0, consumers=40, items=80, providers=6):
@@ -199,6 +206,39 @@ class TestDeterminismAndEquivalence:
             assert emit([base_report]) == emit([frozen_report])
         assert engine.render_summary([base_report]) == engine.render_summary([frozen_report])
 
+    def test_blas_thread_count_leaves_reports_identical(self, tmp_path):
+        # Slates rank by exact score bits, so the reports must not depend on
+        # how many threads the BLAS library splits the products over.
+        config = tmp_path / "blas.ini"
+        config.write_text(
+            "[scenario]\nseed = 17\nniche_genre = Horror\n"
+            "policies = universal, cold_start\ncycles = 3\ndays_per_cycle = 2\n"
+            "warmup_cycles = 1\n"
+            "[data]\nsource = synthetic\nconsumers = 200\nitems = 150\nproviders = 10\n"
+        )
+        src = str(Path(engine.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            )
+            argv = ["run", "--config", str(config), "--out", str(out), "--emit", "audit-log"]
+            subprocess.run(
+                [sys.executable, "-m", "recmarket.cli", *argv],
+                env=env,
+                check=True,
+                capture_output=True,
+                timeout=300,
+            )
+            digests.append(
+                {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+            )
+        assert len(digests[0]) >= 7
+        assert digests[0] == digests[1]
+
     def test_per_cycle_metric_matches_day_rows(self):
         report = run_scenario(small_config(), small_data(), collect_day_rows=True)
         for row in report.cycle_utilities:
@@ -211,52 +251,146 @@ class TestDeterminismAndEquivalence:
 
 
 class TestServeMirrorsRecommend:
-    def test_engine_serving_equals_reference_implementation(self):
-        # The engine's vectorized serving path must reproduce
-        # recommender.recommend exactly, including rng consumption.
-        config = small_config()
-        data = small_data()
-        state = prepare_state(config, data)
-        rng_check = random.Random(0)
-        for cycle in range(config.cycles):
-            state.cycle = cycle
-            train_cycle(state)
-            for _ in range(config.days_per_cycle):
-                sampled = rng_check.sample(
-                    [c.consumer_id for c in state.consumers], k=6
+    """The engine's array-native serving, utility and selection against the
+    per-item oracles in ``helpers``, for every consumer on every day."""
+
+    def run_against_oracle(self, monkeypatch, config, data):
+        log, _catalog = data
+        states = []
+        tiers = Counter()
+        counts_cache: dict = {}
+        last: dict = {}
+
+        def oracle_counts(state, rid):
+            # taken at the first popularity-tier serve of the day, as documented
+            key = (state.day, rid)
+            if key not in counts_cache:
+                view = portability.training_view(state.store, state.store_policy, rid)
+                counts = Counter(
+                    item
+                    for consumer in state.consumers
+                    if consumer.current_recommender == rid
+                    for item, _day in view.get(consumer.consumer_id, ())
                 )
-                for consumer in state.consumers:
-                    if consumer.consumer_id not in sampled:
-                        continue
-                    rid = consumer.current_recommender
-                    seen = portability.visible_items(
+                counts_cache[key] = dict(counts)
+            return counts_cache[key]
+
+        def assert_visibility(state):
+            for rid in state.active:
+                for k, consumer in enumerate(state.consumers):
+                    got = {int(i) for i in state.index.item_ids[state.visible[rid][k]]}
+                    expected = portability.visible_items(
                         state.store, state.store_policy, rid, consumer.consumer_id
                     )
-                    cands = [int(i) for i in state.index.pools[rid] if int(i) not in seen]
-                    ctx = ServingContext(
-                        subscriber_counts=engine._subscriber_counts(state, rid),
-                        global_popular=state.global_popular[rid],
-                    )
-                    expected = recommender.recommend(
-                        consumer.consumer_id,
-                        state.models[rid].model,
-                        cands,
-                        config.slate_size,
-                        derive_rng(999, "probe", cycle, consumer.consumer_id),
-                        ctx,
-                        rid,
-                    )
-                    got, _sims = engine._serve(state, consumer)
-                    # tier-3 sampling consumes the consumer stream; compare
-                    # content only when the tier is deterministic
-                    if expected.provenance is Provenance.GLOBAL_POPULAR_FALLBACK:
-                        assert got.provenance is expected.provenance
-                        assert set(got.item_ids) <= set(cands)
-                    else:
-                        assert got == expected
-                run_day(state)
-            if cycle >= config.warmup_cycles:
-                engine.evaluate_switches(state)
+                    assert got == expected, (state.day, rid, consumer.consumer_id)
+
+        original_prepare = engine.prepare_state
+        original_serve = engine._serve
+        original_utility = behavior.slate_utility
+        original_choose = behavior.choose_item
+        original_run_day = engine.run_day
+        original_switch = engine._apply_switch
+
+        def prepare(*args, **kwargs):
+            state = original_prepare(*args, **kwargs)
+            states.append(state)
+            assert_visibility(state)
+            return state
+
+        def serve(state, row, consumer):
+            rid = consumer.current_recommender
+            cid = consumer.consumer_id
+            rec_config = state.rec_configs[rid]
+            model = state.models[rid].model
+            if rec_config.specialization == ALL_GENRES:
+                pool = sorted(state.catalog.items)
+            else:
+                pool = state.catalog.items_with_genre(rec_config.specialization)
+            seen = portability.visible_items(state.store, state.store_policy, rid, cid)
+            cands = [i for i in pool if i not in seen]
+            ctx = ServingContext(
+                subscriber_counts=(
+                    oracle_counts(state, rid)
+                    if cands and not model.knows_consumer(cid)
+                    else {}
+                ),
+                global_popular=recommender.popular_list(log, rec_config.popular_list_size),
+            )
+            expected = recommend(
+                cid,
+                model,
+                cands,
+                state.config.slate_size,
+                copy.deepcopy(state.consumer_rngs[cid]),
+                ctx,
+                rid,
+            )
+            tier, rows = original_serve(state, row, consumer)
+            got = Slate(rid, cid, tuple(int(i) for i in state.index.item_ids[rows]), tier)
+            assert got == expected, (state.day, cid)
+            tiers[tier] += 1
+            last.update(state=state, consumer=consumer, slate=expected)
+            return tier, rows
+
+        def utility(sims):
+            got = original_utility(sims)
+            expected = list_utility(last["consumer"], last["slate"], last["state"].catalog)
+            assert got == pytest.approx(expected, abs=1e-12)
+            return got
+
+        def choose(sims, threshold, rng):
+            state, slate = last["state"], last["slate"]
+            expected = select_item(
+                last["consumer"], slate, state.catalog, state.config.behavior, copy.deepcopy(rng)
+            )
+            got = original_choose(sims, threshold, rng)
+            assert (None if got is None else slate.item_ids[got]) == expected
+            return got
+
+        def run_day(state):
+            original_run_day(state)
+            assert_visibility(state)
+
+        def apply_switch(state, row, consumer, day_in_cycle):
+            before = len(state.metrics.switch_events)
+            original_switch(state, row, consumer, day_in_cycle)
+            if len(state.metrics.switch_events) > before:
+                assert_visibility(state)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "prepare_state", prepare)
+            patch.setattr(engine, "_serve", serve)
+            patch.setattr(behavior, "slate_utility", utility)
+            patch.setattr(behavior, "choose_item", choose)
+            patch.setattr(engine, "run_day", run_day)
+            patch.setattr(engine, "_apply_switch", apply_switch)
+            report = run_scenario(config, data)
+        assert len(states) == 1
+        consumer_days = len(states[0].consumers) * config.cycles * config.days_per_cycle
+        assert sum(tiers.values()) == consumer_days
+        return report, tiers
+
+    def test_engine_serving_equals_reference_implementation(self, monkeypatch):
+        # Every scenario of the suite under both switch timings. A higher
+        # satisfaction threshold makes consumers switch, so profiles move
+        # and every serving tier fires.
+        data = small_data()
+        tiers = Counter()
+        switches = Counter()
+        for timing in SwitchTiming:
+            overrides = dict(
+                switch_timing=timing, behavior=BehaviorParams(satisfaction_threshold=0.4)
+            )
+            for policy in [None, *PortabilityPolicy]:
+                if policy is None:
+                    config = baseline_config(**overrides)
+                else:
+                    config = small_config(policy, **overrides)
+                report, seen = self.run_against_oracle(monkeypatch, config, data)
+                tiers += seen
+                switches[timing, policy] = len(report.switch_events)
+        assert set(tiers) == set(Provenance), tiers
+        assert all(n > 0 for (_timing, policy), n in switches.items() if policy), switches
 
     def test_tier3_sampling_identical_with_same_stream(self):
         config = small_config()
@@ -266,32 +400,30 @@ class TestServeMirrorsRecommend:
         consumer = state.consumers[0]
         rid = consumer.current_recommender
         # force the fallback tier by blanking the model and store
-        state.models[rid] = engine._ModelView.build(
-            recommender.TrainedModel.empty(2), state.index, 2
-        )
+        empty = recommender.TrainedModel.empty(2)
+        state.models[rid] = recommender.CatalogModel.align(empty, state.index.item_ids)
         state.store.shared.clear()
         state.store.per_recommender.get(rid, {}).clear()
+        state.visible[rid][0] = False
         state._fallback_counts = {}
         seed_rng = derive_rng(config.seed, "consumer", consumer.consumer_id)
         state.consumer_rngs[consumer.consumer_id] = derive_rng(
             config.seed, "consumer", consumer.consumer_id
         )
-        got, _ = engine._serve(state, consumer)
-        cands = [int(i) for i in state.index.pools[rid]]
-        ctx = ServingContext(
-            subscriber_counts={}, global_popular=state.global_popular[rid]
-        )
-        expected = recommender.recommend(
+        tier, rows = engine._serve(state, 0, consumer)
+        items = tuple(int(i) for i in state.index.item_ids[rows])
+        popular = recommender.popular_list(data[0], state.rec_configs[rid].popular_list_size)
+        expected = recommend(
             consumer.consumer_id,
-            recommender.TrainedModel.empty(2),
-            cands,
+            empty,
+            sorted(state.catalog.items),
             config.slate_size,
             seed_rng,
-            ctx,
+            ServingContext(subscriber_counts={}, global_popular=popular),
             rid,
         )
-        assert got == expected
-        assert got.provenance is Provenance.GLOBAL_POPULAR_FALLBACK
+        assert Slate(rid, consumer.consumer_id, items, tier) == expected
+        assert tier is Provenance.GLOBAL_POPULAR_FALLBACK
 
 
 class TestAuditIntegration:

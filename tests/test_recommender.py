@@ -5,15 +5,15 @@ import random
 import numpy as np
 import pytest
 
+from helpers import ServingContext, recommend, score, serve_ids
 from recmarket.dataset import InteractionLog, RatingRecord
 from recmarket.errors import ConfigError
 from recmarket.recommender import (
+    CatalogModel,
     Provenance,
     RecommenderConfig,
-    ServingContext,
     TrainedModel,
     popular_list,
-    recommend,
     train,
 )
 
@@ -34,14 +34,14 @@ def manual_model(user_vecs, item_vecs):
 class TestTrain:
     def test_clicked_item_outranks_unclicked(self):
         model = train({0: [(1, 0)]}, CFG, seed=3)
-        score_a, score_b = model.score(0, [1, 2])
+        score_a, score_b = score(model, 0, [1, 2])
         assert score_a > score_b  # item 2 never observed, scores 0
 
     def test_empty_snapshot_returns_empty_model(self):
         model = train({}, CFG, seed=0)
         assert not model.user_index and not model.item_index
         ctx = ServingContext(global_popular=[5, 6, 7])
-        slate = recommend(0, model, [5, 6, 7], 2, np.random.default_rng(0), ctx, "r")
+        slate = serve_ids(0, model, [5, 6, 7], 2, np.random.default_rng(0), ctx, "r")
         assert slate.provenance is Provenance.GLOBAL_POPULAR_FALLBACK
         assert set(slate.item_ids) <= {5, 6, 7} and len(slate.item_ids) == 2
 
@@ -69,7 +69,7 @@ class TestTrain:
         for user in (0, 1, 2, 3):
             clicked = {i for i, _ in snap[user]}
             cand = [i for i in range(5) if i not in clicked]
-            scores = model.score(user, cand)
+            scores = score(model, user, cand)
             best = cand[int(np.argmax(scores))]
             assert best in block[user], (user, dict(zip(cand, scores)))
 
@@ -128,34 +128,34 @@ class TestPopularList:
 class TestRecommendTiers:
     def test_model_tier_tiebreak_by_id(self):
         model = manual_model({0: [1.0]}, {1: [0.9], 2: [0.5], 3: [0.5]})
-        slate = recommend(0, model, [1, 2, 3], 2, np.random.default_rng(0), ServingContext(), "r")
+        slate = serve_ids(0, model, [1, 2, 3], 2, np.random.default_rng(0), ServingContext(), "r")
         assert slate.provenance is Provenance.MODEL
         assert slate.item_ids == (1, 2)
 
     def test_unknown_candidates_score_zero(self):
         model = manual_model({0: [1.0]}, {1: [-0.5]})
-        slate = recommend(0, model, [1, 99], 1, np.random.default_rng(0), ServingContext(), "r")
+        slate = serve_ids(0, model, [1, 99], 1, np.random.default_rng(0), ServingContext(), "r")
         assert slate.item_ids == (99,)  # 0 beats the negative known score
 
     def test_subscriber_popularity_tier(self):
         model = manual_model({5: [1.0]}, {1: [1.0]})  # consumer 0 unknown
         ctx = ServingContext(subscriber_counts={2: 4, 3: 9, 4: 1}, global_popular=[9])
-        slate = recommend(0, model, [2, 3, 7], 2, np.random.default_rng(0), ctx, "r")
+        slate = serve_ids(0, model, [2, 3, 7], 2, np.random.default_rng(0), ctx, "r")
         assert slate.provenance is Provenance.USER_POPULARITY
         assert slate.item_ids == (3, 2)
 
     def test_popularity_tier_pads_with_zero_count_candidates(self):
         model = TrainedModel.empty(4)
         ctx = ServingContext(subscriber_counts={2: 1}, global_popular=[])
-        slate = recommend(0, model, [2, 5, 6], 3, np.random.default_rng(0), ctx, "r")
+        slate = serve_ids(0, model, [2, 5, 6], 3, np.random.default_rng(0), ctx, "r")
         assert slate.provenance is Provenance.USER_POPULARITY
         assert slate.item_ids == (2, 5, 6)
 
     def test_global_fallback_tier_samples_seeded(self):
         model = TrainedModel.empty(4)
         ctx = ServingContext(subscriber_counts={}, global_popular=list(range(100)))
-        a = recommend(0, model, list(range(50)), 5, np.random.default_rng(42), ctx, "r")
-        b = recommend(0, model, list(range(50)), 5, np.random.default_rng(42), ctx, "r")
+        a = serve_ids(0, model, list(range(50)), 5, np.random.default_rng(42), ctx, "r")
+        b = serve_ids(0, model, list(range(50)), 5, np.random.default_rng(42), ctx, "r")
         assert a == b
         assert a.provenance is Provenance.GLOBAL_POPULAR_FALLBACK
         assert len(a.item_ids) == 5
@@ -164,14 +164,14 @@ class TestRecommendTiers:
     def test_global_fallback_restricted_to_candidates(self):
         model = TrainedModel.empty(4)
         ctx = ServingContext(global_popular=[1, 2, 3, 4])
-        slate = recommend(0, model, [3, 4, 9], 10, np.random.default_rng(0), ctx, "r")
+        slate = serve_ids(0, model, [3, 4, 9], 10, np.random.default_rng(0), ctx, "r")
         assert slate.item_ids == (3, 4)
 
     def test_short_and_empty_slates(self):
         model = manual_model({0: [1.0]}, {1: [0.9]})
-        short = recommend(0, model, [1], 5, np.random.default_rng(0), ServingContext(), "r")
+        short = serve_ids(0, model, [1], 5, np.random.default_rng(0), ServingContext(), "r")
         assert short.item_ids == (1,)
-        empty = recommend(0, model, [], 5, np.random.default_rng(0), ServingContext(), "r")
+        empty = serve_ids(0, model, [], 5, np.random.default_rng(0), ServingContext(), "r")
         assert empty.item_ids == ()
 
     def test_exactly_one_tier_fires_randomized(self):
@@ -192,9 +192,8 @@ class TestRecommendTiers:
             popular = rng.sample(range(12), k=rng.randint(0, 12))
             cands = rng.sample(range(12), k=rng.randint(0, 10))
             ctx = ServingContext(subscriber_counts=counts, global_popular=popular)
-            slate = recommend(
-                0, model, cands, 4, np.random.default_rng(case), ctx, "r"
-            )
+            slate = serve_ids(0, model, cands, 4, np.random.default_rng(case), ctx, "r")
+            assert slate == recommend(0, model, cands, 4, np.random.default_rng(case), ctx, "r")
             assert len(slate.item_ids) <= 4
             assert len(set(slate.item_ids)) == len(slate.item_ids)
             assert set(slate.item_ids) <= set(cands)
@@ -204,6 +203,16 @@ class TestRecommendTiers:
                 assert slate.provenance is Provenance.USER_POPULARITY
             else:
                 assert slate.provenance is Provenance.GLOBAL_POPULAR_FALLBACK
+
+
+class TestCatalogModel:
+    def test_align_lays_factors_out_by_catalog_row(self):
+        model = manual_model({0: [1.0, 2.0]}, {1: [1.0, 0.0], 5: [0.0, 1.0], 9: [3.0, 3.0]})
+        aligned = CatalogModel.align(model, np.array([1, 2, 5]))
+        # item 2 was never trained on; item 9 is not in the catalog
+        assert aligned.item_factors.tolist() == [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
+        assert aligned.user_vector(0).tolist() == [1.0, 2.0]
+        assert aligned.user_vector(7) is None
 
 
 class TestConfigValidation:
