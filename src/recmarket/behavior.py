@@ -27,8 +27,8 @@ class BehaviorParams:
     select_threshold: float = 0.2
 
     def validate(self) -> None:
-        if self.recency_bias < 0:
-            raise ConfigError("recency_bias (beta) must be >= 0")
+        if not (math.isfinite(self.recency_bias) and self.recency_bias >= 0):
+            raise ConfigError("recency_bias (beta) must be finite and >= 0")
         if not 0.0 <= self.satisfaction_threshold <= 1.0:
             raise ConfigError("satisfaction_threshold (tau) must lie in [0, 1]")
         if not 0.0 <= self.select_threshold <= 1.0:
@@ -107,7 +107,11 @@ def choose_item(
     total = float(weights.sum())
     if total <= 0.0:
         return None
-    return int(rng.choice(np.flatnonzero(mask), p=weights / total))
+    # Generator.choice(p=...)'s own draw, without its per-call argument checks:
+    # the same pick from the same single uniform.
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(np.flatnonzero(mask)[cdf.searchsorted(rng.random(), side="right")])
 
 
 def maybe_switch(

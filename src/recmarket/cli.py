@@ -332,7 +332,7 @@ def cmd_run(manifest: RunManifest) -> int:
         _write_text(out / name, "\n".join(lines) + "\n")
     summary = engine.render_summary(result.reports)
     _write_text(out / "summary.txt", summary)
-    written = set()
+    written = set(texts)
     for report in result.reports:
         name = f"report_{report.scenario}.json"
         _write_text(out / name, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
@@ -347,8 +347,11 @@ def cmd_run(manifest: RunManifest) -> int:
             for rid, view in state.models.items():
                 path = out / f"model_{config.scenario_name}_{rid}.txt"
                 _write_atomically(path, view.model.dump)
-    # `compare results/report_*.json` must not pick up a scenario this run dropped
-    for stale in [*out.glob("report_*.json"), *out.glob("audit_*.jsonl")]:
+                written.add(path.name)
+    # Remove what an earlier run wrote and this one did not: `compare
+    # results/report_*.json` must not pick up a scenario this run dropped
+    patterns = ("report_*.json", "audit_*.jsonl", "model_*.txt", "consumer_utility_per_day.csv")
+    for stale in [p for pattern in patterns for p in out.glob(pattern)]:
         if stale.name not in written:
             stale.unlink()
 

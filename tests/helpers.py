@@ -7,7 +7,9 @@ sequences through both and compare final states.
 
 The per-item serving and selection functions below work on item ids, one
 item at a time. The engine's array-native path over catalog rows must
-reproduce them exactly, including random-number consumption.
+reproduce them exactly, including random-number consumption. The per-row
+ALS trainer is the reference for the stacked solves in ``recommender.train``,
+which must reproduce its factors bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,15 @@ from recmarket.portability import (
     record_click,
     store_state,
 )
-from recmarket.recommender import CatalogModel, Provenance, TrainedModel, serve
+from recmarket.errors import TrainingError
+from recmarket.recommender import (
+    CatalogModel,
+    Provenance,
+    RecommenderConfig,
+    TrainedModel,
+    TrainingSnapshot,
+    serve,
+)
 
 RECS = ["generic", "niche"]
 
@@ -297,3 +307,67 @@ def select_item(
         return None
     ids = np.array(slate.item_ids)[mask]
     return int(rng.choice(ids, p=weights / total))
+
+
+# ---------------------------------------------------------------------------
+# Per-row ALS oracle
+# ---------------------------------------------------------------------------
+
+
+def train_per_row(
+    snapshot: TrainingSnapshot,
+    config: RecommenderConfig,
+    seed: int,
+    trained_at_cycle: int = 0,
+) -> TrainedModel:
+    """Implicit-feedback ALS with one ridge solve per row, in a Python loop."""
+    users = sorted(c for c, entries in snapshot.items() if entries)
+    item_set: set[int] = set()
+    for c in users:
+        item_set.update(item for item, _day in snapshot[c])
+    items = sorted(item_set)
+    if not users or not items:
+        return TrainedModel.empty(config.latent_factors, trained_at_cycle)
+
+    user_index = {c: k for k, c in enumerate(users)}
+    item_index = {i: k for k, i in enumerate(items)}
+    user_items: list[np.ndarray] = []
+    for c in users:
+        cols = sorted({item_index[item] for item, _day in snapshot[c]})
+        user_items.append(np.array(cols, dtype=np.intp))
+    item_users: list[list[int]] = [[] for _ in items]
+    for u, cols in enumerate(user_items):
+        for col in cols:
+            item_users[col].append(u)
+    item_users_arr = [np.array(rows, dtype=np.intp) for rows in item_users]
+
+    rng = np.random.default_rng(seed)
+    d = config.latent_factors
+    user_mat = rng.standard_normal((len(users), d)) * 0.01
+    item_mat = rng.standard_normal((len(items), d)) * 0.01
+
+    alpha = config.confidence_weight
+    reg = config.regularization
+    for epoch in range(config.epochs):
+        user_mat = solve_side_per_row(user_items, item_mat, alpha, reg)
+        item_mat = solve_side_per_row(item_users_arr, user_mat, alpha, reg)
+        if not (np.isfinite(user_mat).all() and np.isfinite(item_mat).all()):
+            raise TrainingError(f"non-finite factors in epoch {epoch}")
+    return TrainedModel(user_index, item_index, user_mat, item_mat, trained_at_cycle)
+
+
+def solve_side_per_row(
+    observed: Sequence[np.ndarray], other: np.ndarray, alpha: float, reg: float
+) -> np.ndarray:
+    """One half of an ALS round: ridge solve per row against the fixed side."""
+    d = other.shape[1]
+    gram = other.T @ other + reg * np.eye(d)
+    out = np.zeros((len(observed), d))
+    for r, cols in enumerate(observed):
+        if cols.size == 0:
+            continue
+        m = other[cols]
+        a = gram + alpha * (m.T @ m)
+        b = (1.0 + alpha) * m.sum(axis=0)
+        out[r] = np.linalg.solve(a, b)
+    return out

@@ -135,6 +135,25 @@ class TestSelectItem:
         sims = sims_of((1.0, 0.0), [(0, 1)])
         assert choose_item(sims, 0.0, np.random.default_rng(0)) is None
 
+    def test_matches_generator_choice_pick_and_next_draw(self):
+        # choose_item must pick what Generator.choice(p=...) picks and leave
+        # the generator where it leaves it, or every later draw shifts.
+        cases = np.random.default_rng(2024)
+        for case in range(3000):
+            sims = cases.random(int(cases.integers(1, 12)))
+            sims[cases.random(sims.size) < 0.2] = 0.0
+            threshold = float(cases.choice([0.0, 0.2, cases.random()]))
+            mine = np.random.default_rng(case)
+            ref = np.random.default_rng(case)
+            mask = sims >= threshold
+            total = float(sims[mask].sum())
+            if mask.any() and total > 0.0:
+                want = int(ref.choice(np.flatnonzero(mask), p=sims[mask] / total))
+            else:
+                want = None
+            assert choose_item(sims, threshold, mine) == want
+            assert mine.random() == ref.random()
+
 
 class TestMaybeSwitch:
     def consumer(self, estimates, tried, current="generic"):

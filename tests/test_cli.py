@@ -181,13 +181,17 @@ class TestCmdRun:
         assert (out / "model_baseline_generic.txt").exists()
 
     def test_rerun_with_fewer_outputs_removes_stale_files(self, tmp_path):
-        out = self.run_once(tmp_path, "out", emit=("audit-log",))
+        out = self.run_once(tmp_path, "out", emit=("audit-log", "per-day", "model-dump"))
         assert (out / "report_universal.json").exists()
         assert (out / "audit_universal.jsonl").exists()
+        assert (out / "consumer_utility_per_day.csv").exists()
+        assert (out / "model_universal_generic.txt").exists()
         fewer = SMALL_RUN.replace("warmup_cycles = 1", "warmup_cycles = 1\npolicies = baseline")
         assert cmd_run(RunManifest(write(tmp_path, fewer, "fewer.ini"), out)) == 0
         assert sorted(p.name for p in out.glob("report_*.json")) == ["report_baseline.json"]
         assert list(out.glob("audit_*.jsonl")) == []
+        assert list(out.glob("model_*.txt")) == []
+        assert not (out / "consumer_utility_per_day.csv").exists()
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
     def test_seed_override_changes_results(self, tmp_path):
@@ -261,6 +265,25 @@ class TestMainEntry:
     def test_exit_code_validation_error(self, tmp_path):
         bad = write(tmp_path, "[scenario]\nseed = 1\n")  # no niche_genre
         assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("behavior", "beta", "nan"),
+            ("behavior", "beta", "inf"),
+            ("recommenders", "confidence_weight", "nan"),
+            ("recommenders", "confidence_weight", "inf"),
+            ("recommenders", "regularization", "nan"),
+        ],
+    )
+    def test_non_finite_hyperparameter_is_a_validation_error(
+        self, tmp_path, capsys, section, key, value
+    ):
+        bad = write(tmp_path, MINIMAL + f"\n[{section}]\n{key} = {value}\n")
+        assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err, err
+        assert not (tmp_path / "o").exists()
 
     def test_exit_code_data_error(self, tmp_path):
         missing = tmp_path / "nope.ini"

@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from helpers import ServingContext, recommend, score, serve_ids
+from helpers import ServingContext, recommend, score, serve_ids, train_per_row
+from recmarket import recommender
 from recmarket.dataset import InteractionLog, RatingRecord
-from recmarket.errors import ConfigError
+from recmarket.errors import ConfigError, TrainingError
 from recmarket.recommender import (
     CatalogModel,
     Provenance,
@@ -86,6 +87,70 @@ class TestTrain:
         model.dump(path)
         text = path.read_text()
         assert "# user factors" in text and "# item factors" in text
+
+
+def random_snapshot(rng, consumers, items, max_clicks):
+    """Consumer ids with gaps, some empty profiles and repeated clicks."""
+    snap = {}
+    for c in range(consumers):
+        k = int(rng.integers(0, max_clicks + 1))
+        snap[3 * c + 1] = tuple(
+            (int(rng.integers(0, items)) * 2, int(rng.integers(0, 10))) for _ in range(k)
+        )
+    return snap
+
+
+def assert_matches_per_row(snap, config, seed):
+    got = train(snap, config, seed, trained_at_cycle=4)
+    want = train_per_row(snap, config, seed, trained_at_cycle=4)
+    assert got.user_index == want.user_index
+    assert got.item_index == want.item_index
+    assert got.user_factors.tobytes() == want.user_factors.tobytes()
+    assert got.item_factors.tobytes() == want.item_factors.tobytes()
+    assert got.trained_at_cycle == 4
+
+
+class TestTrainMatchesPerRowOracle:
+    """The stacked solves must give the per-row loop's factors bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_snapshots(self, seed):
+        rng = np.random.default_rng(seed)
+        snap = random_snapshot(rng, consumers=60, items=40, max_clicks=12)
+        config = RecommenderConfig("r", latent_factors=int(rng.integers(2, 20)), epochs=3)
+        assert_matches_per_row(snap, config, seed)
+
+    def test_duplicate_clicks_on_one_item(self):
+        snap = {0: [(5, 0), (5, 1), (5, 2), (7, 3)], 1: [(7, 0), (7, 1)], 2: [(5, 4)]}
+        assert_matches_per_row(snap, CFG, seed=3)
+
+    def test_single_observation_rows(self):
+        # every user and every item has exactly one observation
+        snap = {c: [(100 + c, 0)] for c in range(40)}
+        assert_matches_per_row(snap, CFG, seed=4)
+
+    def test_count_group_larger_than_one_chunk(self):
+        d, count, users = 32, 3, 100
+        assert users > recommender._CHUNK_FLOATS // (d * (d + count))
+        rng = np.random.default_rng(9)
+        snap = {
+            c: [(int(i), 0) for i in rng.choice(50, size=count, replace=False)]
+            for c in range(users)
+        }
+        assert_matches_per_row(snap, RecommenderConfig("r", latent_factors=d, epochs=2), seed=9)
+
+    @pytest.mark.parametrize("latent_factors", [1, 64])
+    def test_extreme_latent_factors(self, latent_factors):
+        rng = np.random.default_rng(latent_factors)
+        snap = random_snapshot(rng, consumers=50, items=30, max_clicks=20)
+        config = RecommenderConfig("r", latent_factors=latent_factors, epochs=2)
+        assert_matches_per_row(snap, config, seed=1)
+
+    def test_infinite_confidence_weight_raises(self):
+        snap = {0: [(1, 0), (2, 0)], 1: [(2, 1)]}
+        config = RecommenderConfig("r", latent_factors=4, confidence_weight=float("inf"))
+        with pytest.raises(TrainingError, match="non-finite"):
+            train(snap, config, seed=0)
 
 
 class TestPopularList:
@@ -222,3 +287,9 @@ class TestConfigValidation:
 
     def test_defaults_are_valid(self):
         RecommenderConfig("r").validate()
+
+    @pytest.mark.parametrize("field", ["regularization", "confidence_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RecommenderConfig("r", **{field: value}).validate()
