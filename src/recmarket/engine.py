@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -29,7 +30,7 @@ from .dataset import (
 )
 from .errors import ConfigError
 from .portability import AuditTrail, PortabilityPolicy, ProfileStore
-from .recommender import ALL_GENRES, CatalogModel, Provenance, RecommenderConfig
+from .recommender import ALL_GENRES, CatalogModel, Provenance, RecommenderConfig, TrainedModel
 
 GENERIC_RECOMMENDER = "generic"
 NICHE_RECOMMENDER = "niche"
@@ -84,6 +85,8 @@ class ScenarioConfig:
             raise ConfigError("cycles, days_per_cycle and slate_size must be >= 1")
         if not 0 <= self.warmup_cycles < self.cycles:
             raise ConfigError("warmup_cycles must satisfy 0 <= warmup < cycles")
+        if not math.isfinite(self.history_threshold):
+            raise ConfigError("history_threshold must be finite")
         self.behavior.validate()
         if not self.recommenders:
             raise ConfigError("at least one recommender is required")
@@ -301,6 +304,38 @@ class _MetricsAccumulator:
 
 
 @dataclass
+class _ModelStore:
+    """Trained models shared by the scenarios of one suite, keyed by
+    everything ``recommender.train`` reads: (training-view digest, the whole
+    recommender config, train seed, cycle). A hit is therefore the model
+    that training would return, bit for bit.
+
+    Models are shared only through warm-up: until then no consumer can have
+    switched under either switch timing, so every scenario trains on the
+    same views. After it the views part by policy, so storing those models
+    would only cost memory, and a lookup could not hit a stored model.
+    """
+
+    models: dict[tuple, TrainedModel] = field(default_factory=dict)
+    storing: bool = True
+
+
+def _view_digest(view: Mapping[int, Sequence[tuple[int, int]]]) -> bytes:
+    """sha256 of the consumer count, the ascending consumer ids, their entry
+    counts and every (item, day) pair in order."""
+    consumers = sorted(view)
+    counts = [len(view[c]) for c in consumers]
+    pairs = np.fromiter(
+        chain.from_iterable(chain.from_iterable(view[c] for c in consumers)),
+        np.int64,
+        count=2 * sum(counts),
+    )
+    digest = hashlib.sha256(np.array([len(consumers), *consumers, *counts], dtype=np.int64))
+    digest.update(pairs)
+    return digest.digest()
+
+
+@dataclass
 class EcosystemState:
     config: ScenarioConfig
     catalog: Catalog
@@ -323,6 +358,8 @@ class EcosystemState:
     collect_day_rows: bool = False
     # per-day cache of subscriber click counts (per catalog row) for fallback serving
     _fallback_counts: dict[str, np.ndarray] = field(default_factory=dict)
+    # models shared with the other scenarios of a suite; None outside one
+    model_store: _ModelStore | None = None
 
     def consumer_types(self) -> list[str]:
         return sorted({c.type_label for c in self.consumers})
@@ -403,15 +440,19 @@ def prepare_state(
 
 def train_cycle(state: EcosystemState) -> None:
     """Retrain every active recommender on its current training view."""
+    store = state.model_store if state.cycle <= state.config.warmup_cycles else None
     for rid in state.active:
         view = portability.training_view(state.store, state.store_policy, rid)
         cfg = state.rec_configs[rid]
-        model = recommender.train(
-            view,
-            cfg,
-            seed=derive_seed(state.config.seed, "train", rid, state.cycle),
-            trained_at_cycle=state.cycle,
-        )
+        seed = derive_seed(state.config.seed, "train", rid, state.cycle)
+        model = key = None
+        if store is not None and (store.storing or store.models):
+            key = (_view_digest(view), cfg, seed, state.cycle)
+            model = store.models.get(key)
+        if model is None:
+            model = recommender.train(view, cfg, seed=seed, trained_at_cycle=state.cycle)
+            if store is not None and store.storing:
+                store.models[key] = model
         state.models[rid] = CatalogModel.align(model, state.index.item_ids)
 
 
@@ -570,7 +611,18 @@ def run_scenario(
     collect_day_rows: bool = False,
 ) -> MetricsReport:
     """Execute a full scenario and return its metrics."""
+    return _run(config, data, audit, collect_day_rows, model_store=None)
+
+
+def _run(
+    config: ScenarioConfig,
+    data: tuple[InteractionLog, Catalog],
+    audit: AuditTrail | None,
+    collect_day_rows: bool,
+    model_store: _ModelStore | None,
+) -> MetricsReport:
     state = prepare_state(config, data, audit=audit, collect_day_rows=collect_day_rows)
+    state.model_store = model_store
     for cycle in range(config.cycles):
         state.cycle = cycle
         train_cycle(state)
@@ -635,7 +687,9 @@ def run_experiment_suite(
     """Run several scenarios over shared data and constants.
 
     All configs must agree on everything except the policy (and the
-    recommender roster the policy implies).
+    recommender roster the policy implies). Scenarios run one at a time, and
+    a model trained through warm-up is reused by a later scenario whose
+    training inputs are identical (see ``_ModelStore``).
     """
     if not configs:
         raise ConfigError("no scenarios to run")
@@ -645,12 +699,13 @@ def run_experiment_suite(
     names = [c.scenario_name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique within a suite")
+    store = _ModelStore()
     reports = []
-    for config in configs:
+    for k, config in enumerate(configs):
         audit = (audits or {}).get(config.scenario_name)
-        reports.append(
-            run_scenario(config, data, audit=audit, collect_day_rows=collect_day_rows)
-        )
+        # The last scenario only reads: no scenario after it could use what it stores.
+        store.storing = k < len(configs) - 1
+        reports.append(_run(config, data, audit, collect_day_rows, store))
     return ExperimentResult(tuple(reports))
 
 

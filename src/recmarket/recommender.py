@@ -75,6 +75,7 @@ class TrainedModel:
     @classmethod
     def empty(cls, latent_factors: int, trained_at_cycle: int = 0) -> "TrainedModel":
         z = np.zeros((0, latent_factors))
+        z.flags.writeable = False
         return cls({}, {}, z, z, trained_at_cycle)
 
     def knows_consumer(self, consumer_id: int) -> bool:
@@ -129,6 +130,9 @@ def train(
                 f"{config.recommender_id}: non-finite factors in epoch {epoch}, "
                 f"cycle {trained_at_cycle}"
             )
+    # One model can serve several scenarios of a suite, so it is read-only.
+    user_mat.flags.writeable = False
+    item_mat.flags.writeable = False
     user_index = {c: k for k, c in enumerate(users)}
     item_index = {int(i): k for k, i in enumerate(items)}
     return TrainedModel(user_index, item_index, user_mat, item_mat, trained_at_cycle)

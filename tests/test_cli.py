@@ -274,6 +274,8 @@ class TestMainEntry:
             ("recommenders", "confidence_weight", "nan"),
             ("recommenders", "confidence_weight", "inf"),
             ("recommenders", "regularization", "nan"),
+            ("scenario", "history_threshold", "nan"),
+            ("scenario", "history_threshold", "inf"),
         ],
     )
     def test_non_finite_hyperparameter_is_a_validation_error(

@@ -1,10 +1,13 @@
 """Simulation loop: ordering, metrics, determinism, switch timing."""
 
 import copy
+import gc
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -500,3 +503,120 @@ class TestSuite:
         lines2 = engine.cycle_csv_lines([run_scenario(small_config(), data)])
         assert lines1 == lines2
         assert lines1[0] == "scenario,cycle,consumer_type,mean_utility,n"
+
+
+def run_alone_and_in_suite(configs, data):
+    """Each config's report, day rows, switch events and audit JSONL, from
+    separate ``run_scenario`` calls and from one suite."""
+
+    def outputs(report, trail):
+        return (
+            json.dumps(report.to_json_dict(), sort_keys=True),
+            report.day_utilities,
+            report.switch_events,
+            trail.to_jsonl(),
+        )
+
+    alone = []
+    for config in configs:
+        trail = AuditTrail()
+        report = run_scenario(config, data, audit=trail, collect_day_rows=True)
+        alone.append(outputs(report, trail))
+    trails = {c.scenario_name: AuditTrail() for c in configs}
+    result = run_experiment_suite(configs, data, audits=trails, collect_day_rows=True)
+    in_suite = [outputs(r, trails[r.scenario]) for r in result.reports]
+    return alone, in_suite
+
+
+def count_train_calls(monkeypatch):
+    """Patch ``recommender.train`` to record the (view, config, seed, cycle)
+    of every call."""
+    calls = []
+    original = recommender.train
+
+    def train(snapshot, config, seed, trained_at_cycle=0):
+        calls.append((repr(sorted(snapshot.items())), config, seed, trained_at_cycle))
+        return original(snapshot, config, seed, trained_at_cycle)
+
+    monkeypatch.setattr(recommender, "train", train)
+    return calls
+
+
+class TestModelReuse:
+    SUITE = dict(seed=1, niche_genre="Horror", cycles=3, days_per_cycle=2, warmup_cycles=1)
+
+    @pytest.mark.parametrize("timing", list(SwitchTiming))
+    def test_suite_equals_scenarios_run_alone(self, timing):
+        configs = standard_suite(
+            **self.SUITE,
+            slate_size=4,
+            switch_timing=timing,
+            behavior=BehaviorParams(satisfaction_threshold=0.4),
+        )
+        alone, in_suite = run_alone_and_in_suite(configs, small_data())
+        assert in_suite == alone
+        assert any(switch_events for _json, _days, switch_events, _audit in alone)
+
+    def test_key_covers_the_recommender_config(self):
+        # Same ids, view and seeds: only the epochs tell the models apart.
+        short = tuple(replace(r, epochs=2) for r in default_recommenders("Horror"))
+        configs = [small_config(name="long"), small_config(name="short", recommenders=short)]
+        alone, in_suite = run_alone_and_in_suite(configs, small_data())
+        assert in_suite == alone
+        assert alone[0][0] != alone[1][0]
+
+    def test_each_warmup_model_is_trained_once_per_suite(self, monkeypatch):
+        configs = standard_suite(**self.SUITE)
+        calls = count_train_calls(monkeypatch)
+        run_experiment_suite(configs, small_data())
+        warmup_cycles = self.SUITE["warmup_cycles"]
+        warmup = Counter(c for c in calls if c[3] <= warmup_cycles)
+        assert set(warmup.values()) == {1}
+        calls_alone = sum(len(c.recommenders) for c in configs) * (warmup_cycles + 1)
+        assert len(warmup) < calls_alone
+
+    def test_one_scenario_suite_trains_like_run_scenario(self, monkeypatch):
+        calls = count_train_calls(monkeypatch)
+        run_scenario(small_config(), small_data())
+        alone = list(calls)
+        calls.clear()
+        monkeypatch.setattr(engine, "_view_digest", lambda view: pytest.fail("digest taken"))
+        run_experiment_suite([small_config()], small_data())
+        assert calls == alone
+
+    def test_run_scenario_shares_nothing_across_calls(self, monkeypatch):
+        calls = count_train_calls(monkeypatch)
+        config = small_config()
+        for _ in range(2):
+            run_scenario(config, small_data())
+        per_run = config.cycles * len(config.recommenders)
+        assert calls[:per_run] == calls[per_run:] and len(calls) == 2 * per_run
+
+    def test_scenarios_run_one_at_a_time(self, monkeypatch):
+        # A suite's earlier state must be freed before the next is prepared,
+        # or peak memory grows by a scenario.
+        states = []
+        original = engine.prepare_state
+
+        def prepare_state(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in states)
+            state = original(*args, **kwargs)
+            states.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(engine, "prepare_state", prepare_state)
+        run_experiment_suite(standard_suite(**self.SUITE), small_data())
+        assert len(states) == 5
+
+    def test_store_holds_only_warmup_models(self, monkeypatch):
+        stored_cycles = set()
+        original = engine.train_cycle
+
+        def train_cycle(state):
+            original(state)
+            stored_cycles.update(key[3] for key in state.model_store.models)
+
+        monkeypatch.setattr(engine, "train_cycle", train_cycle)
+        run_experiment_suite(standard_suite(**self.SUITE), small_data())
+        assert stored_cycles == {0, 1}

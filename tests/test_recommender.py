@@ -81,6 +81,13 @@ class TestTrain:
         assert np.isfinite(model.user_factors).all()
         assert np.isfinite(model.item_factors).all()
 
+    def test_factor_arrays_are_read_only(self):
+        # A suite hands one trained model to several scenarios.
+        for model in (train({0: [(1, 0)]}, CFG, seed=3), train({}, CFG, seed=0)):
+            for factors in (model.user_factors, model.item_factors):
+                with pytest.raises(ValueError, match="read-only"):
+                    factors[...] = 0.0
+
     def test_dump_writes_rows(self, tmp_path):
         model = train({0: [(1, 0)]}, CFG, seed=3)
         path = tmp_path / "m.txt"
