@@ -13,6 +13,10 @@ of ``TestCriterion4TrendReproduction`` sits from its gate:
   click count (gate > 0);
 - universal - algorithm_specific niche-provider clicks (gate >= 0).
 
+It also prints a sha256 over the suite's report JSON (as ``recmarket run``
+writes it) and its cycle, provider, switch and per-day CSV lines, so that
+two checkouts can be compared byte for byte by running this on each.
+
 Run from the repository root (about two minutes on two CPUs):
 
     PYTHONPATH=src python scripts/margins.py
@@ -20,17 +24,38 @@ Run from the repository root (about two minutes on two CPUs):
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 from recmarket.dataset import GENERIC, NICHE, SyntheticSpec, generate_synthetic
-from recmarket.engine import run_experiment_suite, standard_suite
+from recmarket.engine import (
+    cycle_csv_lines,
+    day_csv_lines,
+    provider_csv_lines,
+    run_experiment_suite,
+    standard_suite,
+    switch_csv_lines,
+)
 
 SEEDS = (3, 11, 42)
 SWITCHING = ("algorithm_specific", "cold_start", "user_ownership", "universal")
 
 
-def seed_margins(seed: int) -> dict[str, float]:
+def report_digest(reports) -> str:
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(json.dumps(report.to_json_dict(), indent=2, sort_keys=True).encode())
+    for emit in (cycle_csv_lines, provider_csv_lines, switch_csv_lines, day_csv_lines):
+        digest.update("\n".join(emit(reports)).encode())
+    return digest.hexdigest()
+
+
+def seed_margins(seed: int) -> dict[str, object]:
     spec = SyntheticSpec(consumers=500, items=300, providers=20, niche_fraction=0.1, seed=seed)
     result = run_experiment_suite(
-        standard_suite(seed=seed, niche_genre="Horror"), generate_synthetic(spec)
+        standard_suite(seed=seed, niche_genre="Horror"),
+        generate_synthetic(spec),
+        collect_day_rows=True,
     )
     base = result.report("baseline")
     switching = [result.report(name) for name in SWITCHING]
@@ -49,18 +74,20 @@ def seed_margins(seed: int) -> dict[str, float]:
             result.report("universal").provider_clicks[NICHE]
             - result.report("algorithm_specific").provider_clicks[NICHE]
         ),
+        "sha256": report_digest(result.reports),
     }
 
 
 def main() -> None:
     print("seed\tniche_uplift_min\tgeneric_deviation_max\tniche_provider_gain_min\t"
-          "universal_minus_algorithm_specific")
-    print("gate\t>= 1.5\t<= 0.10\t> 0\t>= 0")
+          "universal_minus_algorithm_specific\tsha256")
+    print("gate\t>= 1.5\t<= 0.10\t> 0\t>= 0\t")
     for seed in SEEDS:
         m = seed_margins(seed)
         print(
             f"{seed}\t{m['niche_uplift_min']:.4f}\t{m['generic_deviation_max']:.4f}\t"
-            f"{m['niche_provider_gain_min']:+d}\t{m['universal_minus_algorithm_specific']:+d}",
+            f"{m['niche_provider_gain_min']:+d}\t{m['universal_minus_algorithm_specific']:+d}\t"
+            f"{m['sha256']}",
             flush=True,
         )
 

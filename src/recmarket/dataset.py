@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -54,12 +55,6 @@ class InteractionLog:
     def __post_init__(self) -> None:
         if not self.records:
             raise DataError("no interactions")
-
-    def consumers(self) -> list[int]:
-        return sorted({r.consumer_id for r in self.records})
-
-    def items(self) -> list[int]:
-        return sorted({r.item_id for r in self.records})
 
 
 @dataclass(frozen=True)
@@ -183,8 +178,8 @@ def _parse_csv_rows(path: Path) -> Iterable[RatingRecord]:
             rec = RatingRecord(int(row[0]), int(row[1]), float(row[2]), int(row[3]))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if rec.rating <= 0.0:
-            raise DataError(f"{path}:{lineno}: rating must be positive")
+        if not (math.isfinite(rec.rating) and rec.rating > 0.0):
+            raise DataError(f"{path}:{lineno}: rating must be finite and positive")
         yield rec
 
 

@@ -8,11 +8,12 @@ or scheduling.
 
 from __future__ import annotations
 
+import copy
 import enum
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -30,7 +31,7 @@ from .dataset import (
 )
 from .errors import ConfigError
 from .portability import AuditTrail, PortabilityPolicy, ProfileStore
-from .recommender import ALL_GENRES, CatalogModel, Provenance, RecommenderConfig, TrainedModel
+from .recommender import ALL_GENRES, CatalogModel, Provenance, RecommenderConfig
 
 GENERIC_RECOMMENDER = "generic"
 NICHE_RECOMMENDER = "niche"
@@ -79,6 +80,11 @@ class ScenarioConfig:
         if self.name:
             return self.name
         return "baseline" if self.policy is None else self.policy.value
+
+    @property
+    def home(self) -> RecommenderConfig:
+        """The all-genre recommender every consumer starts at."""
+        return next(r for r in self.recommenders if r.specialization == ALL_GENRES)
 
     def validate(self) -> None:
         if self.cycles < 1 or self.days_per_cycle < 1 or self.slate_size < 1:
@@ -304,38 +310,6 @@ class _MetricsAccumulator:
 
 
 @dataclass
-class _ModelStore:
-    """Trained models shared by the scenarios of one suite, keyed by
-    everything ``recommender.train`` reads: (training-view digest, the whole
-    recommender config, train seed, cycle). A hit is therefore the model
-    that training would return, bit for bit.
-
-    Models are shared only through warm-up: until then no consumer can have
-    switched under either switch timing, so every scenario trains on the
-    same views. After it the views part by policy, so storing those models
-    would only cost memory, and a lookup could not hit a stored model.
-    """
-
-    models: dict[tuple, TrainedModel] = field(default_factory=dict)
-    storing: bool = True
-
-
-def _view_digest(view: Mapping[int, Sequence[tuple[int, int]]]) -> bytes:
-    """sha256 of the consumer count, the ascending consumer ids, their entry
-    counts and every (item, day) pair in order."""
-    consumers = sorted(view)
-    counts = [len(view[c]) for c in consumers]
-    pairs = np.fromiter(
-        chain.from_iterable(chain.from_iterable(view[c] for c in consumers)),
-        np.int64,
-        count=2 * sum(counts),
-    )
-    digest = hashlib.sha256(np.array([len(consumers), *consumers, *counts], dtype=np.int64))
-    digest.update(pairs)
-    return digest.digest()
-
-
-@dataclass
 class EcosystemState:
     config: ScenarioConfig
     catalog: Catalog
@@ -358,8 +332,6 @@ class EcosystemState:
     collect_day_rows: bool = False
     # per-day cache of subscriber click counts (per catalog row) for fallback serving
     _fallback_counts: dict[str, np.ndarray] = field(default_factory=dict)
-    # models shared with the other scenarios of a suite; None outside one
-    model_store: _ModelStore | None = None
 
     def consumer_types(self) -> list[str]:
         return sorted({c.type_label for c in self.consumers})
@@ -381,9 +353,7 @@ def prepare_state(
     if not seeds:
         raise ConfigError("no usable consumers in the interaction log")
 
-    home = next(
-        r.recommender_id for r in config.recommenders if r.specialization == ALL_GENRES
-    )
+    home = config.home.recommender_id
     consumers = [
         ConsumerState(
             consumer_id=s.consumer_id,
@@ -439,20 +409,16 @@ def prepare_state(
 
 
 def train_cycle(state: EcosystemState) -> None:
-    """Retrain every active recommender on its current training view."""
-    store = state.model_store if state.cycle <= state.config.warmup_cycles else None
+    """Train every active recommender that has no model of the current cycle
+    yet on its current training view."""
     for rid in state.active:
+        held = state.models.get(rid)
+        if held is not None and held.model.trained_at_cycle == state.cycle:
+            continue
         view = portability.training_view(state.store, state.store_policy, rid)
         cfg = state.rec_configs[rid]
         seed = derive_seed(state.config.seed, "train", rid, state.cycle)
-        model = key = None
-        if store is not None and (store.storing or store.models):
-            key = (_view_digest(view), cfg, seed, state.cycle)
-            model = store.models.get(key)
-        if model is None:
-            model = recommender.train(view, cfg, seed=seed, trained_at_cycle=state.cycle)
-            if store is not None and store.storing:
-                store.models[key] = model
+        model = recommender.train(view, cfg, seed=seed, trained_at_cycle=state.cycle)
         state.models[rid] = CatalogModel.align(model, state.index.item_ids)
 
 
@@ -610,32 +576,21 @@ def run_scenario(
     audit: AuditTrail | None = None,
     collect_day_rows: bool = False,
 ) -> MetricsReport:
-    """Execute a full scenario and return its metrics."""
-    return _run(config, data, audit, collect_day_rows, model_store=None)
+    """Execute a full scenario and return its metrics: a one-scenario suite."""
+    audits = {config.scenario_name: audit}
+    return run_experiment_suite([config], data, audits, collect_day_rows).reports[0]
 
 
-def _run(
-    config: ScenarioConfig,
-    data: tuple[InteractionLog, Catalog],
-    audit: AuditTrail | None,
-    collect_day_rows: bool,
-    model_store: _ModelStore | None,
-) -> MetricsReport:
-    state = prepare_state(config, data, audit=audit, collect_day_rows=collect_day_rows)
-    state.model_store = model_store
-    for cycle in range(config.cycles):
+def _run_cycles(state: EcosystemState, cycles: range) -> None:
+    cfg = state.config
+    for cycle in cycles:
         state.cycle = cycle
         train_cycle(state)
-        for _day in range(config.days_per_cycle):
+        for _day in range(cfg.days_per_cycle):
             run_day(state)
-        if (
-            config.switch_timing is SwitchTiming.END_OF_CYCLE
-            and not config.is_baseline
-            and cycle >= config.warmup_cycles
-        ):
+        if cfg.switch_timing is SwitchTiming.END_OF_CYCLE and not cfg.is_baseline:
             evaluate_switches(state)
         _finish_cycle(state)
-    return _build_report(state)
 
 
 def _build_report(state: EcosystemState) -> MetricsReport:
@@ -686,27 +641,71 @@ def run_experiment_suite(
 ) -> ExperimentResult:
     """Run several scenarios over shared data and constants.
 
-    All configs must agree on everything except the policy (and the
-    recommender roster the policy implies). Scenarios run one at a time, and
-    a model trained through warm-up is reused by a later scenario whose
-    training inputs are identical (see ``_ModelStore``).
+    All configs must agree on everything except the policy and the roster it
+    implies. No consumer can switch during warm-up, so that prefix of the
+    market runs once and each scenario runs on a copy of it, one at a time.
     """
     if not configs:
         raise ConfigError("no scenarios to run")
-    keys = {c.shared_key() for c in configs}
-    if len(keys) != 1:
+    for config in configs:
+        config.validate()
+    keys = {(c.shared_key(), c.home) for c in configs}
+    rosters = {c.recommenders for c in configs if not c.is_baseline}
+    if len(keys) != 1 or len(rosters) > 1:
         raise ConfigError("suite scenarios must share all constants except the policy")
     names = [c.scenario_name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique within a suite")
-    store = _ModelStore()
-    reports = []
-    for k, config in enumerate(configs):
-        audit = (audits or {}).get(config.scenario_name)
-        # The last scenario only reads: no scenario after it could use what it stores.
-        store.storing = k < len(configs) - 1
-        reports.append(_run(config, data, audit, collect_day_rows, store))
+    widest = max(configs, key=lambda c: len(c.recommenders))
+
+    # The prefix is the suite's baseline up to the first possible switch: under
+    # per-day switching that is cycle warmup_cycles' first day, else its end.
+    audits = audits or {}
+    universal = replace(widest, policy=PortabilityPolicy.UNIVERSAL)
+    trail = AuditTrail() if any(audits.values()) else None
+    prefix = prepare_state(universal, data, trail, collect_day_rows)
+    prefix.config = replace(widest, policy=None, recommenders=(widest.home,))
+    prefix.active = [widest.home.recommender_id]
+    end_of_cycle = widest.switch_timing is SwitchTiming.END_OF_CYCLE
+    _run_cycles(prefix, range(widest.warmup_cycles + end_of_cycle))
+    if not end_of_cycle:
+        prefix.cycle = widest.warmup_cycles
+        train_cycle(prefix)
+
+    # Branches share what none of them writes (trained factors are read-only;
+    # each branch copies the store's lists into its own). At most the prefix
+    # and one branch exist: the last scenario runs on the prefix itself.
+    keep = (prefix.catalog, prefix.index, prefix.store, *prefix.models.values())
+    reports = [
+        _run_branch(copy.deepcopy(prefix, {id(x): x for x in keep}), c, audits.get(c.scenario_name))
+        for c in configs[:-1]
+    ]
+    reports.append(_run_branch(prefix, configs[-1], audits.get(configs[-1].scenario_name)))
     return ExperimentResult(tuple(reports))
+
+
+def _run_branch(
+    state: EcosystemState, config: ScenarioConfig, audit: AuditTrail | None
+) -> MetricsReport:
+    """Run ``config`` on a copy of the suite's prefix, from where it ends."""
+    home = config.home.recommender_id
+    policy = config.policy or PortabilityPolicy.UNIVERSAL
+    state.config, state.store_policy = config, policy
+    state.rec_configs = {r.recommender_id: r for r in config.recommenders}
+    state.active = sorted(state.rec_configs)
+    if audit is not None:
+        audit.events.extend(state.store.audit.events)
+    history = state.store.shared
+    state.store = ProfileStore.create(policy, state.active, audit=audit)
+    state.store._bucket(policy, home).update((c, list(e)) for c, e in history.items())
+    if not policy.shared_layout:  # the prefix's matrices all alias home's
+        seen = state.visible[home]
+        state.visible = {r: seen if r == home else np.zeros_like(seen) for r in state.active}
+    end_of_cycle = config.switch_timing is SwitchTiming.END_OF_CYCLE
+    if end_of_cycle and not config.is_baseline:
+        evaluate_switches(state)
+    _run_cycles(state, range(config.warmup_cycles + end_of_cycle, config.cycles))
+    return _build_report(state)
 
 
 def cycle_csv_lines(reports: Iterable[MetricsReport]) -> list[str]:

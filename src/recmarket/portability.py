@@ -41,17 +41,12 @@ class PortabilityPolicy(enum.Enum):
 
 @dataclass
 class AuditTrail:
-    """Append-only event list, serializable as newline-delimited JSON."""
+    """Append-only event list, read back from newline-delimited JSON."""
 
     events: list[dict] = field(default_factory=list)
 
     def emit(self, event: str, **payload: object) -> None:
         self.events.append({"event": event, **payload})
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(e, sort_keys=True) for e in self.events) + (
-            "\n" if self.events else ""
-        )
 
     @staticmethod
     def from_jsonl(text: str) -> "AuditTrail":

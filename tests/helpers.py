@@ -9,7 +9,9 @@ The per-item serving and selection functions below work on item ids, one
 item at a time. The engine's array-native path over catalog rows must
 reproduce them exactly, including random-number consumption. The per-row
 ALS trainer is the reference for the stacked solves in ``recommender.train``,
-which must reproduce its factors bit for bit.
+which must reproduce its factors bit for bit. ``run_from_scratch`` runs one
+scenario straight through from cycle 0; a suite, which runs the warm-up once
+and branches it into every scenario, must reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from recmarket import engine
 from recmarket.behavior import BehaviorParams, ConsumerState
 from recmarket.dataset import Catalog
 from recmarket.portability import (
@@ -371,3 +374,27 @@ def solve_side_per_row(
         b = (1.0 + alpha) * m.sum(axis=0)
         out[r] = np.linalg.solve(a, b)
     return out
+
+
+def run_from_scratch(
+    config: engine.ScenarioConfig,
+    data: tuple,
+    audit: AuditTrail | None = None,
+    collect_day_rows: bool = False,
+) -> engine.MetricsReport:
+    """One scenario on its own state, cycle by cycle from the start: every
+    active recommender trains every cycle, and nothing is shared."""
+    state = engine.prepare_state(config, data, audit=audit, collect_day_rows=collect_day_rows)
+    for cycle in range(config.cycles):
+        state.cycle = cycle
+        engine.train_cycle(state)
+        for _day in range(config.days_per_cycle):
+            engine.run_day(state)
+        if (
+            config.switch_timing is engine.SwitchTiming.END_OF_CYCLE
+            and not config.is_baseline
+            and cycle >= config.warmup_cycles
+        ):
+            engine.evaluate_switches(state)
+        engine._finish_cycle(state)
+    return engine._build_report(state)

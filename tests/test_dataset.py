@@ -75,6 +75,13 @@ class TestLoadRatings:
         with pytest.raises(DataError, match="header"):
             load_ratings(p, fmt="csv")
 
+    @pytest.mark.parametrize("rating", ["nan", "inf", "0", "-1"])
+    def test_csv_rating_must_be_finite_and_positive(self, tmp_path, rating):
+        p = tmp_path / "r.csv"
+        p.write_text(f"user,item,rating,timestamp\n3,9,{rating},100\n4,9,4.0,101\n")
+        with pytest.raises(DataError, match=r"r\.csv:2: rating must be finite and positive"):
+            load_ratings(p, fmt="csv")
+
     def test_ingestion_idempotent(self, tmp_path):
         p = tmp_path / "r.dat"
         p.write_text("1::1::4::1\n2::2::3::2\n1::2::5::3\n")

@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ServingContext, Slate, list_utility, recommend, select_item
+from helpers import (
+    ServingContext,
+    Slate,
+    list_utility,
+    recommend,
+    run_from_scratch,
+    select_item,
+)
 from recmarket import behavior, engine, portability, recommender
 from recmarket.behavior import BehaviorParams
 from recmarket.dataset import GENERIC, NICHE, SyntheticSpec, generate_synthetic
@@ -506,117 +513,143 @@ class TestSuite:
 
 
 def run_alone_and_in_suite(configs, data):
-    """Each config's report, day rows, switch events and audit JSONL, from
-    separate ``run_scenario`` calls and from one suite."""
+    """Each config's report, day rows, switch events and audit events: run
+    from scratch by the oracle, through ``run_scenario`` and in one suite."""
 
     def outputs(report, trail):
         return (
             json.dumps(report.to_json_dict(), sort_keys=True),
             report.day_utilities,
             report.switch_events,
-            trail.to_jsonl(),
+            trail.events,
         )
 
-    alone = []
-    for config in configs:
-        trail = AuditTrail()
-        report = run_scenario(config, data, audit=trail, collect_day_rows=True)
-        alone.append(outputs(report, trail))
+    runs = {run_from_scratch: [], run_scenario: []}
+    for run, got in runs.items():
+        for config in configs:
+            trail = AuditTrail()
+            got.append(outputs(run(config, data, trail, collect_day_rows=True), trail))
     trails = {c.scenario_name: AuditTrail() for c in configs}
     result = run_experiment_suite(configs, data, audits=trails, collect_day_rows=True)
     in_suite = [outputs(r, trails[r.scenario]) for r in result.reports]
-    return alone, in_suite
+    return runs[run_from_scratch], runs[run_scenario], in_suite
 
 
 def count_train_calls(monkeypatch):
-    """Patch ``recommender.train`` to record the (view, config, seed, cycle)
-    of every call."""
+    """Patch ``recommender.train`` to record the (recommender id, cycle) of
+    every call."""
     calls = []
     original = recommender.train
 
     def train(snapshot, config, seed, trained_at_cycle=0):
-        calls.append((repr(sorted(snapshot.items())), config, seed, trained_at_cycle))
+        calls.append((config.recommender_id, trained_at_cycle))
         return original(snapshot, config, seed, trained_at_cycle)
 
     monkeypatch.setattr(recommender, "train", train)
     return calls
 
 
-class TestModelReuse:
+class TestSuiteFork:
     SUITE = dict(seed=1, niche_genre="Horror", cycles=3, days_per_cycle=2, warmup_cycles=1)
 
+    @pytest.mark.parametrize("warmup_cycles", [0, 1, 2])
     @pytest.mark.parametrize("timing", list(SwitchTiming))
-    def test_suite_equals_scenarios_run_alone(self, timing):
+    def test_suite_equals_scenarios_run_from_scratch(self, timing, warmup_cycles):
         configs = standard_suite(
-            **self.SUITE,
+            **{**self.SUITE, "warmup_cycles": warmup_cycles},
             slate_size=4,
             switch_timing=timing,
             behavior=BehaviorParams(satisfaction_threshold=0.4),
         )
-        alone, in_suite = run_alone_and_in_suite(configs, small_data())
-        assert in_suite == alone
-        assert any(switch_events for _json, _days, switch_events, _audit in alone)
+        scratch, alone, in_suite = run_alone_and_in_suite(configs, small_data())
+        assert alone == scratch
+        assert in_suite == scratch
+        assert any(switch_events for _json, _days, switch_events, _audit in scratch)
 
-    def test_key_covers_the_recommender_config(self):
-        # Same ids, view and seeds: only the epochs tell the models apart.
-        short = tuple(replace(r, epochs=2) for r in default_recommenders("Horror"))
-        configs = [small_config(name="long"), small_config(name="short", recommenders=short)]
-        alone, in_suite = run_alone_and_in_suite(configs, small_data())
-        assert in_suite == alone
-        assert alone[0][0] != alone[1][0]
+    @pytest.mark.parametrize(
+        "other",
+        [
+            small_config(
+                name="short",
+                recommenders=tuple(replace(r, epochs=2) for r in default_recommenders("Horror")),
+            ),
+            small_config(
+                policy=None,
+                recommenders=(replace(default_recommenders("Horror")[0], epochs=2),),
+            ),
+            small_config(
+                name="other_niche",
+                recommenders=(default_recommenders("Horror")[0], RecommenderConfig("b", "Drama")),
+            ),
+        ],
+        ids=["epochs", "baseline_home", "niche"],
+    )
+    def test_scenarios_with_other_recommenders_rejected(self, other):
+        # A suite forks one market, so its recommenders may differ only as
+        # the policy implies: a baseline keeps the home recommender alone.
+        with pytest.raises(ConfigError, match="share"):
+            run_experiment_suite([small_config(name="long"), other], small_data())
 
-    def test_each_warmup_model_is_trained_once_per_suite(self, monkeypatch):
-        configs = standard_suite(**self.SUITE)
+    @pytest.mark.parametrize("timing", list(SwitchTiming))
+    def test_no_training_before_a_recommender_can_serve(self, monkeypatch, timing):
+        # Home trains once per warm-up cycle for the whole suite; the niche
+        # recommender, which nobody can use before the first switch, does not.
+        configs = standard_suite(**self.SUITE, switch_timing=timing)
         calls = count_train_calls(monkeypatch)
+        prepared = []
+        original = engine.prepare_state
+
+        def prepare_state(config, *args, **kwargs):
+            prepared.append(config)
+            return original(config, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "prepare_state", prepare_state)
         run_experiment_suite(configs, small_data())
-        warmup_cycles = self.SUITE["warmup_cycles"]
-        warmup = Counter(c for c in calls if c[3] <= warmup_cycles)
-        assert set(warmup.values()) == {1}
-        calls_alone = sum(len(c.recommenders) for c in configs) * (warmup_cycles + 1)
-        assert len(warmup) < calls_alone
-
-    def test_one_scenario_suite_trains_like_run_scenario(self, monkeypatch):
-        calls = count_train_calls(monkeypatch)
-        run_scenario(small_config(), small_data())
-        alone = list(calls)
-        calls.clear()
-        monkeypatch.setattr(engine, "_view_digest", lambda view: pytest.fail("digest taken"))
-        run_experiment_suite([small_config()], small_data())
-        assert calls == alone
+        warmup, cycles = self.SUITE["warmup_cycles"], self.SUITE["cycles"]
+        counts = Counter(calls)
+        assert all(counts["generic", c] == 1 for c in range(warmup + 1))
+        assert all(counts["generic", c] == 5 for c in range(warmup + 1, cycles))
+        first_niche = warmup + (timing is SwitchTiming.END_OF_CYCLE)
+        niche_cycles = sorted({c for rid, c in calls if rid == "niche"})
+        assert niche_cycles == list(range(first_niche, cycles))
+        assert all(counts["niche", c] == 4 for c in niche_cycles)
+        assert len(prepared) == 1
 
     def test_run_scenario_shares_nothing_across_calls(self, monkeypatch):
         calls = count_train_calls(monkeypatch)
         config = small_config()
         for _ in range(2):
             run_scenario(config, small_data())
-        per_run = config.cycles * len(config.recommenders)
+        # home every cycle, the niche from the first cycle after warm-up
+        per_run = config.cycles + config.cycles - config.warmup_cycles - 1
         assert calls[:per_run] == calls[per_run:] and len(calls) == 2 * per_run
 
-    def test_scenarios_run_one_at_a_time(self, monkeypatch):
-        # A suite's earlier state must be freed before the next is prepared,
-        # or peak memory grows by a scenario.
-        states = []
-        original = engine.prepare_state
+    def test_branches_run_one_at_a_time(self, monkeypatch):
+        # At most the prefix and one branch exist at a time, and no state
+        # outlives the suite, or peak memory grows by a scenario.
+        refs = []  # the prefix, then each branch
+        original_run_day, original_deepcopy = engine.run_day, copy.deepcopy
 
-        def prepare_state(*args, **kwargs):
+        def assert_branches_freed():
             gc.collect()
-            assert all(ref() is None for ref in states)
-            state = original(*args, **kwargs)
-            states.append(weakref.ref(state))
-            return state
+            assert all(ref() is None for ref in refs[1:])
 
-        monkeypatch.setattr(engine, "prepare_state", prepare_state)
-        run_experiment_suite(standard_suite(**self.SUITE), small_data())
-        assert len(states) == 5
+        def run_day(state):
+            if not any(ref() is state for ref in refs):
+                assert_branches_freed()
+                refs.append(weakref.ref(state))
+            elif state is refs[0]():  # the last scenario runs on the prefix
+                assert_branches_freed()
+            original_run_day(state)
 
-    def test_store_holds_only_warmup_models(self, monkeypatch):
-        stored_cycles = set()
-        original = engine.train_cycle
+        def deepcopy(x, memo=None):
+            if isinstance(x, engine.EcosystemState):
+                assert_branches_freed()
+            return original_deepcopy(x, memo)
 
-        def train_cycle(state):
-            original(state)
-            stored_cycles.update(key[3] for key in state.model_store.models)
-
-        monkeypatch.setattr(engine, "train_cycle", train_cycle)
-        run_experiment_suite(standard_suite(**self.SUITE), small_data())
-        assert stored_cycles == {0, 1}
+        monkeypatch.setattr(engine, "run_day", run_day)
+        monkeypatch.setattr(copy, "deepcopy", deepcopy)
+        result = run_experiment_suite(standard_suite(**self.SUITE), small_data())
+        gc.collect()
+        assert len(refs) == len(result.reports)
+        assert all(ref() is None for ref in refs)

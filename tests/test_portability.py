@@ -3,6 +3,7 @@
 import pytest
 
 from helpers import RECS, assert_store_matches_reference, run_random_events
+from recmarket.cli import _write_jsonl
 from recmarket.portability import (
     AuditTrail,
     PortabilityPolicy,
@@ -236,10 +237,12 @@ class TestAuditReplay:
             rebuilt = replay_audit(run.trail.events, policy, RECS)
             assert store_state(rebuilt) == store_state(run.store)
 
-    def test_jsonl_round_trip(self):
+    def test_jsonl_round_trip(self, tmp_path):
         run = run_random_events(3, UO)
-        text = run.trail.to_jsonl()
-        parsed = AuditTrail.from_jsonl(text)
+        path = tmp_path / "audit.jsonl"
+        _write_jsonl(path, run.trail.events)
+        parsed = AuditTrail.from_jsonl(path.read_text(encoding="utf-8"))
+        assert parsed.events == run.trail.events
         rebuilt = replay_audit(parsed.events, UO, RECS)
         assert store_state(rebuilt) == store_state(run.store)
 
