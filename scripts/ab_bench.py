@@ -1,0 +1,113 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+    python scripts/ab_bench.py PARENT CHANGE --workload switch_churn \\
+        --seeds 3 --pairs 10 --seconds 8
+
+Each pair runs ``perfbench/run.py`` once in each checkout, at the same seed
+and ``--seconds``; which side runs first alternates from pair to pair, so a
+drift in host speed does not favour one side. Every run is untraced and
+uses the benchmark exactly as that checkout has it.
+
+For each seed and each end-to-end metric of ``BENCHMARK.json`` it prints the
+median of both sides, the interquartile range of the parent's runs, the
+ratio change/parent and the pairs the change won (ties count for neither),
+and ``gain`` when the change won at least nine tenths of the pairs by more
+than the parent's interquartile range in the median. It also prints the
+scenarios each side ``failed`` over all its runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run: its last output line, parsed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: perfbench/run.py exited {proc.returncode}\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartile_spread(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _q2, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
+    lines = [f"{'metric':<22}{'parent':>12}{'change':>12}{'parent IQR':>12}"
+             f"{'ratio':>8}{'won':>8}"]
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        values = {
+            side: [r["metrics"].get(name, {}).get("value") for r in side_runs]
+            for side, side_runs in runs.items()
+        }
+        complete = [(p, c) for p, c in zip(values["parent"], values["change"])
+                    if p is not None and c is not None]
+        if not complete:
+            lines.append(f"{name:<22}  no complete pair")
+            continue
+        parent = [p for p, _c in complete]
+        change = [c for _p, c in complete]
+        med_p, med_c = statistics.median(parent), statistics.median(change)
+        spread = quartile_spread(parent)
+        won = sum((c > p) if higher else (c < p) for p, c in complete)
+        pairs = len(complete)
+        gain = won >= 0.9 * pairs and (med_c - med_p if higher else med_p - med_c) > spread
+        lines.append(
+            f"{name:<22}{med_p:>12.4g}{med_c:>12.4g}{spread:>12.3g}"
+            f"{med_c / med_p:>8.3f}{won:>5}/{pairs:<2}{'  gain' if gain else ''}"
+        )
+    failed = {side: sum(r["failed"] for r in side_runs) for side, side_runs in runs.items()}
+    attempted = {side: sum(r["attempted"] for r in side_runs) for side, side_runs in runs.items()}
+    lines.append(
+        f"failed: parent {failed['parent']}/{attempted['parent']}, "
+        f"change {failed['change']}/{attempted['change']}"
+    )
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[3])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=32)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for checkout in sides.values():
+        if not (checkout / "perfbench" / "run.py").is_file():
+            parser.error(f"{checkout} holds no perfbench/run.py")
+    metrics = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+
+    for seed in args.seeds:
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for k in range(args.pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(sides[side], args.workload, seed, args.seconds))
+            print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+        print(f"{args.workload}, seed {seed}, {args.pairs} pairs of {args.seconds:g} s runs")
+        print("\n".join(summarize(metrics, runs)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

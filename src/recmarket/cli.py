@@ -338,7 +338,7 @@ def cmd_run(manifest: RunManifest) -> int:
         _write_text(out / name, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
         written.add(name)
     for name, trail in audits.items():
-        _write_jsonl(out / f"audit_{name}.jsonl", trail.events)
+        _write_lines(out / f"audit_{name}.jsonl", trail.lines)
         written.add(f"audit_{name}.jsonl")
     if "model-dump" in manifest.emit:
         for config in spec.scenarios:
@@ -371,12 +371,13 @@ def _write_text(path: Path, text: str) -> None:
     _write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
-def _write_jsonl(path: Path, events: list[dict]) -> None:
-    """One JSON object per line, written as it is built."""
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write the lines one by one: joining them first would hold the file
+    twice in memory."""
 
     def write(tmp: Path) -> None:
         with tmp.open("w", encoding="utf-8") as f:
-            f.writelines(json.dumps(e, sort_keys=True) + "\n" for e in events)
+            f.writelines(lines)
 
     _write_atomically(path, write)
 

@@ -672,16 +672,24 @@ def run_experiment_suite(
         prefix.cycle = widest.warmup_cycles
         train_cycle(prefix)
 
-    # Branches share what none of them writes (trained factors are read-only;
-    # each branch copies the store's lists into its own). At most the prefix
-    # and one branch exist: the last scenario runs on the prefix itself.
-    keep = (prefix.catalog, prefix.index, prefix.store, *prefix.models.values())
-    reports = [
-        _run_branch(copy.deepcopy(prefix, {id(x): x for x in keep}), c, audits.get(c.scenario_name))
-        for c in configs[:-1]
-    ]
+    # At most the prefix and one branch exist: the last scenario runs on the prefix itself.
+    reports = [_run_branch(_fork(prefix), c, audits.get(c.scenario_name)) for c in configs[:-1]]
     reports.append(_run_branch(prefix, configs[-1], audits.get(configs[-1].scenario_name)))
     return ExperimentResult(tuple(reports))
+
+
+def _fork(prefix: EcosystemState) -> EcosystemState:
+    """A deep copy of the prefix for one branch. Branches share what none of
+    them writes (trained factors are read-only; each branch copies the store's
+    lists into its own). Generators are copied by state: a third of the cost
+    of a deep copy, for the same streams."""
+    keep = (prefix.catalog, prefix.index, prefix.store, *prefix.models.values())
+    memo = {id(x): x for x in keep}
+    for rng in prefix.consumer_rngs.values():
+        fresh = np.random.Generator(np.random.PCG64(0))
+        fresh.bit_generator.state = rng.bit_generator.state
+        memo[id(rng)] = fresh
+    return copy.deepcopy(prefix, memo)
 
 
 def _run_branch(
@@ -694,7 +702,7 @@ def _run_branch(
     state.rec_configs = {r.recommender_id: r for r in config.recommenders}
     state.active = sorted(state.rec_configs)
     if audit is not None:
-        audit.events.extend(state.store.audit.events)
+        audit.lines.extend(state.store.audit.lines)
     history = state.store.shared
     state.store = ProfileStore.create(policy, state.active, audit=audit)
     state.store._bucket(policy, home).update((c, list(e)) for c, e in history.items())

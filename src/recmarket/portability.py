@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
 
 Interaction = tuple[int, int]  # (item_id, day_index)
@@ -39,19 +40,40 @@ class PortabilityPolicy(enum.Enum):
         return self is self.UNIVERSAL
 
 
+# json.dumps(..., sort_keys=True) builds this encoder on every call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 @dataclass
 class AuditTrail:
-    """Append-only event list, read back from newline-delimited JSON."""
+    """Append-only event log, held as its newline-delimited JSON lines.
 
-    events: list[dict] = field(default_factory=list)
+    Each line is exactly ``json.dumps(event, sort_keys=True) + "\n"``, so a
+    trail is written to disk as it is held, and a suite's scenarios share the
+    line strings of the prefix they branch from.
+    """
+
+    lines: list[str] = field(default_factory=list)
 
     def emit(self, event: str, **payload: object) -> None:
-        self.events.append({"event": event, **payload})
+        self.lines.append(_encode({"event": event, **payload}) + "\n")
+
+    def click(self, consumer: int, recommender: str, item: int, day: int) -> None:
+        """``emit("click", ...)`` through a fixed template: clicks are most of
+        a trail, and the seed history's clicks are audited in set-up."""
+        self.lines.append(
+            f'{{"consumer": {consumer}, "day": {day}, "event": "click", '
+            f'"item": {item}, "recommender": {encode_basestring_ascii(recommender)}}}\n'
+        )
+
+    @property
+    def events(self) -> list[dict]:
+        """The events decoded from the lines; editing them changes nothing."""
+        return [json.loads(line) for line in self.lines]
 
     @staticmethod
     def from_jsonl(text: str) -> "AuditTrail":
-        events = [json.loads(line) for line in text.splitlines() if line.strip()]
-        return AuditTrail(events)
+        return AuditTrail([line + "\n" for line in text.splitlines() if line.strip()])
 
 
 @dataclass
@@ -111,13 +133,7 @@ def record_click(
     bucket = store._bucket(policy, recommender_id)
     bucket.setdefault(consumer_id, []).append((item_id, day))
     if store.audit is not None:
-        store.audit.emit(
-            "click",
-            consumer=consumer_id,
-            recommender=recommender_id,
-            item=item_id,
-            day=day,
-        )
+        store.audit.click(consumer_id, recommender_id, item_id, day)
 
 
 def on_switch(

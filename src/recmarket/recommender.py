@@ -277,8 +277,8 @@ def serve(
     if uvec is not None:
         # The product over the candidate subset only: a product over all
         # catalog rows can differ in the last bit and reorder near-ties.
-        scores = model.item_factors[cand_rows] @ uvec
-        return Provenance.MODEL, cand_rows[np.argsort(-scores, kind="stable")[:n]]
+        scores = model.item_factors.take(cand_rows, axis=0) @ uvec
+        return Provenance.MODEL, cand_rows[(-scores).argsort(kind="stable")[:n]]
 
     counts = subscriber_counts()[cand_rows]
     if counts.sum() > 0:

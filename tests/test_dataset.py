@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from recmarket import dataset
 from recmarket.dataset import (
     DEFAULT_GENRES,
     GENERIC,
@@ -223,12 +224,29 @@ class TestGenerateSynthetic:
         )
         assert a != b
 
-    def test_label_fraction_within_one_consumer(self):
-        spec = SyntheticSpec(consumers=500, items=300, providers=20, niche_fraction=0.1, seed=1)
+    # seed 2104's first draw realizes 27 niche consumers of 25 and is redrawn
+    @pytest.mark.parametrize("size,seed", [((500, 300, 20), 1), ((250, 150, 10), 2104)])
+    def test_label_fraction_within_one_consumer(self, size, seed):
+        consumers, items, providers = size
+        spec = SyntheticSpec(consumers, items, providers, niche_fraction=0.1, seed=seed)
         log, cat = generate_synthetic(spec)
         seeds = build_preferences(log, cat, "Horror")
         niche = sum(1 for s in seeds if s.type_label == NICHE)
-        assert abs(niche - 50) <= 1
+        assert abs(niche - consumers // 10) <= 1
+
+    def test_drift_is_redrawn_a_bounded_number_of_times(self, monkeypatch):
+        calls = []
+
+        def no_niche_consumers(log, catalog, niche_genre):
+            calls.append(log)
+            return []
+
+        monkeypatch.setattr(dataset, "build_preferences", no_niche_consumers)
+        spec = SyntheticSpec(consumers=30, items=50, providers=5, niche_fraction=0.2, seed=7)
+        with pytest.raises(DataError, match="designated 6 niche consumers, realized 0"):
+            generate_synthetic(spec)
+        assert len(calls) == dataset._GENERATION_ATTEMPTS
+        assert len(set(calls)) == len(calls)  # every attempt drew anew
 
     def test_at_least_one_niche_provider(self):
         log, cat = generate_synthetic(

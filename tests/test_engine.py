@@ -513,7 +513,7 @@ class TestSuite:
 
 
 def run_alone_and_in_suite(configs, data):
-    """Each config's report, day rows, switch events and audit events: run
+    """Each config's report, day rows, switch events and audit lines: run
     from scratch by the oracle, through ``run_scenario`` and in one suite."""
 
     def outputs(report, trail):
@@ -521,7 +521,7 @@ def run_alone_and_in_suite(configs, data):
             json.dumps(report.to_json_dict(), sort_keys=True),
             report.day_utilities,
             report.switch_events,
-            trail.events,
+            trail.lines,
         )
 
     runs = {run_from_scratch: [], run_scenario: []}
@@ -623,6 +623,25 @@ class TestSuiteFork:
         # home every cycle, the niche from the first cycle after warm-up
         per_run = config.cycles + config.cycles - config.warmup_cycles - 1
         assert calls[:per_run] == calls[per_run:] and len(calls) == 2 * per_run
+
+    def test_fork_draws_like_a_deep_copy(self):
+        prefix = prepare_state(small_config(), small_data())
+        rngs = list(prefix.consumer_rngs.values())
+        for rng in rngs[::2]:
+            rng.random(3)
+        for rng in rngs[::3]:  # leaves half a 64-bit draw buffered
+            rng.integers(0, 10, dtype=np.uint32)
+        copied, untouched = copy.deepcopy(prefix.consumer_rngs), copy.deepcopy(prefix.consumer_rngs)
+
+        def draws(rng):
+            return rng.integers(0, 10, 3, dtype=np.uint32).tolist(), rng.random(3).tolist()
+
+        branch = engine._fork(prefix)
+        for cid, rng in branch.consumer_rngs.items():
+            assert rng is not prefix.consumer_rngs[cid]
+            assert draws(rng) == draws(copied[cid])
+            # drawing from the branch left the prefix's generator where it was
+            assert draws(prefix.consumer_rngs[cid]) == draws(untouched[cid])
 
     def test_branches_run_one_at_a_time(self, monkeypatch):
         # At most the prefix and one branch exist at a time, and no state

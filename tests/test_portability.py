@@ -1,9 +1,13 @@
 """Profile store semantics under the four portability policies."""
 
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import RECS, assert_store_matches_reference, run_random_events
-from recmarket.cli import _write_jsonl
+from recmarket.cli import _write_lines
 from recmarket.portability import (
     AuditTrail,
     PortabilityPolicy,
@@ -240,11 +244,63 @@ class TestAuditReplay:
     def test_jsonl_round_trip(self, tmp_path):
         run = run_random_events(3, UO)
         path = tmp_path / "audit.jsonl"
-        _write_jsonl(path, run.trail.events)
+        _write_lines(path, run.trail.lines)
+        assert path.read_bytes() == "".join(run.trail.lines).encode()
         parsed = AuditTrail.from_jsonl(path.read_text(encoding="utf-8"))
-        assert parsed.events == run.trail.events
+        assert parsed.lines == run.trail.lines
         rebuilt = replay_audit(parsed.events, UO, RECS)
         assert store_state(rebuilt) == store_state(run.store)
+
+    @given(
+        recommenders=st.lists(
+            st.builds(
+                str.__add__, st.sampled_from(['"', "\\", "\u00e9", "\U0001f600"]), st.text()
+            ),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        ),
+        consumer=st.integers(min_value=0),
+        item=st.integers(min_value=0),
+        day=st.one_of(st.just(-1), st.integers(min_value=0)),
+    )
+    def test_lines_are_sorted_key_json(self, recommenders, consumer, item, day):
+        # Each kind as the store and the engine emit it, against the dicts
+        # its line must encode.
+        source, destination = recommenders
+        trail = AuditTrail()
+        store = ProfileStore.create(UO, recommenders, audit=trail)
+        record_click(store, UO, consumer, source, item, day)
+        trail.emit(
+            "switch", consumer=consumer, source=source, destination=destination, cycle=0, day=day
+        )
+        on_switch(store, UO, consumer, source, destination)
+        expected = [
+            {
+                "event": "click",
+                "consumer": consumer,
+                "recommender": source,
+                "item": item,
+                "day": day,
+            },
+            {
+                "event": "switch",
+                "consumer": consumer,
+                "source": source,
+                "destination": destination,
+                "cycle": 0,
+                "day": day,
+            },
+            {
+                "event": "transfer",
+                "consumer": consumer,
+                "source": source,
+                "destination": destination,
+            },
+            {"event": "delete", "consumer": consumer, "recommender": source},
+        ]
+        assert trail.lines == [json.dumps(e, sort_keys=True) + "\n" for e in expected]
+        assert trail.events == expected
 
     def test_unknown_event_rejected(self):
         with pytest.raises(ValueError, match="unknown audit event"):
