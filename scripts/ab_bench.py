@@ -6,7 +6,10 @@
 Each pair runs ``perfbench/run.py`` once in each checkout, at the same seed
 and ``--seconds``; which side runs first alternates from pair to pair, so a
 drift in host speed does not favour one side. Every run is untraced and
-uses the benchmark exactly as that checkout has it.
+uses the benchmark exactly as that checkout has it. Before the first pair
+it runs ``python -m compileall -q src`` in both checkouts: the benchmark
+times ``import recmarket``, so stale bytecode on one side would read as a
+slower set-up there.
 
 For each seed and each end-to-end metric of ``BENCHMARK.json`` it prints the
 median of both sides, the interquartile range of the parent's runs, the
@@ -96,6 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} holds no perfbench/run.py")
     metrics = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+    for checkout in sides.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True)
 
     for seed in args.seeds:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}

@@ -9,11 +9,13 @@ dataset to files. Exit codes: 0 success, 1 validation error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -23,46 +25,11 @@ from .dataset import SyntheticSpec
 from .engine import ScenarioConfig, SwitchTiming
 from .errors import ConfigError, DataError, RecmarketError
 from .portability import AuditTrail, PortabilityPolicy
-from .recommender import ALL_GENRES
+from .recommender import RecommenderConfig
 
 POLICY_NAMES = ["baseline"] + [p.value for p in PortabilityPolicy]
 
 EMIT_CHOICES = ("audit-log", "model-dump", "per-day")
-
-_SECTION_KEYS = {
-    "scenario": {
-        "seed",
-        "niche_genre",
-        "policies",
-        "cycles",
-        "days_per_cycle",
-        "slate_size",
-        "warmup_cycles",
-        "switch_timing",
-        "history_threshold",
-    },
-    "behavior": {"beta", "tau", "select_threshold"},
-    "recommenders": {
-        "latent_factors",
-        "epochs",
-        "regularization",
-        "confidence_weight",
-        "popular_list_size",
-    },
-    "data": {
-        "source",
-        "consumers",
-        "items",
-        "providers",
-        "niche_fraction",
-        "ratings",
-        "items_file",
-        "providers_file",
-        "format",
-    },
-}
-
-_REQUIRED = [("scenario", "seed"), ("scenario", "niche_genre")]
 
 # A comment starts with '#' at the start of a line or after whitespace, so a
 # value such as a data path may itself contain '#'.
@@ -73,7 +40,7 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 class DataSource:
     """Either a synthetic population spec or a triple of input files."""
 
-    kind: str  # "synthetic" | "files"
+    kind: str = "synthetic"  # "synthetic" | "files"
     synthetic: SyntheticSpec | None = None
     ratings: str | None = None
     items_file: str | None = None
@@ -95,196 +62,154 @@ class ExperimentSpec:
     source: DataSource
 
 
-def _parse_sections(text: str, path: str) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {}
+def _one_of(*allowed: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"{text!r} is not one of {', '.join(allowed)}")
+        return text
+
+    return parse
+
+
+def _policy_names(text: str) -> tuple[str, ...]:
+    return tuple(_one_of(*POLICY_NAMES)(p.strip()) for p in text.split(",") if p.strip())
+
+
+# Every config key: [section] key -> (owner dataclass, its field, parser of the
+# text). A key missing from the file takes the field's dataclass default, and
+# one whose field has none is required. `policies` (owner None) picks
+# scenarios of the standard suite in the order it names them; all by default.
+_KEYS: dict[tuple[str, str], tuple[type | None, str, Callable[[str], object]]] = {
+    ("scenario", "seed"): (ScenarioConfig, "seed", int),
+    ("scenario", "niche_genre"): (ScenarioConfig, "niche_genre", str),
+    ("scenario", "policies"): (None, "policies", _policy_names),
+    ("scenario", "cycles"): (ScenarioConfig, "cycles", int),
+    ("scenario", "days_per_cycle"): (ScenarioConfig, "days_per_cycle", int),
+    ("scenario", "slate_size"): (ScenarioConfig, "slate_size", int),
+    ("scenario", "warmup_cycles"): (ScenarioConfig, "warmup_cycles", int),
+    ("scenario", "switch_timing"): (ScenarioConfig, "switch_timing", SwitchTiming),
+    ("scenario", "history_threshold"): (ScenarioConfig, "history_threshold", float),
+    ("behavior", "beta"): (BehaviorParams, "recency_bias", float),
+    ("behavior", "tau"): (BehaviorParams, "satisfaction_threshold", float),
+    ("behavior", "select_threshold"): (BehaviorParams, "select_threshold", float),
+    ("recommenders", "latent_factors"): (RecommenderConfig, "latent_factors", int),
+    ("recommenders", "epochs"): (RecommenderConfig, "epochs", int),
+    ("recommenders", "regularization"): (RecommenderConfig, "regularization", float),
+    ("recommenders", "confidence_weight"): (RecommenderConfig, "confidence_weight", float),
+    ("recommenders", "popular_list_size"): (RecommenderConfig, "popular_list_size", int),
+    ("data", "source"): (DataSource, "kind", _one_of("synthetic", "files")),
+    ("data", "consumers"): (SyntheticSpec, "consumers", int),
+    ("data", "items"): (SyntheticSpec, "items", int),
+    ("data", "providers"): (SyntheticSpec, "providers", int),
+    ("data", "niche_fraction"): (SyntheticSpec, "niche_fraction", float),
+    ("data", "ratings"): (DataSource, "ratings", str),
+    ("data", "items_file"): (DataSource, "items_file", str),
+    ("data", "providers_file"): (DataSource, "providers_file", str),
+    ("data", "format"): (DataSource, "fmt", _one_of("csv", "movielens-dat")),
+}
+
+
+def _parse_keys(text: str, path: str) -> defaultdict[type | None, dict[str, object]]:
+    """The file's values, parsed and grouped by owner: owner -> field -> value."""
+    given: defaultdict[type | None, dict[str, object]] = defaultdict(dict)
+    sections = {section for section, _key in _KEYS}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _SECTION_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
-            sections.setdefault(current, {})
+            if current not in sections:
+                raise ConfigError(f"{where}: unknown section [{current}]")
             continue
         if current is None or "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value' inside a section")
+            raise ConfigError(f"{where}: expected 'key = value' inside a section")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _SECTION_KEYS[current]:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in section [{current}]")
-        sections[current][key] = value.strip()
-    return sections
-
-
-def _get(sections: dict, section: str, key: str, default: str | None = None) -> str | None:
-    return sections.get(section, {}).get(key, default)
+        if (current, key) not in _KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r} in section [{current}]")
+        owner, name, parse = _KEYS[current, key]
+        if name in given[owner]:
+            raise ConfigError(f"{where}: duplicate key {key!r} in section [{current}]")
+        try:
+            given[owner][name] = parse(value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{where}: [{current}] {key}: {exc}") from exc
+    return given
 
 
 def parse_config(path: str | Path) -> ExperimentSpec:
     """Parse a sectioned key-value config into scenario configs plus a data source.
 
-    Unknown sections or keys are errors; missing ``seed`` or ``niche_genre``
-    are errors naming the key; everything else takes its documented default.
+    Unknown sections, unknown or repeated keys and unparsable values are
+    errors naming the key. A missing key takes its field's dataclass default,
+    and a key whose field has none is required.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
-    sections = _parse_sections(text, str(path))
-    for section, key in _REQUIRED:
-        if _get(sections, section, key) is None:
+    given = _parse_keys(text, str(path))
+    for (section, key), (owner, name, _parse) in _KEYS.items():
+        required = owner is not None and owner.__dataclass_fields__[name].default is MISSING
+        if required and name not in given[owner]:
             raise ConfigError(f"{path}: missing required key {key!r} in section [{section}]")
 
-    try:
-        seed = int(_get(sections, "scenario", "seed"))
-        niche_genre = _get(sections, "scenario", "niche_genre")
-        cycles = int(_get(sections, "scenario", "cycles", "10"))
-        days = int(_get(sections, "scenario", "days_per_cycle", "10"))
-        slate = int(_get(sections, "scenario", "slate_size", "10"))
-        warmup = int(_get(sections, "scenario", "warmup_cycles", "2"))
-        timing = SwitchTiming(_get(sections, "scenario", "switch_timing", "end_of_cycle"))
-        history_threshold = float(_get(sections, "scenario", "history_threshold", "4.0"))
-        behavior = BehaviorParams(
-            recency_bias=float(_get(sections, "behavior", "beta", "2.0")),
-            satisfaction_threshold=float(_get(sections, "behavior", "tau", "0.2")),
-            select_threshold=float(_get(sections, "behavior", "select_threshold", "0.2")),
-        )
-        rec_kwargs = dict(
-            latent_factors=int(_get(sections, "recommenders", "latent_factors", "32")),
-            epochs=int(_get(sections, "recommenders", "epochs", "10")),
-            regularization=float(_get(sections, "recommenders", "regularization", "0.1")),
-            confidence_weight=float(_get(sections, "recommenders", "confidence_weight", "40.0")),
-            popular_list_size=int(_get(sections, "recommenders", "popular_list_size", "100")),
-        )
-        policies_raw = _get(sections, "scenario", "policies", ",".join(POLICY_NAMES))
-        policy_names = [p.strip() for p in policies_raw.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-    for name in policy_names:
-        if name not in POLICY_NAMES:
-            raise ConfigError(f"{path}: unknown policy {name!r}")
-
+    scenario = given[ScenarioConfig]
     recommenders = tuple(
-        replace(r, **rec_kwargs) for r in engine.default_recommenders(niche_genre)
+        replace(r, **given[RecommenderConfig])
+        for r in engine.default_recommenders(scenario["niche_genre"])
     )
-    home = tuple(r for r in recommenders if r.specialization == ALL_GENRES)
-    shared = dict(
-        seed=seed,
-        niche_genre=niche_genre,
-        cycles=cycles,
-        days_per_cycle=days,
-        slate_size=slate,
-        warmup_cycles=warmup,
-        behavior=behavior,
-        switch_timing=timing,
-        history_threshold=history_threshold,
+    suite = engine.standard_suite(
+        recommenders=recommenders, behavior=BehaviorParams(**given[BehaviorParams]), **scenario
     )
-    scenarios = []
-    for name in policy_names:
-        if name == "baseline":
-            scenarios.append(ScenarioConfig(policy=None, recommenders=home, **shared))
-        else:
-            scenarios.append(
-                ScenarioConfig(
-                    policy=PortabilityPolicy(name), recommenders=recommenders, **shared
-                )
-            )
+    by_name = {c.scenario_name: c for c in suite}
+    scenarios = tuple(by_name[name] for name in given[None].get("policies", by_name))
     for config in scenarios:
         config.validate()
 
-    source = _parse_data_source(sections, seed, niche_genre, str(path))
-    return ExperimentSpec(tuple(scenarios), source)
-
-
-def _parse_data_source(
-    sections: dict, seed: int, niche_genre: str, path: str
-) -> DataSource:
-    kind = _get(sections, "data", "source", "synthetic")
-    if kind == "synthetic":
-        try:
-            spec = SyntheticSpec(
-                consumers=int(_get(sections, "data", "consumers", "500")),
-                items=int(_get(sections, "data", "items", "300")),
-                providers=int(_get(sections, "data", "providers", "20")),
-                niche_fraction=float(_get(sections, "data", "niche_fraction", "0.1")),
-                seed=seed,
-                niche_genre=niche_genre,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        return DataSource(kind="synthetic", synthetic=spec)
-    if kind == "files":
-        ratings = _get(sections, "data", "ratings")
-        items_file = _get(sections, "data", "items_file")
-        providers_file = _get(sections, "data", "providers_file")
-        if not (ratings and items_file and providers_file):
-            raise ConfigError(
-                f"{path}: data source 'files' requires ratings, items_file and providers_file"
-            )
-        return DataSource(
-            kind="files",
-            ratings=ratings,
-            items_file=items_file,
-            providers_file=providers_file,
-            fmt=_get(sections, "data", "format", "csv"),
+    source = DataSource(**given[DataSource])
+    if source.kind == "synthetic":
+        spec = SyntheticSpec(
+            seed=scenario["seed"], niche_genre=scenario["niche_genre"], **given[SyntheticSpec]
         )
-    raise ConfigError(f"{path}: unknown data source {kind!r}")
+        source = DataSource(synthetic=spec)
+    else:
+        missing = [
+            key
+            for (_section, key), (owner, name, _parse) in _KEYS.items()
+            if owner is DataSource and not getattr(source, name)
+        ]
+        if missing:
+            raise ConfigError(f"{path}: data source 'files' requires {', '.join(missing)}")
+    return ExperimentSpec(scenarios, source)
 
 
 def serialize_config(spec: ExperimentSpec) -> str:
-    """Inverse of parse_config for the keys it reads (round-trip stable)."""
-    any_cfg = spec.scenarios[0]
-    rec = next(r for r in any_cfg.recommenders)
-    policies = ",".join(c.scenario_name for c in spec.scenarios)
-    lines = [
-        "[scenario]",
-        f"seed = {any_cfg.seed}",
-        f"niche_genre = {any_cfg.niche_genre}",
-        f"policies = {policies}",
-        f"cycles = {any_cfg.cycles}",
-        f"days_per_cycle = {any_cfg.days_per_cycle}",
-        f"slate_size = {any_cfg.slate_size}",
-        f"warmup_cycles = {any_cfg.warmup_cycles}",
-        f"switch_timing = {any_cfg.switch_timing.value}",
-        f"history_threshold = {any_cfg.history_threshold!r}",
-        "",
-        "[behavior]",
-        f"beta = {any_cfg.behavior.recency_bias!r}",
-        f"tau = {any_cfg.behavior.satisfaction_threshold!r}",
-        f"select_threshold = {any_cfg.behavior.select_threshold!r}",
-        "",
-        "[recommenders]",
-        f"latent_factors = {rec.latent_factors}",
-        f"epochs = {rec.epochs}",
-        f"regularization = {rec.regularization!r}",
-        f"confidence_weight = {rec.confidence_weight!r}",
-        f"popular_list_size = {rec.popular_list_size}",
-        "",
-        "[data]",
-    ]
-    src = spec.source
-    if src.kind == "synthetic":
-        sp = src.synthetic
-        lines += [
-            "source = synthetic",
-            f"consumers = {sp.consumers}",
-            f"items = {sp.items}",
-            f"providers = {sp.providers}",
-            f"niche_fraction = {sp.niche_fraction!r}",
-        ]
-    else:
-        lines += [
-            "source = files",
-            f"ratings = {src.ratings}",
-            f"items_file = {src.items_file}",
-            f"providers_file = {src.providers_file}",
-            f"format = {src.fmt}",
-        ]
-    return "\n".join(lines) + "\n"
+    """Inverse of parse_config (round-trip stable): every key that holds a value."""
+    cfg, src = spec.scenarios[0], spec.source
+    owners = {
+        ScenarioConfig: cfg,
+        BehaviorParams: cfg.behavior,
+        RecommenderConfig: cfg.recommenders[0],
+        SyntheticSpec: src.synthetic,
+        DataSource: src,
+    }
+    lines: list[str] = []
+    for (section, key), (owner, name, _parse) in _KEYS.items():
+        if owner is None:
+            value = ",".join(c.scenario_name for c in spec.scenarios)
+        else:
+            value = getattr(owners[owner], name, None)
+        if value is None:
+            continue
+        if f"[{section}]" not in lines:
+            lines += ["", f"[{section}]"]
+        lines.append(f"{key} = {value.value if isinstance(value, enum.Enum) else value}")
+    return "\n".join(lines[1:]) + "\n"
 
 
 def load_data(source: DataSource):
@@ -508,12 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="write a synthetic dataset to CSV files")
     synth.add_argument("--out", required=True, type=Path)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--consumers", type=int, default=500)
-    synth.add_argument("--items", type=int, default=300)
-    synth.add_argument("--providers", type=int, default=20)
-    synth.add_argument("--niche-fraction", type=float, default=0.1)
-    synth.add_argument("--niche-genre", default="Horror")
+    defaults = SyntheticSpec()
+    synth.add_argument("--seed", type=int, default=defaults.seed)
+    synth.add_argument("--consumers", type=int, default=defaults.consumers)
+    synth.add_argument("--items", type=int, default=defaults.items)
+    synth.add_argument("--providers", type=int, default=defaults.providers)
+    synth.add_argument("--niche-fraction", type=float, default=defaults.niche_fraction)
+    synth.add_argument("--niche-genre", default=defaults.niche_genre)
     return parser
 
 

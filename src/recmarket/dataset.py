@@ -393,10 +393,10 @@ class SyntheticSpec:
     the top of the derived preference vector.
     """
 
-    consumers: int
-    items: int
-    providers: int
-    niche_fraction: float
+    consumers: int = 500
+    items: int = 300
+    providers: int = 20
+    niche_fraction: float = 0.1
     seed: int = 0
     genres: tuple[str, ...] = DEFAULT_GENRES
     niche_genre: str = "Horror"

@@ -86,6 +86,11 @@ class ScenarioConfig:
         """The all-genre recommender every consumer starts at."""
         return next(r for r in self.recommenders if r.specialization == ALL_GENRES)
 
+    @property
+    def store_policy(self) -> PortabilityPolicy:
+        """The policy the profile store follows; the baseline's is universal."""
+        return self.policy or PortabilityPolicy.UNIVERSAL
+
     def validate(self) -> None:
         if self.cycles < 1 or self.days_per_cycle < 1 or self.slate_size < 1:
             raise ConfigError("cycles, days_per_cycle and slate_size must be >= 1")
@@ -115,20 +120,6 @@ class ScenarioConfig:
                 )
         if not any(r.specialization == ALL_GENRES for r in self.recommenders):
             raise ConfigError("one recommender must serve all genres (the consumers' home)")
-
-    def shared_key(self) -> tuple:
-        """Constants that must agree across a comparison suite."""
-        return (
-            self.seed,
-            self.niche_genre,
-            self.cycles,
-            self.days_per_cycle,
-            self.slate_size,
-            self.warmup_cycles,
-            self.behavior,
-            self.switch_timing,
-            self.history_threshold,
-        )
 
 
 def standard_suite(
@@ -315,9 +306,6 @@ class EcosystemState:
     catalog: Catalog
     consumers: list[ConsumerState]  # ascending consumer id
     store: ProfileStore
-    store_policy: PortabilityPolicy
-    active: list[str]  # sorted recommender ids
-    rec_configs: dict[str, RecommenderConfig]
     index: _SimIndex
     global_popular: dict[str, np.ndarray]  # recommender id -> catalog rows, most popular first
     consumer_rngs: dict[int, np.random.Generator]
@@ -332,6 +320,20 @@ class EcosystemState:
     collect_day_rows: bool = False
     # per-day cache of subscriber click counts (per catalog row) for fallback serving
     _fallback_counts: dict[str, np.ndarray] = field(default_factory=dict)
+
+    # Read from the config, so that a branch that swaps it needs no re-sync
+    @property
+    def store_policy(self) -> PortabilityPolicy:
+        return self.config.store_policy
+
+    @property
+    def active(self) -> list[str]:
+        """The config's recommender ids, sorted."""
+        return sorted(self.rec_configs)
+
+    @property
+    def rec_configs(self) -> dict[str, RecommenderConfig]:
+        return {r.recommender_id: r for r in self.config.recommenders}
 
     def consumer_types(self) -> list[str]:
         return sorted({c.type_label for c in self.consumers})
@@ -365,18 +367,17 @@ def prepare_state(
     ]
 
     active = sorted(r.recommender_id for r in config.recommenders)
-    rec_configs = {r.recommender_id: r for r in config.recommenders}
-    store_policy = config.policy if config.policy is not None else PortabilityPolicy.UNIVERSAL
+    store_policy = config.store_policy
     store = ProfileStore.create(store_policy, active, audit=audit)
     for s in sorted(seeds, key=lambda s: s.consumer_id):
         portability.seed_history(store, store_policy, s.consumer_id, home, s.initial_history)
 
     index = _build_index(catalog, consumers, config.recommenders)
     global_popular = {
-        rid: np.searchsorted(
-            index.item_ids, recommender.popular_list(log, rec_configs[rid].popular_list_size)
+        r.recommender_id: np.searchsorted(
+            index.item_ids, recommender.popular_list(log, r.popular_list_size)
         )
-        for rid in active
+        for r in config.recommenders
     }
     consumer_ids = np.array([c.consumer_id for c in consumers], dtype=np.int64)
     if store_policy.shared_layout:
@@ -396,9 +397,6 @@ def prepare_state(
         catalog=catalog,
         consumers=consumers,
         store=store,
-        store_policy=store_policy,
-        active=active,
-        rec_configs=rec_configs,
         index=index,
         global_popular=global_popular,
         consumer_rngs=consumer_rngs,
@@ -431,17 +429,9 @@ def _subscriber_counts(state: EcosystemState, rid: str) -> np.ndarray:
     cached = state._fallback_counts.get(rid)
     if cached is not None:
         return cached
-    shared = state.store_policy.shared_layout
-    bucket = state.store.shared if shared else state.store.per_recommender.get(rid, {})
-    items = [
-        item
-        for consumer in state.consumers
-        if consumer.current_recommender == rid
-        for item, _day in bucket.get(consumer.consumer_id, ())
-    ]
-    counts = np.bincount(
-        np.searchsorted(state.index.item_ids, items), minlength=len(state.index.item_ids)
-    )
+    subscribers = [k for k, c in enumerate(state.consumers) if c.current_recommender == rid]
+    # A profile list never holds an item twice, so its matrix row counts it
+    counts = state.visible[rid][subscribers].sum(axis=0)
     state._fallback_counts[rid] = counts
     return counts
 
@@ -501,6 +491,7 @@ def _apply_switch(
 def run_day(state: EcosystemState) -> None:
     """Serve one slate per consumer, update estimates, record selections."""
     cfg = state.config
+    policy = cfg.store_policy
     state._fallback_counts = {}
     day_in_cycle = state.day - state.cycle * cfg.days_per_cycle
     per_day_switching = (
@@ -527,7 +518,7 @@ def run_day(state: EcosystemState) -> None:
             row = int(rows[picked])
             item = int(state.index.item_ids[row])
             portability.record_click(
-                state.store, state.store_policy, consumer.consumer_id, rid, item, state.day
+                state.store, policy, consumer.consumer_id, rid, item, state.day
             )
             state.visible[rid][k, row] = True
             state.metrics.provider_clicks[state.index.provider_type_of_row[row]] += 1
@@ -649,7 +640,8 @@ def run_experiment_suite(
         raise ConfigError("no scenarios to run")
     for config in configs:
         config.validate()
-    keys = {(c.shared_key(), c.home) for c in configs}
+    # Everything but the policy and its roster, so that no constant can be left out
+    keys = {replace(c, policy=None, recommenders=(c.home,), name="") for c in configs}
     rosters = {c.recommenders for c in configs if not c.is_baseline}
     if len(keys) != 1 or len(rosters) > 1:
         raise ConfigError("suite scenarios must share all constants except the policy")
@@ -665,7 +657,6 @@ def run_experiment_suite(
     trail = AuditTrail() if any(audits.values()) else None
     prefix = prepare_state(universal, data, trail, collect_day_rows)
     prefix.config = replace(widest, policy=None, recommenders=(widest.home,))
-    prefix.active = [widest.home.recommender_id]
     end_of_cycle = widest.switch_timing is SwitchTiming.END_OF_CYCLE
     _run_cycles(prefix, range(widest.warmup_cycles + end_of_cycle))
     if not end_of_cycle:
@@ -697,10 +688,8 @@ def _run_branch(
 ) -> MetricsReport:
     """Run ``config`` on a copy of the suite's prefix, from where it ends."""
     home = config.home.recommender_id
-    policy = config.policy or PortabilityPolicy.UNIVERSAL
-    state.config, state.store_policy = config, policy
-    state.rec_configs = {r.recommender_id: r for r in config.recommenders}
-    state.active = sorted(state.rec_configs)
+    state.config = config
+    policy = state.store_policy
     if audit is not None:
         audit.lines.extend(state.store.audit.lines)
     history = state.store.shared

@@ -2,18 +2,28 @@
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from recmarket import cli, dataset
+from recmarket.behavior import BehaviorParams
 from recmarket.cli import (
+    DataSource,
+    ExperimentSpec,
     RunManifest,
     cmd_run,
     compare_reports,
     parse_config,
     serialize_config,
 )
+from recmarket.dataset import SyntheticSpec
+from recmarket.engine import standard_suite
 from recmarket.errors import ConfigError
+from recmarket.recommender import RecommenderConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """
 [scenario]
@@ -76,6 +86,30 @@ class TestParseConfig:
         bad = MINIMAL + "\n[scenario]\nmystery = 1\n"
         with pytest.raises(ConfigError, match="mystery"):
             parse_config(write(tmp_path, bad))
+
+    def test_repeated_key_is_an_error_naming_line_and_key(self, tmp_path):
+        text = MINIMAL + "\n[behavior]\ntau = 0.2\nbeta = 2.0\ntau = 0.5\n"
+        with pytest.raises(ConfigError, match=r"config\.ini:16: duplicate key 'tau'"):
+            parse_config(write(tmp_path, text))
+
+    def test_readme_block_is_the_defaults(self, tmp_path):
+        # The documented block spells out every default; a config that gives
+        # only its required keys must parse to the same spec, and that spec
+        # must hold the dataclass defaults.
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        required = [line for line in block.splitlines() if re.match(r"(seed|niche_genre) ", line)]
+        documented = parse_config(write(tmp_path, block, "readme.ini"))
+        minimal = parse_config(write(tmp_path, "[scenario]\n" + "\n".join(required) + "\n"))
+        assert documented == minimal
+        seed, genre = minimal.scenarios[0].seed, minimal.scenarios[0].niche_genre
+        assert minimal == ExperimentSpec(
+            tuple(standard_suite(seed=seed, niche_genre=genre)),
+            DataSource(synthetic=SyntheticSpec(seed=seed, niche_genre=genre)),
+        )
+        for config in minimal.scenarios:
+            assert config.behavior == BehaviorParams()
+            for rec in config.recommenders:
+                assert rec == RecommenderConfig(rec.recommender_id, rec.specialization)
 
     def test_unknown_section_is_an_error(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -262,9 +296,16 @@ class TestCompare:
 
 
 class TestMainEntry:
-    def test_exit_code_validation_error(self, tmp_path):
-        bad = write(tmp_path, "[scenario]\nseed = 1\n")  # no niche_genre
-        assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    def test_exit_code_validation_error(self, tmp_path, capsys):
+        no_genre = "[scenario]\nseed = 1\n"
+        xml = MINIMAL.replace(
+            "source = synthetic", "source = files\nratings = r\nitems_file = i\n"
+            "providers_file = p\nformat = xml"
+        )
+        for text, named in ((no_genre, "niche_genre"), (xml, "format")):
+            bad = write(tmp_path, text)
+            assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+            assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, key, value",

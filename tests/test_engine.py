@@ -286,13 +286,18 @@ class TestServeMirrorsRecommend:
             return counts_cache[key]
 
         def assert_visibility(state):
+            # The engine counts a profile's items by its visibility matrix
+            # row, so no profile list may hold an item twice
             for rid in state.active:
+                view = portability.training_view(state.store, state.store_policy, rid)
                 for k, consumer in enumerate(state.consumers):
                     got = {int(i) for i in state.index.item_ids[state.visible[rid][k]]}
                     expected = portability.visible_items(
                         state.store, state.store_policy, rid, consumer.consumer_id
                     )
                     assert got == expected, (state.day, rid, consumer.consumer_id)
+                    listed = [item for item, _day in view.get(consumer.consumer_id, ())]
+                    assert len(listed) == len(expected), (state.day, rid, consumer.consumer_id)
 
         original_prepare = engine.prepare_state
         original_serve = engine._serve
@@ -414,7 +419,7 @@ class TestServeMirrorsRecommend:
         state.models[rid] = recommender.CatalogModel.align(empty, state.index.item_ids)
         state.store.shared.clear()
         state.store.per_recommender.get(rid, {}).clear()
-        state.visible[rid][0] = False
+        state.visible[rid][:] = False  # the store's mirror, blanked with it
         state._fallback_counts = {}
         seed_rng = derive_rng(config.seed, "consumer", consumer.consumer_id)
         state.consumer_rngs[consumer.consumer_id] = derive_rng(
