@@ -17,7 +17,7 @@ import sys
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import dataset, engine
 from .behavior import BehaviorParams
@@ -37,29 +37,23 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass(frozen=True)
-class DataSource:
-    """Either a synthetic population spec or a triple of input files."""
+class FileSource:
+    """A population read from a ratings, an items and a providers file."""
 
-    kind: str = "synthetic"  # "synthetic" | "files"
-    synthetic: SyntheticSpec | None = None
-    ratings: str | None = None
-    items_file: str | None = None
-    providers_file: str | None = None
+    ratings: str
+    items_file: str
+    providers_file: str
     fmt: str = "csv"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config_path: Path
-    out_dir: Path
-    seed_override: int | None = None
-    emit: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     scenarios: tuple[ScenarioConfig, ...]
-    source: DataSource
+    source: SyntheticSpec | FileSource
+
+
+# [data] source = name -> the dataclass its other [data] keys fill
+_SOURCES: dict[str, type] = {"synthetic": SyntheticSpec, "files": FileSource}
 
 
 def _one_of(*allowed: str) -> Callable[[str], str]:
@@ -72,13 +66,17 @@ def _one_of(*allowed: str) -> Callable[[str], str]:
 
 
 def _policy_names(text: str) -> tuple[str, ...]:
-    return tuple(_one_of(*POLICY_NAMES)(p.strip()) for p in text.split(",") if p.strip())
+    names = tuple(_one_of(*POLICY_NAMES)(p.strip()) for p in text.split(",") if p.strip())
+    if not names:
+        raise ValueError("no policy given")
+    return names
 
 
 # Every config key: [section] key -> (owner dataclass, its field, parser of the
 # text). A key missing from the file takes the field's dataclass default, and
-# one whose field has none is required. `policies` (owner None) picks
-# scenarios of the standard suite in the order it names them; all by default.
+# one whose field has none is required. Owner None marks a choice: `policies`
+# picks scenarios of the standard suite in the order it names them (all by
+# default), and `source` picks the data source whose keys apply.
 _KEYS: dict[tuple[str, str], tuple[type | None, str, Callable[[str], object]]] = {
     ("scenario", "seed"): (ScenarioConfig, "seed", int),
     ("scenario", "niche_genre"): (ScenarioConfig, "niche_genre", str),
@@ -97,15 +95,15 @@ _KEYS: dict[tuple[str, str], tuple[type | None, str, Callable[[str], object]]] =
     ("recommenders", "regularization"): (RecommenderConfig, "regularization", float),
     ("recommenders", "confidence_weight"): (RecommenderConfig, "confidence_weight", float),
     ("recommenders", "popular_list_size"): (RecommenderConfig, "popular_list_size", int),
-    ("data", "source"): (DataSource, "kind", _one_of("synthetic", "files")),
+    ("data", "source"): (None, "source", _one_of(*_SOURCES)),
     ("data", "consumers"): (SyntheticSpec, "consumers", int),
     ("data", "items"): (SyntheticSpec, "items", int),
     ("data", "providers"): (SyntheticSpec, "providers", int),
     ("data", "niche_fraction"): (SyntheticSpec, "niche_fraction", float),
-    ("data", "ratings"): (DataSource, "ratings", str),
-    ("data", "items_file"): (DataSource, "items_file", str),
-    ("data", "providers_file"): (DataSource, "providers_file", str),
-    ("data", "format"): (DataSource, "fmt", _one_of("csv", "movielens-dat")),
+    ("data", "ratings"): (FileSource, "ratings", str),
+    ("data", "items_file"): (FileSource, "items_file", str),
+    ("data", "providers_file"): (FileSource, "providers_file", str),
+    ("data", "format"): (FileSource, "fmt", _one_of("csv", "movielens-dat")),
 }
 
 
@@ -140,12 +138,13 @@ def _parse_keys(text: str, path: str) -> defaultdict[type | None, dict[str, obje
     return given
 
 
-def parse_config(path: str | Path) -> ExperimentSpec:
+def parse_config(path: str | Path, seed: int | None = None) -> ExperimentSpec:
     """Parse a sectioned key-value config into scenario configs plus a data source.
 
-    Unknown sections, unknown or repeated keys and unparsable values are
-    errors naming the key. A missing key takes its field's dataclass default,
-    and a key whose field has none is required.
+    Unknown sections, unknown or repeated keys, unparsable values and keys of
+    the data source the file does not pick are errors naming the key. A
+    missing key takes its field's dataclass default, and a key whose field has
+    none is required. ``seed``, when given, replaces the file's seed.
     """
     path = Path(path)
     try:
@@ -153,12 +152,18 @@ def parse_config(path: str | Path) -> ExperimentSpec:
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     given = _parse_keys(text, str(path))
+    kind = given[None].get("source", "synthetic")
     for (section, key), (owner, name, _parse) in _KEYS.items():
-        required = owner is not None and owner.__dataclass_fields__[name].default is MISSING
-        if required and name not in given[owner]:
-            raise ConfigError(f"{path}: missing required key {key!r} in section [{section}]")
+        if owner in _SOURCES.values() and owner is not _SOURCES[kind]:
+            if name in given[owner]:
+                raise ConfigError(f"{path}: [{section}] {key} does not apply to source = {kind}")
+        elif owner is not None and owner.__dataclass_fields__[name].default is MISSING:
+            if name not in given[owner]:
+                raise ConfigError(f"{path}: missing required key {key!r} in section [{section}]")
 
     scenario = given[ScenarioConfig]
+    if seed is not None:
+        scenario["seed"] = seed
     recommenders = tuple(
         replace(r, **given[RecommenderConfig])
         for r in engine.default_recommenders(scenario["niche_genre"])
@@ -171,20 +176,12 @@ def parse_config(path: str | Path) -> ExperimentSpec:
     for config in scenarios:
         config.validate()
 
-    source = DataSource(**given[DataSource])
-    if source.kind == "synthetic":
-        spec = SyntheticSpec(
+    if kind == "synthetic":
+        source = SyntheticSpec(
             seed=scenario["seed"], niche_genre=scenario["niche_genre"], **given[SyntheticSpec]
         )
-        source = DataSource(synthetic=spec)
     else:
-        missing = [
-            key
-            for (_section, key), (owner, name, _parse) in _KEYS.items()
-            if owner is DataSource and not getattr(source, name)
-        ]
-        if missing:
-            raise ConfigError(f"{path}: data source 'files' requires {', '.join(missing)}")
+        source = FileSource(**given[FileSource])
     return ExperimentSpec(scenarios, source)
 
 
@@ -195,15 +192,15 @@ def serialize_config(spec: ExperimentSpec) -> str:
         ScenarioConfig: cfg,
         BehaviorParams: cfg.behavior,
         RecommenderConfig: cfg.recommenders[0],
-        SyntheticSpec: src.synthetic,
-        DataSource: src,
+        type(src): src,
+    }
+    choices = {
+        "policies": ",".join(c.scenario_name for c in spec.scenarios),
+        "source": next(name for name, kind in _SOURCES.items() if kind is type(src)),
     }
     lines: list[str] = []
     for (section, key), (owner, name, _parse) in _KEYS.items():
-        if owner is None:
-            value = ",".join(c.scenario_name for c in spec.scenarios)
-        else:
-            value = getattr(owners[owner], name, None)
+        value = choices[name] if owner is None else getattr(owners.get(owner), name, None)
         if value is None:
             continue
         if f"[{section}]" not in lines:
@@ -212,35 +209,25 @@ def serialize_config(spec: ExperimentSpec) -> str:
     return "\n".join(lines[1:]) + "\n"
 
 
-def load_data(source: DataSource):
-    if source.kind == "synthetic":
-        return dataset.generate_synthetic(source.synthetic)
+def load_data(source: SyntheticSpec | FileSource):
+    if isinstance(source, SyntheticSpec):
+        return dataset.generate_synthetic(source)
     log = dataset.load_ratings(source.ratings, fmt=source.fmt)
     catalog = dataset.load_catalog(source.items_file, source.providers_file)
     return log, catalog
 
 
-def cmd_run(manifest: RunManifest) -> int:
-    spec = parse_config(manifest.config_path)
-    if manifest.seed_override is not None:
-        scenarios = tuple(
-            replace(c, seed=manifest.seed_override) for c in spec.scenarios
-        )
-        source = spec.source
-        if source.kind == "synthetic":
-            source = replace(
-                source, synthetic=replace(source.synthetic, seed=manifest.seed_override)
-            )
-        spec = ExperimentSpec(scenarios, source)
-
+def cmd_run(
+    config: Path, out: Path, seed: int | None = None, emit: Sequence[str] = ()
+) -> int:
+    spec = parse_config(config, seed)
     data = load_data(spec.source)
-    out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
     audits: dict[str, AuditTrail] = {}
-    if "audit-log" in manifest.emit:
+    if "audit-log" in emit:
         audits = {c.scenario_name: AuditTrail() for c in spec.scenarios}
-    collect_days = "per-day" in manifest.emit
+    collect_days = "per-day" in emit
 
     result = engine.run_experiment_suite(
         spec.scenarios, data, audits=audits, collect_day_rows=collect_days
@@ -265,7 +252,7 @@ def cmd_run(manifest: RunManifest) -> int:
     for name, trail in audits.items():
         _write_lines(out / f"audit_{name}.jsonl", trail.lines)
         written.add(f"audit_{name}.jsonl")
-    if "model-dump" in manifest.emit:
+    if "model-dump" in emit:
         for config in spec.scenarios:
             state = engine.prepare_state(config, data)
             engine.train_cycle(state)
@@ -307,6 +294,13 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     _write_atomically(path, write)
 
 
+# The compared metric families: (report field, metric name, whose groups)
+_COMPARED = (
+    ("last_cycle_utility", "consumer_utility", "consumer"),
+    ("provider_clicks", "provider_clicks", "provider"),
+)
+
+
 def compare_reports(reports: list[dict]) -> list[dict]:
     """Per-group deltas and ratios of each report against the baseline one."""
     baselines = [r for r in reports if r.get("baseline")]
@@ -320,38 +314,23 @@ def compare_reports(reports: list[dict]) -> list[dict]:
     for r in reports:
         if r is base:
             continue
-        for group in sorted(base["last_cycle_utility"]):
-            b = base["last_cycle_utility"][group]
-            v = r["last_cycle_utility"].get(group)
-            if v is None:
-                raise ConfigError(f"report schema mismatch: consumer group {group!r}")
-            rows.append(
-                {
-                    "scenario": r["scenario"],
-                    "metric": "consumer_utility",
-                    "group": group,
-                    "value": v,
-                    "baseline": b,
-                    "delta": v - b,
-                    "ratio": v / b if b else float("inf"),
-                }
-            )
-        for group in sorted(base["provider_clicks"]):
-            b = base["provider_clicks"][group]
-            v = r["provider_clicks"].get(group)
-            if v is None:
-                raise ConfigError(f"report schema mismatch: provider group {group!r}")
-            rows.append(
-                {
-                    "scenario": r["scenario"],
-                    "metric": "provider_clicks",
-                    "group": group,
-                    "value": v,
-                    "baseline": b,
-                    "delta": v - b,
-                    "ratio": v / b if b else float("inf"),
-                }
-            )
+        for field, metric, who in _COMPARED:
+            for group in sorted(base[field]):
+                b = base[field][group]
+                v = r[field].get(group)
+                if v is None:
+                    raise ConfigError(f"report schema mismatch: {who} group {group!r}")
+                rows.append(
+                    {
+                        "scenario": r["scenario"],
+                        "metric": metric,
+                        "group": group,
+                        "value": v,
+                        "baseline": b,
+                        "delta": v - b,
+                        "ratio": v / b if b else float("inf"),
+                    }
+                )
     return rows
 
 
@@ -448,13 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            manifest = RunManifest(
-                config_path=args.config,
-                out_dir=args.out,
-                seed_override=args.seed,
-                emit=tuple(args.emit),
-            )
-            return cmd_run(manifest)
+            return cmd_run(args.config, args.out, args.seed, tuple(args.emit))
         if args.command == "compare":
             return cmd_compare(args.reports)
         if args.command == "synth":

@@ -383,11 +383,23 @@ def classify_providers(catalog: Catalog, niche_genre: str) -> Catalog:
 # ---------------------------------------------------------------------------
 
 
+RATINGS_PER_CONSUMER = 24
+NICHE_ITEM_FRACTION = 0.27
+CROSSOVER_ITEM_FRACTION = 0.13
+NICHE_PROVIDER_COUNT = 3
+CANON_SIZE = 12
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters for a generated desk-scale dataset.
+    """Parameters for a generated desk-scale dataset over ``DEFAULT_GENRES``.
 
-    The taste knobs are calibrated so that niche consumers rate mainstream
+    The taste calibration is fixed by the module constants above: each
+    consumer rates ``RATINGS_PER_CONSUMER`` items; ``NICHE_ITEM_FRACTION`` of
+    the catalog carries only the niche genre and ``CROSSOVER_ITEM_FRACTION``
+    pairs it with a tail genre; ``NICHE_PROVIDER_COUNT`` studios make those
+    items, and the first ``CANON_SIZE`` of them are the canon every niche
+    consumer knows. They are set so that niche consumers rate mainstream
     items highly enough to look ordinary to a collaborative model trained on
     clicks, while their rating *concentration* still puts the niche genre at
     the top of the derived preference vector.
@@ -398,49 +410,41 @@ class SyntheticSpec:
     providers: int = 20
     niche_fraction: float = 0.1
     seed: int = 0
-    genres: tuple[str, ...] = DEFAULT_GENRES
     niche_genre: str = "Horror"
-    ratings_per_consumer: int = 24
-    niche_item_fraction: float = 0.27
-    crossover_item_fraction: float = 0.13
-    niche_provider_count: int = 3
-    canon_size: int = 12
 
     def validate(self) -> None:
         if self.consumers < 1 or self.items < 1 or self.providers < 1:
             raise DataError("population counts must be positive")
         if not 0.0 < self.niche_fraction < 1.0:
             raise DataError("niche_fraction must lie in (0, 1)")
-        if len(self.genres) > 1:
-            n_niche = round(self.consumers * self.niche_fraction)
-            if not 1 <= n_niche <= self.consumers - 1:
-                raise DataError(
-                    f"infeasible spec: {self.consumers} consumers cannot realize "
-                    f"a niche fraction of {self.niche_fraction}"
-                )
+        n_niche = round(self.consumers * self.niche_fraction)
+        if not 1 <= n_niche <= self.consumers - 1:
+            raise DataError(
+                f"infeasible spec: {self.consumers} consumers cannot realize "
+                f"a niche fraction of {self.niche_fraction}"
+            )
         if self.providers > self.items:
             raise DataError("more providers than items")
-        if self.ratings_per_consumer < 1:
-            raise DataError("ratings_per_consumer must be positive")
 
 
 _GENERATION_ATTEMPTS = 4  # drift is rare: 1 of 72 seeds tried at 250x150x10
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[InteractionLog, Catalog]:
-    """Generate a deterministic (log, catalog) pair matching ``spec``.
+    """Generate a deterministic (log, catalog) pair matching ``spec`` and the
+    calibration constants (``RATINGS_PER_CONSUMER``, ``NICHE_ITEM_FRACTION``,
+    ``CROSSOVER_ITEM_FRACTION``, ``NICHE_PROVIDER_COUNT``, ``CANON_SIZE``).
 
     For a fixed seed the output is byte-identical across calls. The realized
-    Niche consumer count is within 1 of ``round(consumers * niche_fraction)``
-    except in the degenerate single-genre taxonomy, where labels are forced.
-    A draw that drifts further is redrawn from ``default_rng([seed,
-    attempt])``, a bounded number of times.
+    Niche consumer count is within 1 of ``round(consumers * niche_fraction)``,
+    except for a niche genre outside ``DEFAULT_GENRES``, where every consumer
+    is Generic. A draw that drifts further is redrawn from
+    ``default_rng([seed, attempt])``, a bounded number of times.
     """
     spec.validate()
-    genres = spec.genres
-    niche_idx = genres.index(spec.niche_genre) if spec.niche_genre in genres else None
-    if niche_idx is None or len(genres) == 1:
-        return _generate_degenerate(spec, np.random.default_rng(spec.seed), niche_idx)
+    if spec.niche_genre not in DEFAULT_GENRES:
+        return _generate_degenerate(spec, np.random.default_rng(spec.seed))
+    niche_idx = DEFAULT_GENRES.index(spec.niche_genre)
     for attempt in range(_GENERATION_ATTEMPTS):
         rng = np.random.default_rng([spec.seed, attempt] if attempt else spec.seed)
         log, catalog, designated = _generate_labelled(spec, rng, niche_idx)
@@ -458,7 +462,7 @@ def _generate_labelled(
     spec: SyntheticSpec, rng: np.random.Generator, niche_idx: int
 ) -> tuple[InteractionLog, Catalog, set[int]]:
     """One draw of the log, the catalog and the designated niche consumers."""
-    genres = spec.genres
+    genres = DEFAULT_GENRES
     other_idx = [g for g in range(len(genres)) if g != niche_idx]
     # Mildly skewed popularity over the non-niche genres drives both item
     # genre assignment and mainstream tastes; crossover items pair the niche
@@ -468,8 +472,8 @@ def _generate_labelled(
     tail_weight = genre_weight[::-1].copy()
     tail_weight /= tail_weight.sum()
 
-    n_pure = max(1, round(spec.items * spec.niche_item_fraction))
-    n_cross = round(spec.items * spec.crossover_item_fraction)
+    n_pure = max(1, round(spec.items * NICHE_ITEM_FRACTION))
+    n_cross = round(spec.items * CROSSOVER_ITEM_FRACTION)
     n_pure = min(n_pure, spec.items)
     n_cross = min(n_cross, spec.items - n_pure)
 
@@ -486,7 +490,7 @@ def _generate_labelled(
             item_genres.append(sorted(int(g) for g in picks))
 
     provider_ids = [f"p{k:03d}" for k in range(spec.providers)]
-    n_niche_prov = min(max(1, spec.niche_provider_count), spec.providers - 1, n_pure)
+    n_niche_prov = min(NICHE_PROVIDER_COUNT, spec.providers - 1, n_pure)
     provider_of: dict[int, str] = {}
     # Niche studios produce all niche-tagged output, crossovers included.
     for i in range(n_pure + n_cross):
@@ -506,7 +510,7 @@ def _generate_labelled(
     niche_consumers = set(int(c) for c in order[:n_niche_consumers])
 
     pure_ids = np.arange(n_pure)
-    canon = pure_ids[: min(spec.canon_size, n_pure)]
+    canon = pure_ids[: min(CANON_SIZE, n_pure)]
     tagged_ids = np.arange(n_pure + n_cross)
     generic_ids = np.arange(n_pure + n_cross, spec.items)
 
@@ -519,7 +523,7 @@ def _generate_labelled(
     records: list[RatingRecord] = []
     ts = 0
     for consumer in range(spec.consumers):
-        per = spec.ratings_per_consumer
+        per = RATINGS_PER_CONSUMER
         rated: dict[int, float] = {}
         if consumer in niche_consumers:
             # Everyone in the niche audience knows the genre canon; those
@@ -584,20 +588,19 @@ def _generate_labelled(
 
 
 def _generate_degenerate(
-    spec: SyntheticSpec, rng: np.random.Generator, niche_idx: int | None
+    spec: SyntheticSpec, rng: np.random.Generator
 ) -> tuple[InteractionLog, Catalog]:
-    # Single-genre taxonomy (or a niche genre outside it): labels are forced,
-    # so the realized-fraction guarantee is waived.
-    genre_names = [[spec.genres[0]]] if len(spec.genres) == 1 else None
-    item_rows = []
-    for i in range(spec.items):
-        gs = genre_names[0] if genre_names else [spec.genres[int(rng.integers(len(spec.genres)))]]
-        item_rows.append((i, gs, f"p{i % spec.providers:03d}"))
-    catalog = build_catalog(item_rows, spec.genres)
+    """A niche genre outside the taxonomy: every label is Generic, so the
+    realized-fraction guarantee is waived."""
+    item_rows = [
+        (i, [DEFAULT_GENRES[int(rng.integers(len(DEFAULT_GENRES)))]], f"p{i % spec.providers:03d}")
+        for i in range(spec.items)
+    ]
+    catalog = build_catalog(item_rows, DEFAULT_GENRES)
     records = []
     ts = 0
+    size = min(RATINGS_PER_CONSUMER, spec.items)
     for consumer in range(spec.consumers):
-        size = min(spec.ratings_per_consumer, spec.items)
         for item_id in sorted(int(i) for i in rng.choice(spec.items, size=size, replace=False)):
             records.append(RatingRecord(consumer, item_id, float(rng.integers(3, 6)), ts))
             ts += 1

@@ -69,7 +69,6 @@ class ScenarioConfig:
     behavior: BehaviorParams = BehaviorParams()
     switch_timing: SwitchTiming = SwitchTiming.END_OF_CYCLE
     history_threshold: float = 4.0
-    name: str = ""
 
     @property
     def is_baseline(self) -> bool:
@@ -77,8 +76,6 @@ class ScenarioConfig:
 
     @property
     def scenario_name(self) -> str:
-        if self.name:
-            return self.name
         return "baseline" if self.policy is None else self.policy.value
 
     @property
@@ -641,7 +638,7 @@ def run_experiment_suite(
     for config in configs:
         config.validate()
     # Everything but the policy and its roster, so that no constant can be left out
-    keys = {replace(c, policy=None, recommenders=(c.home,), name="") for c in configs}
+    keys = {replace(c, policy=None, recommenders=(c.home,)) for c in configs}
     rosters = {c.recommenders for c in configs if not c.is_baseline}
     if len(keys) != 1 or len(rosters) > 1:
         raise ConfigError("suite scenarios must share all constants except the policy")
@@ -705,42 +702,40 @@ def _run_branch(
     return _build_report(state)
 
 
+def _csv_lines(header: str, rows: Iterable[tuple]) -> list[str]:
+    """The header, then one line per row: ``repr`` of a float, so that the
+    text reads back to the same bits, and ``str`` of anything else."""
+    return [header] + [
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows
+    ]
+
+
 def cycle_csv_lines(reports: Iterable[MetricsReport]) -> list[str]:
-    lines = ["scenario,cycle,consumer_type,mean_utility,n"]
-    for report in reports:
-        for row in report.cycle_utilities:
-            lines.append(
-                f"{report.scenario},{row.cycle},{row.consumer_type},"
-                f"{row.mean_utility!r},{row.n}"
-            )
-    return lines
+    return _csv_lines(
+        "scenario,cycle,consumer_type,mean_utility,n",
+        ((r.scenario, *row) for r in reports for row in r.cycle_utilities),
+    )
 
 
 def provider_csv_lines(reports: Iterable[MetricsReport]) -> list[str]:
-    lines = ["scenario,provider_type,cumulative_clicks"]
-    for report in reports:
-        for ptype, clicks in sorted(report.provider_clicks.items()):
-            lines.append(f"{report.scenario},{ptype},{clicks}")
-    return lines
+    return _csv_lines(
+        "scenario,provider_type,cumulative_clicks",
+        ((r.scenario, *item) for r in reports for item in sorted(r.provider_clicks.items())),
+    )
 
 
 def switch_csv_lines(reports: Iterable[MetricsReport]) -> list[str]:
-    lines = ["scenario,cycle,consumer_type,to_recommender,count"]
-    for report in reports:
-        for cycle, ctype, to_id, count in report.switch_count_rows():
-            lines.append(f"{report.scenario},{cycle},{ctype},{to_id},{count}")
-    return lines
+    return _csv_lines(
+        "scenario,cycle,consumer_type,to_recommender,count",
+        ((r.scenario, *row) for r in reports for row in r.switch_count_rows()),
+    )
 
 
 def day_csv_lines(reports: Iterable[MetricsReport]) -> list[str]:
-    lines = ["scenario,cycle,day,consumer_type,mean_utility,n"]
-    for report in reports:
-        for row in report.day_utilities:
-            lines.append(
-                f"{report.scenario},{row.cycle},{row.day},{row.consumer_type},"
-                f"{row.mean_utility!r},{row.n}"
-            )
-    return lines
+    return _csv_lines(
+        "scenario,cycle,day,consumer_type,mean_utility,n",
+        ((r.scenario, *row) for r in reports for row in r.day_utilities),
+    )
 
 
 def render_summary(reports: Sequence[MetricsReport]) -> str:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,16 +11,15 @@ import pytest
 from recmarket import cli, dataset
 from recmarket.behavior import BehaviorParams
 from recmarket.cli import (
-    DataSource,
     ExperimentSpec,
-    RunManifest,
+    FileSource,
     cmd_run,
     compare_reports,
     parse_config,
     serialize_config,
 )
 from recmarket.dataset import SyntheticSpec
-from recmarket.engine import standard_suite
+from recmarket.engine import ScenarioConfig, standard_suite
 from recmarket.errors import ConfigError
 from recmarket.recommender import RecommenderConfig
 
@@ -104,7 +104,7 @@ class TestParseConfig:
         seed, genre = minimal.scenarios[0].seed, minimal.scenarios[0].niche_genre
         assert minimal == ExperimentSpec(
             tuple(standard_suite(seed=seed, niche_genre=genre)),
-            DataSource(synthetic=SyntheticSpec(seed=seed, niche_genre=genre)),
+            SyntheticSpec(seed=seed, niche_genre=genre),
         )
         for config in minimal.scenarios:
             assert config.behavior == BehaviorParams()
@@ -131,10 +131,14 @@ class TestParseConfig:
             parse_config(write(tmp_path, text))
 
     def test_round_trip(self, tmp_path):
-        spec = parse_config(write(tmp_path, SMALL_RUN))
-        text = serialize_config(spec)
-        spec2 = parse_config(write(tmp_path, text, "rt.ini"))
-        assert spec2 == spec
+        files = MINIMAL.split("[data]")[0] + (
+            "[data]\nsource = files\nratings = r\nitems_file = i\nproviders_file = p\n"
+            "format = movielens-dat\n"
+        )
+        for text in (SMALL_RUN, files):
+            spec = parse_config(write(tmp_path, text))
+            spec2 = parse_config(write(tmp_path, serialize_config(spec), "rt.ini"))
+            assert spec2 == spec
 
     def test_policy_subset(self, tmp_path):
         text = MINIMAL + "\n[scenario]\npolicies = baseline, universal\n"
@@ -161,18 +165,42 @@ class TestParseConfig:
         )
         spec = parse_config(write(tmp_path, text))
         assert spec.scenarios[0].seed == 5
-        assert spec.source.ratings == "/data/run#1/r.csv"
-        assert spec.source.items_file == "/data/run#1/items.csv"
-        assert spec.source.providers_file == "/data/run#1/providers.csv"
+        assert spec.source == FileSource(
+            "/data/run#1/r.csv", "/data/run#1/items.csv", "/data/run#1/providers.csv"
+        )
+
+    def test_every_config_field_is_a_key_or_derived(self):
+        # A run holds only what a config can set: each field of a key's owner
+        # is a key or is derived from keys (the policy and its roster, the
+        # behaviour block, each recommender's identity, and the seed and
+        # niche genre the synthetic spec shares with the scenario).
+        keyed = {(owner, name) for owner, name, _parse in cli._KEYS.values()}
+        derived = {
+            (ScenarioConfig, "policy"),
+            (ScenarioConfig, "recommenders"),
+            (ScenarioConfig, "behavior"),
+            (RecommenderConfig, "recommender_id"),
+            (RecommenderConfig, "specialization"),
+            (SyntheticSpec, "seed"),
+            (SyntheticSpec, "niche_genre"),
+        }
+        owners = {owner for owner, _name in keyed if owner is not None}
+        assert owners == {
+            ScenarioConfig, BehaviorParams, RecommenderConfig, SyntheticSpec, FileSource
+        }
+        unset = [
+            f"{owner.__name__}.{f.name}"
+            for owner in owners
+            for f in fields(owner)
+            if (owner, f.name) not in keyed | derived
+        ]
+        assert unset == []
 
 
 class TestCmdRun:
     def run_once(self, tmp_path, out_name, emit=()):
         config = write(tmp_path, SMALL_RUN)
-        manifest = RunManifest(
-            config_path=config, out_dir=tmp_path / out_name, emit=tuple(emit)
-        )
-        assert cmd_run(manifest) == 0
+        assert cmd_run(config, tmp_path / out_name, emit=emit) == 0
         return tmp_path / out_name
 
     def test_writes_reports_and_summary(self, tmp_path, capsys):
@@ -221,7 +249,7 @@ class TestCmdRun:
         assert (out / "consumer_utility_per_day.csv").exists()
         assert (out / "model_universal_generic.txt").exists()
         fewer = SMALL_RUN.replace("warmup_cycles = 1", "warmup_cycles = 1\npolicies = baseline")
-        assert cmd_run(RunManifest(write(tmp_path, fewer, "fewer.ini"), out)) == 0
+        assert cmd_run(write(tmp_path, fewer, "fewer.ini"), out) == 0
         assert sorted(p.name for p in out.glob("report_*.json")) == ["report_baseline.json"]
         assert list(out.glob("audit_*.jsonl")) == []
         assert list(out.glob("model_*.txt")) == []
@@ -232,9 +260,21 @@ class TestCmdRun:
         config = write(tmp_path, SMALL_RUN)
         a = tmp_path / "a"
         b = tmp_path / "b"
-        assert cmd_run(RunManifest(config, a)) == 0
-        assert cmd_run(RunManifest(config, b, seed_override=99)) == 0
+        assert cmd_run(config, a) == 0
+        assert cmd_run(config, b, seed=99) == 0
         assert (a / "summary.txt").read_text() != (b / "summary.txt").read_text()
+
+    def test_seed_flag_writes_what_the_config_seed_writes(self, tmp_path, capsys):
+        flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+        config = write(tmp_path, SMALL_RUN)
+        assert cli.main(["run", "--config", str(config), "--out", str(flagged), "--seed", "9"]) == 0
+        nine = write(tmp_path, SMALL_RUN.replace("seed = 5", "seed = 9"), "nine.ini")
+        assert cli.main(["run", "--config", str(nine), "--out", str(configured)]) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in flagged.iterdir())
+        assert names == sorted(p.name for p in configured.iterdir())
+        for name in names:
+            assert (flagged / name).read_bytes() == (configured / name).read_bytes(), name
 
 
 class TestCompare:
@@ -302,10 +342,23 @@ class TestMainEntry:
             "source = synthetic", "source = files\nratings = r\nitems_file = i\n"
             "providers_file = p\nformat = xml"
         )
-        for text, named in ((no_genre, "niche_genre"), (xml, "format")):
+        no_policy = MINIMAL.replace("niche_genre = Horror", "niche_genre = Horror\npolicies =")
+        comma = MINIMAL.replace("niche_genre = Horror", "niche_genre = Horror\npolicies = ,")
+        files = "source = files\nratings = r\nitems_file = i\n"
+        no_providers_file = no_genre + "niche_genre = Horror\n[data]\n" + files
+        for text, named in (
+            (no_genre, "niche_genre"),
+            (xml, "format"),
+            (no_policy, "[scenario] policies"),
+            (comma, "[scenario] policies"),
+            (MINIMAL + "ratings = q\nformat = csv\n", "[data] ratings"),
+            (MINIMAL.replace("source = synthetic", files + "providers_file = p"), "[data] consumers"),
+            (no_providers_file, "'providers_file'"),
+        ):
             bad = write(tmp_path, text)
             assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
             assert named in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "section, key, value",

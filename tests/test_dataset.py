@@ -255,30 +255,13 @@ class TestGenerateSynthetic:
         labeled = classify_providers(cat, "Horror")
         assert any(p.type_label == NICHE for p in labeled.providers.values())
 
-    def test_single_genre_taxonomy_forces_labels(self):
+    def test_niche_genre_outside_the_taxonomy_forces_labels(self):
         spec = SyntheticSpec(
-            consumers=10,
-            items=12,
-            providers=2,
-            niche_fraction=0.5,
-            seed=3,
-            genres=("Drama",),
-            niche_genre="Drama",
+            consumers=10, items=12, providers=2, niche_fraction=0.5, seed=3, niche_genre="Jazz"
         )
         log, cat = generate_synthetic(spec)
-        seeds = build_preferences(log, cat, "Drama")
-        assert all(s.type_label == NICHE for s in seeds)
-        other = SyntheticSpec(
-            consumers=10,
-            items=12,
-            providers=2,
-            niche_fraction=0.5,
-            seed=3,
-            genres=("Drama",),
-            niche_genre="Horror",
-        )
-        log2, cat2 = generate_synthetic(other)
-        assert all(s.type_label == GENERIC for s in build_preferences(log2, cat2, "Horror"))
+        assert cat.genres == DEFAULT_GENRES
+        assert all(s.type_label == GENERIC for s in build_preferences(log, cat, "Jazz"))
 
     def test_infeasible_population_errors(self):
         with pytest.raises(DataError, match="infeasible"):

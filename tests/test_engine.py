@@ -201,16 +201,15 @@ class TestDeterminismAndEquivalence:
         # unreachable switching threshold is bit-identical to the baseline.
         data = small_data()
         recs = (default_recommenders("Horror")[0],)
-        base = baseline_config(name="ref")
+        base = baseline_config()
         frozen = small_config(
             policy=PortabilityPolicy.UNIVERSAL,
             recommenders=recs,
             behavior=BehaviorParams(satisfaction_threshold=0.0),
-            name="ref",
         )
-        base_report = run_scenario(base, data)
         frozen_report = run_scenario(frozen, data)
-        # identical up to the baseline metadata flag itself
+        base_report = replace(run_scenario(base, data), scenario=frozen_report.scenario)
+        # identical up to the scenario name and the baseline metadata flag
         assert replace(base_report, baseline=False) == frozen_report
         for emit in (engine.cycle_csv_lines, engine.provider_csv_lines, engine.switch_csv_lines):
             assert emit([base_report]) == emit([frozen_report])
@@ -497,16 +496,14 @@ class TestSuite:
 
     def test_mismatched_constants_rejected(self):
         data = small_data()
-        a = small_config(name="a")
-        b = small_config(policy=PortabilityPolicy.COLD_START, cycles=5, name="b")
+        a = small_config()
+        b = small_config(policy=PortabilityPolicy.COLD_START, cycles=5)
         with pytest.raises(ConfigError, match="share"):
             run_experiment_suite([a, b], data)
 
     def test_duplicate_scenario_names_rejected(self):
-        a = small_config(name="same")
-        b = small_config(policy=PortabilityPolicy.COLD_START, name="same")
         with pytest.raises(ConfigError, match="unique"):
-            run_experiment_suite([a, b], small_data())
+            run_experiment_suite([small_config(), small_config()], small_data())
 
     def test_csv_emitters_are_line_stable(self):
         data = small_data()
@@ -575,7 +572,7 @@ class TestSuiteFork:
         "other",
         [
             small_config(
-                name="short",
+                policy=PortabilityPolicy.COLD_START,
                 recommenders=tuple(replace(r, epochs=2) for r in default_recommenders("Horror")),
             ),
             small_config(
@@ -583,7 +580,7 @@ class TestSuiteFork:
                 recommenders=(replace(default_recommenders("Horror")[0], epochs=2),),
             ),
             small_config(
-                name="other_niche",
+                policy=PortabilityPolicy.COLD_START,
                 recommenders=(default_recommenders("Horror")[0], RecommenderConfig("b", "Drama")),
             ),
         ],
@@ -593,7 +590,7 @@ class TestSuiteFork:
         # A suite forks one market, so its recommenders may differ only as
         # the policy implies: a baseline keeps the home recommender alone.
         with pytest.raises(ConfigError, match="share"):
-            run_experiment_suite([small_config(name="long"), other], small_data())
+            run_experiment_suite([small_config(), other], small_data())
 
     @pytest.mark.parametrize("timing", list(SwitchTiming))
     def test_no_training_before_a_recommender_can_serve(self, monkeypatch, timing):
