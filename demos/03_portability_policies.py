@@ -22,17 +22,17 @@ STORY = [
 ]
 
 for policy in PortabilityPolicy:
-    store = ProfileStore.create(policy, ["generic", "niche"])
+    store = ProfileStore.create(policy, ["generic", "niche"], [1], [101, 102, 103, 201])
     for step in STORY:
         if step[0] == "click":
             _, rec, item, day = step
-            record_click(store, policy, 1, rec, item, day)
+            record_click(store, 1, rec, item, day)
         else:
             _, src, dst = step
-            on_switch(store, policy, 1, src, dst)
+            on_switch(store, 1, src, dst)
     print(f"{policy.value}:")
     for rec in ("generic", "niche"):
-        view = training_view(store, policy, rec)
+        view = training_view(store, rec)
         items = [item for item, _day in view.get(1, ())]
         print(f"  {rec:8s} sees {items}")
     print()

@@ -425,6 +425,8 @@ class SyntheticSpec:
             )
         if self.providers > self.items:
             raise DataError("more providers than items")
+        if self.providers < 2:
+            raise DataError("providers must be >= 2: niche studios and generic ones")
 
 
 _GENERATION_ATTEMPTS = 4  # drift is rare: 1 of 72 seeds tried at 250x150x10

@@ -14,7 +14,6 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -198,6 +197,10 @@ class MetricsReport:
         )
         return [(c, t, to, n) for (c, t, to), n in sorted(counts.items())]
 
+    def switch_totals(self) -> list[tuple[str, str, int]]:
+        counts = Counter((e.consumer_type, e.to_id) for e in self.switch_events)
+        return [(t, to, n) for (t, to), n in sorted(counts.items())]
+
     def to_json_dict(self) -> dict:
         return {
             "scenario": self.scenario,
@@ -207,10 +210,7 @@ class MetricsReport:
             "provider_clicks": dict(sorted(self.provider_clicks.items())),
             "total_clicks": self.total_clicks,
             "switch_totals": {
-                f"{ctype}->{to_id}": n
-                for (ctype, to_id), n in sorted(
-                    Counter((e.consumer_type, e.to_id) for e in self.switch_events).items()
-                )
+                f"{ctype}->{to_id}": n for ctype, to_id, n in self.switch_totals()
             },
             "provenance_counts": dict(sorted(self.provenance_counts.items())),
             "cycle_utilities": [list(r) for r in self.cycle_utilities],
@@ -264,22 +264,6 @@ def _build_index(
     return _SimIndex(item_ids, provider_type, pools, sims)
 
 
-def _visibility_matrix(
-    bucket: Mapping[int, list[tuple[int, int]]],
-    consumer_ids: np.ndarray,
-    item_ids: np.ndarray,
-) -> np.ndarray:
-    """Consumer row x catalog row: True where the item is in the profile."""
-    visible = np.zeros((len(consumer_ids), len(item_ids)), dtype=bool)
-    entries = np.array(list(chain.from_iterable(bucket.values())), dtype=np.int64)
-    if entries.size:
-        owners = np.repeat(
-            np.searchsorted(consumer_ids, list(bucket)), [len(e) for e in bucket.values()]
-        )
-        visible[owners, np.searchsorted(item_ids, entries[:, 0])] = True
-    return visible
-
-
 # ---------------------------------------------------------------------------
 # Ecosystem state and the simulation loop
 # ---------------------------------------------------------------------------
@@ -302,14 +286,11 @@ class EcosystemState:
     config: ScenarioConfig
     catalog: Catalog
     consumers: list[ConsumerState]  # ascending consumer id
-    store: ProfileStore
+    type_rows: dict[str, list[int]]  # consumer type -> consumer rows, types sorted
+    store: ProfileStore  # rows: consumers in id order; columns: catalog rows
     index: _SimIndex
     global_popular: dict[str, np.ndarray]  # recommender id -> catalog rows, most popular first
     consumer_rngs: dict[int, np.random.Generator]
-    # recommender id -> consumer row x catalog row matrix of the items in the
-    # consumer's profile as visible to that recommender; under the shared
-    # store layout every recommender holds the same matrix object
-    visible: dict[str, np.ndarray]
     models: dict[str, CatalogModel] = field(default_factory=dict)
     cycle: int = 0
     day: int = 0  # global day counter
@@ -320,10 +301,6 @@ class EcosystemState:
 
     # Read from the config, so that a branch that swaps it needs no re-sync
     @property
-    def store_policy(self) -> PortabilityPolicy:
-        return self.config.store_policy
-
-    @property
     def active(self) -> list[str]:
         """The config's recommender ids, sorted."""
         return sorted(self.rec_configs)
@@ -331,9 +308,6 @@ class EcosystemState:
     @property
     def rec_configs(self) -> dict[str, RecommenderConfig]:
         return {r.recommender_id: r for r in self.config.recommenders}
-
-    def consumer_types(self) -> list[str]:
-        return sorted({c.type_label for c in self.consumers})
 
 
 def prepare_state(
@@ -363,28 +337,24 @@ def prepare_state(
         for s in sorted(seeds, key=lambda s: s.consumer_id)
     ]
 
-    active = sorted(r.recommender_id for r in config.recommenders)
-    store_policy = config.store_policy
-    store = ProfileStore.create(store_policy, active, audit=audit)
-    for s in sorted(seeds, key=lambda s: s.consumer_id):
-        portability.seed_history(store, store_policy, s.consumer_id, home, s.initial_history)
-
     index = _build_index(catalog, consumers, config.recommenders)
+    active = sorted(r.recommender_id for r in config.recommenders)
+    store = ProfileStore.create(
+        config.store_policy, active, [c.consumer_id for c in consumers], index.item_ids, audit
+    )
+    for s in sorted(seeds, key=lambda s: s.consumer_id):
+        portability.seed_history(store, s.consumer_id, home, s.initial_history)
+
     global_popular = {
         r.recommender_id: np.searchsorted(
             index.item_ids, recommender.popular_list(log, r.popular_list_size)
         )
         for r in config.recommenders
     }
-    consumer_ids = np.array([c.consumer_id for c in consumers], dtype=np.int64)
-    if store_policy.shared_layout:
-        shared = _visibility_matrix(store.shared, consumer_ids, index.item_ids)
-        visible = {rid: shared for rid in active}
-    else:
-        visible = {
-            rid: _visibility_matrix(store.per_recommender[rid], consumer_ids, index.item_ids)
-            for rid in active
-        }
+    type_rows = {
+        t: [k for k, c in enumerate(consumers) if c.type_label == t]
+        for t in sorted({c.type_label for c in consumers})
+    }
     consumer_rngs = {
         c.consumer_id: derive_rng(config.seed, "consumer", c.consumer_id) for c in consumers
     }
@@ -393,11 +363,11 @@ def prepare_state(
         config=config,
         catalog=catalog,
         consumers=consumers,
+        type_rows=type_rows,
         store=store,
         index=index,
         global_popular=global_popular,
         consumer_rngs=consumer_rngs,
-        visible=visible,
         metrics=metrics,
         collect_day_rows=collect_day_rows,
     )
@@ -410,7 +380,7 @@ def train_cycle(state: EcosystemState) -> None:
         held = state.models.get(rid)
         if held is not None and held.model.trained_at_cycle == state.cycle:
             continue
-        view = portability.training_view(state.store, state.store_policy, rid)
+        view = portability.training_view(state.store, rid)
         cfg = state.rec_configs[rid]
         seed = derive_seed(state.config.seed, "train", rid, state.cycle)
         model = recommender.train(view, cfg, seed=seed, trained_at_cycle=state.cycle)
@@ -428,7 +398,7 @@ def _subscriber_counts(state: EcosystemState, rid: str) -> np.ndarray:
         return cached
     subscribers = [k for k, c in enumerate(state.consumers) if c.current_recommender == rid]
     # A profile list never holds an item twice, so its matrix row counts it
-    counts = state.visible[rid][subscribers].sum(axis=0)
+    counts = state.store.visible[rid][subscribers].sum(axis=0)
     state._fallback_counts[rid] = counts
     return counts
 
@@ -442,7 +412,7 @@ def _serve(
     return recommender.serve(
         state.models[rid],
         consumer.consumer_id,
-        pool[~state.visible[rid][row, pool]],
+        pool[~state.store.visible[rid][row, pool]],
         state.config.slate_size,
         state.consumer_rngs[consumer.consumer_id],
         lambda: _subscriber_counts(state, rid),
@@ -450,9 +420,7 @@ def _serve(
     )
 
 
-def _apply_switch(
-    state: EcosystemState, row: int, consumer: ConsumerState, day_in_cycle: int
-) -> None:
+def _apply_switch(state: EcosystemState, consumer: ConsumerState, day_in_cycle: int) -> None:
     from_id = consumer.current_recommender
     decision = behavior.maybe_switch(consumer, state.config.behavior, state.active)
     if not decision.switched:
@@ -466,13 +434,7 @@ def _apply_switch(
             cycle=state.cycle,
             day=state.cycle * state.config.days_per_cycle + day_in_cycle,
         )
-    policy = state.store_policy
-    portability.on_switch(state.store, policy, consumer.consumer_id, from_id, decision.destination)
-    if not policy.permanent:
-        source = state.visible[from_id]
-        if not policy.exclusive:
-            state.visible[decision.destination][row] |= source[row]
-        source[row] = False
+    portability.on_switch(state.store, consumer.consumer_id, from_id, decision.destination)
     state.metrics.switch_events.append(
         SwitchEvent(
             state.cycle,
@@ -488,7 +450,6 @@ def _apply_switch(
 def run_day(state: EcosystemState) -> None:
     """Serve one slate per consumer, update estimates, record selections."""
     cfg = state.config
-    policy = cfg.store_policy
     state._fallback_counts = {}
     day_in_cycle = state.day - state.cycle * cfg.days_per_cycle
     per_day_switching = (
@@ -514,18 +475,14 @@ def run_day(state: EcosystemState) -> None:
         if picked is not None:
             row = int(rows[picked])
             item = int(state.index.item_ids[row])
-            portability.record_click(
-                state.store, policy, consumer.consumer_id, rid, item, state.day
-            )
-            state.visible[rid][k, row] = True
+            portability.record_click(state.store, consumer.consumer_id, rid, item, state.day)
             state.metrics.provider_clicks[state.index.provider_type_of_row[row]] += 1
             state.metrics.total_clicks += 1
         if per_day_switching:
-            _apply_switch(state, k, consumer, day_in_cycle)
+            _apply_switch(state, consumer, day_in_cycle)
     state.metrics.cycle_sum += day_utility
     if state.collect_day_rows:
-        for ctype in state.consumer_types():
-            rows = [k for k, c in enumerate(state.consumers) if c.type_label == ctype]
+        for ctype, rows in state.type_rows.items():
             state.metrics.day_rows.append(
                 DayUtilityRow(
                     state.cycle,
@@ -543,15 +500,14 @@ def evaluate_switches(state: EcosystemState) -> list[SwitchEvent]:
     if state.cycle < state.config.warmup_cycles:
         raise ConfigError("switch evaluation before the warm-up period has ended")
     before = len(state.metrics.switch_events)
-    for k, consumer in enumerate(state.consumers):
-        _apply_switch(state, k, consumer, state.config.days_per_cycle - 1)
+    for consumer in state.consumers:
+        _apply_switch(state, consumer, state.config.days_per_cycle - 1)
     return state.metrics.switch_events[before:]
 
 
 def _finish_cycle(state: EcosystemState) -> None:
     per_consumer = state.metrics.cycle_sum / state.config.days_per_cycle
-    for ctype in state.consumer_types():
-        rows = [k for k, c in enumerate(state.consumers) if c.type_label == ctype]
+    for ctype, rows in state.type_rows.items():
         state.metrics.rows.append(
             CycleUtilityRow(state.cycle, ctype, float(per_consumer[rows].mean()), len(rows))
         )
@@ -669,9 +625,9 @@ def run_experiment_suite(
 def _fork(prefix: EcosystemState) -> EcosystemState:
     """A deep copy of the prefix for one branch. Branches share what none of
     them writes (trained factors are read-only; each branch copies the store's
-    lists into its own). Generators are copied by state: a third of the cost
-    of a deep copy, for the same streams."""
-    keep = (prefix.catalog, prefix.index, prefix.store, *prefix.models.values())
+    home lists and matrix into its own). Generators are copied by state: a
+    third of the cost of a deep copy, for the same streams."""
+    keep = (prefix.catalog, prefix.type_rows, prefix.index, prefix.store, *prefix.models.values())
     memo = {id(x): x for x in keep}
     for rng in prefix.consumer_rngs.values():
         fresh = np.random.Generator(np.random.PCG64(0))
@@ -684,17 +640,10 @@ def _run_branch(
     state: EcosystemState, config: ScenarioConfig, audit: AuditTrail | None
 ) -> MetricsReport:
     """Run ``config`` on a copy of the suite's prefix, from where it ends."""
-    home = config.home.recommender_id
     state.config = config
-    policy = state.store_policy
-    if audit is not None:
-        audit.lines.extend(state.store.audit.lines)
-    history = state.store.shared
-    state.store = ProfileStore.create(policy, state.active, audit=audit)
-    state.store._bucket(policy, home).update((c, list(e)) for c, e in history.items())
-    if not policy.shared_layout:  # the prefix's matrices all alias home's
-        seen = state.visible[home]
-        state.visible = {r: seen if r == home else np.zeros_like(seen) for r in state.active}
+    state.store = state.store.branch(
+        config.store_policy, state.active, config.home.recommender_id, audit
+    )
     end_of_cycle = config.switch_timing is SwitchTiming.END_OF_CYCLE
     if end_of_cycle and not config.is_baseline:
         evaluate_switches(state)
@@ -758,8 +707,7 @@ def render_summary(reports: Sequence[MetricsReport]) -> str:
             lines.append(f"{ptype}\t{report.scenario}\t{report.provider_clicks.get(ptype, 0)}")
     switch_lines = []
     for report in reports:
-        totals = Counter((e.consumer_type, e.to_id) for e in report.switch_events)
-        for (ctype, to_id), count in sorted(totals.items()):
+        for ctype, to_id, count in report.switch_totals():
             switch_lines.append(f"{ctype}\t{report.scenario}\t{to_id}\t{count}")
     if switch_lines:
         lines.append("")

@@ -3,7 +3,9 @@
 A profile is a consumer's click history as held by one or more
 recommenders. The policy decides where clicks are written, what a
 recommender can see at training time, and what happens to the data when a
-consumer switches recommenders. Every mutation can be mirrored to an audit
+consumer switches recommenders. A store is created under one policy and is
+the only code that applies it, to the lists and to the visibility matrices
+it keeps beside them. Every mutation can be mirrored to an audit
 trail of JSON-serializable events; replaying the trail reconstructs the
 store exactly, which the test suite uses as an oracle.
 """
@@ -15,6 +17,8 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
+
+import numpy as np
 
 Interaction = tuple[int, int]  # (item_id, day_index)
 
@@ -34,10 +38,6 @@ class PortabilityPolicy(enum.Enum):
     @property
     def permanent(self) -> bool:
         return self in (self.ALGORITHM_SPECIFIC, self.UNIVERSAL)
-
-    @property
-    def shared_layout(self) -> bool:
-        return self is self.UNIVERSAL
 
 
 # json.dumps(..., sort_keys=True) builds this encoder on every call
@@ -76,15 +76,23 @@ class AuditTrail:
         return AuditTrail([line + "\n" for line in text.splitlines() if line.strip()])
 
 
-@dataclass
+@dataclass(eq=False)
 class ProfileStore:
-    """Single-writer interaction store.
+    """Single-writer interaction store under one policy.
 
-    Under the Universal policy both recommenders observe one shared map; all
-    other policies keep one map per recommender. Interaction lists stay
-    ordered by day index.
+    Under the Universal policy every recommender observes one shared map;
+    all other policies keep one map per recommender. Interaction lists stay
+    ordered by day index. Beside each map the store holds its boolean
+    visibility matrix in ``visible``: consumer row x catalog row, True where
+    the item is in the consumer's list, with rows and columns in the order
+    of the ids given to ``create``. Under Universal every recommender holds
+    the same matrix object.
     """
 
+    policy: PortabilityPolicy
+    consumer_rows: dict[int, int]
+    item_rows: dict[int, int]
+    visible: dict[str, np.ndarray]
     shared: dict[int, list[Interaction]] = field(default_factory=dict)
     per_recommender: dict[str, dict[int, list[Interaction]]] = field(default_factory=dict)
     audit: AuditTrail | None = None
@@ -94,23 +102,65 @@ class ProfileStore:
         cls,
         policy: PortabilityPolicy,
         recommender_ids: Iterable[str],
+        consumer_ids: Iterable[int],
+        item_ids: Iterable[int],
         audit: AuditTrail | None = None,
     ) -> "ProfileStore":
-        store = cls(audit=audit)
-        if not policy.shared_layout:
-            for rid in recommender_ids:
-                store.per_recommender[rid] = {}
+        consumer_rows = {int(c): k for k, c in enumerate(consumer_ids)}
+        item_rows = {int(i): k for k, i in enumerate(item_ids)}
+        shape = (len(consumer_rows), len(item_rows))
+        rids = list(recommender_ids)
+        if policy is PortabilityPolicy.UNIVERSAL:
+            visible = dict.fromkeys(rids, np.zeros(shape, dtype=bool))
+            return cls(policy, consumer_rows, item_rows, visible, audit=audit)
+        visible = {rid: np.zeros(shape, dtype=bool) for rid in rids}
+        buckets = {rid: {} for rid in rids}
+        return cls(policy, consumer_rows, item_rows, visible, per_recommender=buckets, audit=audit)
+
+    def branch(
+        self,
+        policy: PortabilityPolicy,
+        recommender_ids: Iterable[str],
+        home: str,
+        audit: AuditTrail | None,
+    ) -> "ProfileStore":
+        """A store under ``policy`` over the same consumers and items whose
+        ``home`` profiles are copies of this store's. ``audit``, if given,
+        first receives this store's audit lines."""
+        store = ProfileStore.create(
+            policy, recommender_ids, self.consumer_rows, self.item_rows, audit
+        )
+        store._bucket(home).update((c, list(e)) for c, e in self._bucket(home).items())
+        store.visible[home][:] = self.visible[home]
+        if audit is not None:
+            audit.lines.extend(self.audit.lines)
         return store
 
-    def _bucket(self, policy: PortabilityPolicy, recommender_id: str) -> dict[int, list[Interaction]]:
-        if policy.shared_layout:
+    def _bucket(self, recommender_id: str) -> dict[int, list[Interaction]]:
+        if self.policy is PortabilityPolicy.UNIVERSAL:
             return self.shared
-        return self.per_recommender.setdefault(recommender_id, {})
+        return self.per_recommender[recommender_id]
+
+    def _transfer(self, consumer_id: int, source: str, destination: str) -> None:
+        """Merge the consumer's profile at ``source`` into ``destination``:
+        deduplicated on (item, day), day order preserved."""
+        row = self.consumer_rows[consumer_id]
+        kept = self.per_recommender[destination].setdefault(consumer_id, [])
+        seen = set(kept)
+        for entry in self.per_recommender[source].get(consumer_id, ()):
+            if entry not in seen:
+                kept.append(entry)
+                seen.add(entry)
+        kept.sort(key=lambda e: e[1])  # stable: restores day order after append
+        self.visible[destination][row] |= self.visible[source][row]
+
+    def _delete(self, consumer_id: int, recommender_id: str) -> None:
+        self.visible[recommender_id][self.consumer_rows[consumer_id]] = False
+        self.per_recommender[recommender_id].pop(consumer_id, None)
 
 
 def seed_history(
     store: ProfileStore,
-    policy: PortabilityPolicy,
     consumer_id: int,
     recommender_id: str,
     item_ids: Iterable[int],
@@ -118,31 +168,26 @@ def seed_history(
 ) -> None:
     """Place a consumer's pre-simulation history via ordinary click records."""
     for item_id in item_ids:
-        record_click(store, policy, consumer_id, recommender_id, item_id, day)
+        record_click(store, consumer_id, recommender_id, item_id, day)
 
 
 def record_click(
     store: ProfileStore,
-    policy: PortabilityPolicy,
     consumer_id: int,
     recommender_id: str,
     item_id: int,
     day: int,
 ) -> None:
-    """Append a click to the profile the policy routes it to."""
-    bucket = store._bucket(policy, recommender_id)
-    bucket.setdefault(consumer_id, []).append((item_id, day))
+    """Append a click to the profile the store's policy routes it to."""
+    # The lookups come first, so an unknown id raises before any write
+    visible = store.visible[recommender_id]
+    visible[store.consumer_rows[consumer_id], store.item_rows[item_id]] = True
+    store._bucket(recommender_id).setdefault(consumer_id, []).append((item_id, day))
     if store.audit is not None:
         store.audit.click(consumer_id, recommender_id, item_id, day)
 
 
-def on_switch(
-    store: ProfileStore,
-    policy: PortabilityPolicy,
-    consumer_id: int,
-    from_id: str,
-    to_id: str,
-) -> None:
+def on_switch(store: ProfileStore, consumer_id: int, from_id: str, to_id: str) -> None:
     """Apply the policy's profile mutation for a consumer switching recommenders.
 
     Algorithm-Specific and Universal leave storage untouched. Cold Start
@@ -153,16 +198,11 @@ def on_switch(
     """
     if from_id == to_id:
         raise ValueError("switch requires distinct recommenders")
-    if policy in (PortabilityPolicy.ALGORITHM_SPECIFIC, PortabilityPolicy.UNIVERSAL):
+    policy = store.policy
+    if policy.permanent or not store.per_recommender[from_id].get(consumer_id):
         return
-    source = store.per_recommender.setdefault(from_id, {})
-    entries = source.get(consumer_id)
-    if not entries:
-        return
-    if policy is PortabilityPolicy.USER_OWNERSHIP:
-        dest = store.per_recommender.setdefault(to_id, {})
-        merged = _merge_transfer(dest.get(consumer_id, []), entries)
-        dest[consumer_id] = merged
+    if not policy.exclusive:
+        store._transfer(consumer_id, from_id, to_id)
         if store.audit is not None:
             store.audit.emit(
                 "transfer",
@@ -170,47 +210,21 @@ def on_switch(
                 source=from_id,
                 destination=to_id,
             )
-    del source[consumer_id]
+    store._delete(consumer_id, from_id)
     if store.audit is not None:
         store.audit.emit("delete", consumer=consumer_id, recommender=from_id)
 
 
-def _merge_transfer(
-    existing: list[Interaction], incoming: list[Interaction]
-) -> list[Interaction]:
-    seen = set(existing)
-    merged = list(existing)
-    for entry in incoming:
-        if entry not in seen:
-            merged.append(entry)
-            seen.add(entry)
-    merged.sort(key=lambda e: e[1])  # stable: restores day order after append
-    return merged
-
-
-def training_view(
-    store: ProfileStore, policy: PortabilityPolicy, recommender_id: str
-) -> dict[int, tuple[Interaction, ...]]:
+def training_view(store: ProfileStore, recommender_id: str) -> dict[int, tuple[Interaction, ...]]:
     """Immutable snapshot of the profiles this recommender may train on."""
-    if policy.shared_layout:
-        bucket: Mapping[int, list[Interaction]] = store.shared
-    else:
-        bucket = store.per_recommender.get(recommender_id, {})
+    bucket = store._bucket(recommender_id)
     return {consumer: tuple(entries) for consumer, entries in bucket.items() if entries}
 
 
-def visible_items(
-    store: ProfileStore,
-    policy: PortabilityPolicy,
-    recommender_id: str,
-    consumer_id: int,
-) -> set[int]:
-    """Items in the consumer's profile as visible to this recommender."""
-    if policy.shared_layout:
-        entries = store.shared.get(consumer_id, [])
-    else:
-        entries = store.per_recommender.get(recommender_id, {}).get(consumer_id, [])
-    return {item for item, _day in entries}
+def visible_items(store: ProfileStore, recommender_id: str, consumer_id: int) -> set[int]:
+    """Items in the consumer's profile as visible to this recommender, read
+    from the lists (the matrix in ``store.visible`` is their index)."""
+    return {item for item, _day in store._bucket(recommender_id).get(consumer_id, ())}
 
 
 def replay_audit(
@@ -221,34 +235,31 @@ def replay_audit(
     """Rebuild a store by mechanically applying audited events.
 
     ``switch`` events carry no storage effect of their own; the paired
-    ``transfer``/``delete`` events do. The result must equal the live store
-    that produced the trail.
+    ``transfer``/``delete`` events do. The store's consumers and items are
+    those the events name, in ascending id order. The result must equal the
+    live store that produced the trail.
     """
-    store = ProfileStore.create(policy, recommender_ids)
+    events = list(events)
+    consumers = sorted({int(e["consumer"]) for e in events if "consumer" in e})
+    items = sorted({int(e["item"]) for e in events if e["event"] == "click"})
+    store = ProfileStore.create(policy, recommender_ids, consumers, items)
     for event in events:
         kind = event["event"]
         if kind == "click":
             record_click(
                 store,
-                policy,
                 int(event["consumer"]),
                 str(event["recommender"]),
                 int(event["item"]),
                 int(event["day"]),
             )
         elif kind == "transfer":
-            consumer = int(event["consumer"])
-            source = store.per_recommender.setdefault(str(event["source"]), {})
-            dest = store.per_recommender.setdefault(str(event["destination"]), {})
-            entries = source.get(consumer, [])
-            dest[consumer] = _merge_transfer(dest.get(consumer, []), entries)
+            store._transfer(
+                int(event["consumer"]), str(event["source"]), str(event["destination"])
+            )
         elif kind == "delete":
-            consumer = int(event["consumer"])
-            bucket = store.per_recommender.setdefault(str(event["recommender"]), {})
-            bucket.pop(consumer, None)
-        elif kind == "switch":
-            continue
-        else:
+            store._delete(int(event["consumer"]), str(event["recommender"]))
+        elif kind != "switch":
             raise ValueError(f"unknown audit event: {kind!r}")
     return store
 

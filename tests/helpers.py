@@ -102,37 +102,57 @@ class EventRun:
     events: list[tuple]  # ("click", c, rec, item, day) | ("switch", c, src, dst)
 
 
+N_CONSUMERS = 4
+N_ITEMS = 12
+
+
 def run_random_events(seed: int, policy: PortabilityPolicy, n_events: int = 60) -> EventRun:
     """Drive store and reference ledger through one random event sequence.
 
     Clicks respect simulation realism: at most one click per consumer per
-    day, recorded at the consumer's currently attached recommender.
+    day, recorded at the consumer's currently attached recommender. After
+    every event the store's visibility matrices must index its lists.
     """
     rng = random.Random(seed)
     trail = AuditTrail()
-    store = ProfileStore.create(policy, RECS, audit=trail)
+    store = ProfileStore.create(policy, RECS, range(N_CONSUMERS), range(N_ITEMS), audit=trail)
     reference = ReferenceLedger(policy)
-    attached = {c: RECS[0] for c in range(4)}
+    attached = {c: RECS[0] for c in range(N_CONSUMERS)}
     next_day = {c: 0 for c in attached}
     events: list[tuple] = []
     for _ in range(n_events):
-        consumer = rng.randrange(4)
+        consumer = rng.randrange(N_CONSUMERS)
         if rng.random() < 0.75:
             rec = attached[consumer]
-            item = rng.randrange(12)
+            item = rng.randrange(N_ITEMS)
             day = next_day[consumer]
             next_day[consumer] += 1
-            record_click(store, policy, consumer, rec, item, day)
+            record_click(store, consumer, rec, item, day)
             reference.click(consumer, rec, item, day)
             events.append(("click", consumer, rec, item, day))
         else:
             src = attached[consumer]
             dst = RECS[1] if src == RECS[0] else RECS[0]
-            on_switch(store, policy, consumer, src, dst)
+            on_switch(store, consumer, src, dst)
             reference.switch(consumer, src, dst)
             attached[consumer] = dst
             events.append(("switch", consumer, src, dst))
+        assert_matrices_index_lists(store)
     return EventRun(policy, store, reference, trail, events)
+
+
+def assert_matrices_index_lists(store: ProfileStore) -> None:
+    """Each recommender's matrix row is the set of items in its list, and the
+    Universal recommenders share one matrix object."""
+    shared = store.policy is PortabilityPolicy.UNIVERSAL
+    if shared:
+        assert len({id(m) for m in store.visible.values()}) == 1
+    item_ids = np.array(list(store.item_rows))  # in column order
+    for rid, matrix in store.visible.items():
+        bucket = store.shared if shared else store.per_recommender[rid]
+        for consumer, row in store.consumer_rows.items():
+            listed = {item for item, _day in bucket.get(consumer, ())}
+            assert set(item_ids[matrix[row]].tolist()) == listed, (rid, consumer)
 
 
 def assert_store_matches_reference(run: EventRun) -> None:

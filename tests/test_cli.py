@@ -381,9 +381,14 @@ class TestMainEntry:
         assert err.startswith("error: ") and "finite" in err, err
         assert not (tmp_path / "o").exists()
 
-    def test_exit_code_data_error(self, tmp_path):
+    def test_exit_code_data_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.ini"
         assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
+        capsys.readouterr()
+        one_provider = write(tmp_path, MINIMAL.replace("providers = 5", "providers = 1"))
+        assert cli.main(["run", "--config", str(one_provider), "--out", str(tmp_path / "o")]) == 2
+        assert "providers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_synth_then_run_from_files(self, tmp_path, capsys):
         assert (

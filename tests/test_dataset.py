@@ -273,6 +273,12 @@ class TestGenerateSynthetic:
         with pytest.raises(DataError):
             SyntheticSpec(consumers=10, items=10, providers=2, niche_fraction=1.5, seed=0).validate()
 
+    def test_single_provider_errors(self):
+        with pytest.raises(DataError, match="providers"):
+            generate_synthetic(
+                SyntheticSpec(consumers=20, items=40, providers=1, niche_fraction=0.2, seed=0)
+            )
+
 
 class TestLoadCatalog:
     def test_round_trip_through_files(self, tmp_path):

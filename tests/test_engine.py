@@ -274,7 +274,7 @@ class TestServeMirrorsRecommend:
             # taken at the first popularity-tier serve of the day, as documented
             key = (state.day, rid)
             if key not in counts_cache:
-                view = portability.training_view(state.store, state.store_policy, rid)
+                view = portability.training_view(state.store, rid)
                 counts = Counter(
                     item
                     for consumer in state.consumers
@@ -288,12 +288,10 @@ class TestServeMirrorsRecommend:
             # The engine counts a profile's items by its visibility matrix
             # row, so no profile list may hold an item twice
             for rid in state.active:
-                view = portability.training_view(state.store, state.store_policy, rid)
+                view = portability.training_view(state.store, rid)
                 for k, consumer in enumerate(state.consumers):
-                    got = {int(i) for i in state.index.item_ids[state.visible[rid][k]]}
-                    expected = portability.visible_items(
-                        state.store, state.store_policy, rid, consumer.consumer_id
-                    )
+                    got = {int(i) for i in state.index.item_ids[state.store.visible[rid][k]]}
+                    expected = portability.visible_items(state.store, rid, consumer.consumer_id)
                     assert got == expected, (state.day, rid, consumer.consumer_id)
                     listed = [item for item, _day in view.get(consumer.consumer_id, ())]
                     assert len(listed) == len(expected), (state.day, rid, consumer.consumer_id)
@@ -320,7 +318,7 @@ class TestServeMirrorsRecommend:
                 pool = sorted(state.catalog.items)
             else:
                 pool = state.catalog.items_with_genre(rec_config.specialization)
-            seen = portability.visible_items(state.store, state.store_policy, rid, cid)
+            seen = portability.visible_items(state.store, rid, cid)
             cands = [i for i in pool if i not in seen]
             ctx = ServingContext(
                 subscriber_counts=(
@@ -365,9 +363,9 @@ class TestServeMirrorsRecommend:
             original_run_day(state)
             assert_visibility(state)
 
-        def apply_switch(state, row, consumer, day_in_cycle):
+        def apply_switch(state, consumer, day_in_cycle):
             before = len(state.metrics.switch_events)
-            original_switch(state, row, consumer, day_in_cycle)
+            original_switch(state, consumer, day_in_cycle)
             if len(state.metrics.switch_events) > before:
                 assert_visibility(state)
 
@@ -418,7 +416,7 @@ class TestServeMirrorsRecommend:
         state.models[rid] = recommender.CatalogModel.align(empty, state.index.item_ids)
         state.store.shared.clear()
         state.store.per_recommender.get(rid, {}).clear()
-        state.visible[rid][:] = False  # the store's mirror, blanked with it
+        state.store.visible[rid][:] = False  # the lists' index, blanked with them
         state._fallback_counts = {}
         seed_rng = derive_rng(config.seed, "consumer", consumer.consumer_id)
         state.consumer_rngs[consumer.consumer_id] = derive_rng(
@@ -453,7 +451,7 @@ class TestAuditIntegration:
                 run_day(state)
             if cycle >= config.warmup_cycles:
                 engine.evaluate_switches(state)
-        rebuilt = portability.replay_audit(trail.events, state.store_policy, state.active)
+        rebuilt = portability.replay_audit(trail.events, state.store.policy, state.active)
         assert portability.store_state(rebuilt) == portability.store_state(state.store)
         logged = [
             (e["consumer"], e["source"], e["destination"], e["cycle"])

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ UN = PortabilityPolicy.UNIVERSAL
 
 
 def store_for(policy):
-    return ProfileStore.create(policy, RECS)
+    return ProfileStore.create(policy, RECS, range(10), range(128))
 
 
 class TestPolicyMapping:
@@ -47,114 +48,126 @@ class TestPolicyMapping:
 class TestRecordClick:
     def test_universal_click_visible_to_both(self):
         store = store_for(UN)
-        record_click(store, UN, 1, "niche", 42, 3)
-        assert training_view(store, UN, "generic") == {1: ((42, 3),)}
-        assert training_view(store, UN, "niche") == {1: ((42, 3),)}
+        record_click(store, 1, "niche", 42, 3)
+        assert training_view(store, "generic") == {1: ((42, 3),)}
+        assert training_view(store, "niche") == {1: ((42, 3),)}
 
     def test_exclusive_click_stays_at_serving_recommender(self):
         store = store_for(AS)
-        record_click(store, AS, 1, "generic", 42, 3)
-        assert training_view(store, AS, "niche") == {}
-        assert training_view(store, AS, "generic") == {1: ((42, 3),)}
+        record_click(store, 1, "generic", 42, 3)
+        assert training_view(store, "niche") == {}
+        assert training_view(store, "generic") == {1: ((42, 3),)}
+
+    def test_unknown_id_raises_before_any_write(self):
+        store = store_for(AS)
+        with pytest.raises(KeyError):
+            record_click(store, 1, "generic", 999, 0)
+        assert store_state(store) == store_state(store_for(AS))
+        assert not store.visible["generic"].any()
 
     def test_appends_in_day_order(self):
         store = store_for(AS)
-        record_click(store, AS, 1, "generic", 10, 3)
-        record_click(store, AS, 1, "generic", 11, 5)
-        assert training_view(store, AS, "generic")[1] == ((10, 3), (11, 5))
+        record_click(store, 1, "generic", 10, 3)
+        record_click(store, 1, "generic", 11, 5)
+        assert training_view(store, "generic")[1] == ((10, 3), (11, 5))
 
 
 class TestOnSwitch:
     def test_user_ownership_moves_everything(self):
         store = store_for(UO)
         for day in range(7):
-            record_click(store, UO, 1, "generic", 100 + day, day)
-        on_switch(store, UO, 1, "generic", "niche")
-        assert training_view(store, UO, "generic") == {}
-        moved = training_view(store, UO, "niche")[1]
+            record_click(store, 1, "generic", 100 + day, day)
+        on_switch(store, 1, "generic", "niche")
+        assert training_view(store, "generic") == {}
+        moved = training_view(store, "niche")[1]
         assert moved == tuple((100 + d, d) for d in range(7))
 
     def test_cold_start_away_and_back_keeps_only_new_clicks(self):
         store = store_for(CS)
-        record_click(store, CS, 1, "generic", 10, 0)
-        on_switch(store, CS, 1, "generic", "niche")
-        record_click(store, CS, 1, "niche", 11, 1)
-        on_switch(store, CS, 1, "niche", "generic")
-        record_click(store, CS, 1, "generic", 12, 2)
-        assert training_view(store, CS, "generic") == {1: ((12, 2),)}
-        assert training_view(store, CS, "niche") == {}
+        record_click(store, 1, "generic", 10, 0)
+        on_switch(store, 1, "generic", "niche")
+        record_click(store, 1, "niche", 11, 1)
+        on_switch(store, 1, "niche", "generic")
+        record_click(store, 1, "generic", 12, 2)
+        assert training_view(store, "generic") == {1: ((12, 2),)}
+        assert training_view(store, "niche") == {}
 
     def test_algorithm_specific_ledger_replay(self):
         # Hand simulation: pre-switch profile stays; interim clicks stay put.
         store = store_for(AS)
         for day in range(3):
-            record_click(store, AS, 1, "generic", day, day)
-        on_switch(store, AS, 1, "generic", "niche")
-        record_click(store, AS, 1, "niche", 50, 3)
-        record_click(store, AS, 1, "niche", 51, 4)
-        on_switch(store, AS, 1, "niche", "generic")
-        assert training_view(store, AS, "generic")[1] == ((0, 0), (1, 1), (2, 2))
-        assert training_view(store, AS, "niche")[1] == ((50, 3), (51, 4))
+            record_click(store, 1, "generic", day, day)
+        on_switch(store, 1, "generic", "niche")
+        record_click(store, 1, "niche", 50, 3)
+        record_click(store, 1, "niche", 51, 4)
+        on_switch(store, 1, "niche", "generic")
+        assert training_view(store, "generic")[1] == ((0, 0), (1, 1), (2, 2))
+        assert training_view(store, "niche")[1] == ((50, 3), (51, 4))
 
     def test_universal_switch_is_storage_noop(self):
         store = store_for(UN)
-        record_click(store, UN, 1, "generic", 10, 0)
+        record_click(store, 1, "generic", 10, 0)
         before = store_state(store)
-        on_switch(store, UN, 1, "generic", "niche")
+        on_switch(store, 1, "generic", "niche")
         assert store_state(store) == before
 
     def test_unknown_consumer_is_noop(self):
         store = store_for(UO)
-        on_switch(store, UO, 9, "generic", "niche")
-        assert training_view(store, UO, "niche") == {}
+        on_switch(store, 9, "generic", "niche")
+        assert training_view(store, "niche") == {}
 
     def test_same_recommender_switch_rejected(self):
         with pytest.raises(ValueError):
-            on_switch(store_for(UO), UO, 1, "generic", "generic")
+            on_switch(store_for(UO), 1, "generic", "generic")
 
     def test_transfer_merge_deduplicates_and_keeps_day_order(self):
         store = store_for(UO)
-        store.per_recommender["niche"][1] = [(5, 2)]
-        store.per_recommender["generic"][1] = [(4, 1), (5, 2), (6, 3)]
-        on_switch(store, UO, 1, "generic", "niche")
-        assert store.per_recommender["niche"][1] == [(4, 1), (5, 2), (6, 3)]
+        record_click(store, 1, "niche", 5, 2)
+        for item, day in [(4, 1), (5, 2), (6, 3)]:
+            record_click(store, 1, "generic", item, day)
+        on_switch(store, 1, "generic", "niche")
+        assert training_view(store, "niche") == {1: ((4, 1), (5, 2), (6, 3))}
+        assert training_view(store, "generic") == {}
+        row = store.consumer_rows[1]
+        assert np.flatnonzero(store.visible["niche"][row]).tolist() == [4, 5, 6]
+        assert not store.visible["generic"][row].any()
 
 
 class TestTrainingView:
     def test_universal_views_identical(self):
         store = store_for(UN)
-        record_click(store, UN, 1, "generic", 1, 0)
-        record_click(store, UN, 2, "niche", 2, 0)
-        assert training_view(store, UN, "generic") == training_view(store, UN, "niche")
+        record_click(store, 1, "generic", 1, 0)
+        record_click(store, 2, "niche", 2, 0)
+        assert training_view(store, "generic") == training_view(store, "niche")
 
     def test_cold_start_view_empty_after_everyone_leaves(self):
         store = store_for(CS)
         for consumer in (1, 2, 3):
-            record_click(store, CS, consumer, "niche", consumer, 0)
-            on_switch(store, CS, consumer, "niche", "generic")
-        assert training_view(store, CS, "niche") == {}
+            record_click(store, consumer, "niche", consumer, 0)
+            on_switch(store, consumer, "niche", "generic")
+        assert training_view(store, "niche") == {}
 
     def test_snapshot_is_immutable_copy(self):
         store = store_for(AS)
-        record_click(store, AS, 1, "generic", 1, 0)
-        snap = training_view(store, AS, "generic")
-        record_click(store, AS, 1, "generic", 2, 1)
+        record_click(store, 1, "generic", 1, 0)
+        snap = training_view(store, "generic")
+        record_click(store, 1, "generic", 2, 1)
         assert snap == {1: ((1, 0),)}
 
     def test_visible_items_by_policy(self):
         store = store_for(UN)
-        record_click(store, UN, 1, "generic", 7, 0)
-        assert visible_items(store, UN, "niche", 1) == {7}
+        record_click(store, 1, "generic", 7, 0)
+        assert visible_items(store, "niche", 1) == {7}
         ex = store_for(AS)
-        record_click(ex, AS, 1, "generic", 7, 0)
-        assert visible_items(ex, AS, "niche", 1) == set()
+        record_click(ex, 1, "generic", 7, 0)
+        assert visible_items(ex, "niche", 1) == set()
 
 
 class TestSeedHistory:
     def test_seeds_as_pre_simulation_clicks(self):
         store = store_for(AS)
-        seed_history(store, AS, 1, "generic", [3, 1, 2])
-        assert training_view(store, AS, "generic")[1] == ((3, -1), (1, -1), (2, -1))
+        seed_history(store, 1, "generic", [3, 1, 2])
+        assert training_view(store, "generic")[1] == ((3, -1), (1, -1), (2, -1))
 
 
 class TestInvariantsRandomized:
@@ -177,30 +190,30 @@ class TestInvariantsRandomized:
         # the instant of every switch.
         for seed in range(100):
             run = run_random_events(seed, CS)
-            store = ProfileStore.create(CS, RECS)
+            store = store_for(CS)
             for event in run.events:
                 if event[0] == "click":
                     _, consumer, rec, item, day = event
-                    record_click(store, CS, consumer, rec, item, day)
+                    record_click(store, consumer, rec, item, day)
                 else:
                     _, consumer, src, dst = event
-                    on_switch(store, CS, consumer, src, dst)
-                    assert consumer not in training_view(store, CS, src)
+                    on_switch(store, consumer, src, dst)
+                    assert consumer not in training_view(store, src)
 
     def test_retention_algorithm_specific(self):
         for seed in range(60):
             policy = AS
             rng_events = run_random_events(seed, policy)
             # Replay events while checking per-recommender entry counts never shrink.
-            store = ProfileStore.create(policy, RECS)
+            store = store_for(policy)
             sizes: dict[tuple[str, int], int] = {}
             for event in rng_events.events:
                 if event[0] == "click":
                     _, consumer, rec, item, day = event
-                    record_click(store, policy, consumer, rec, item, day)
+                    record_click(store, consumer, rec, item, day)
                 else:
                     _, consumer, src, dst = event
-                    on_switch(store, policy, consumer, src, dst)
+                    on_switch(store, consumer, src, dst)
                 for rid, bucket in store.per_recommender.items():
                     for cid, entries in bucket.items():
                         key = (rid, cid)
@@ -210,8 +223,7 @@ class TestInvariantsRandomized:
     def test_identity_universal(self):
         for seed in range(100):
             run = run_random_events(seed, UN)
-            assert training_view(run.store, UN, "generic") == training_view(
-                run.store, UN, "niche"
+            assert training_view(run.store, "generic") == training_view(run.store, "niche"
             )
 
     def test_click_totality(self):
@@ -269,12 +281,12 @@ class TestAuditReplay:
         # its line must encode.
         source, destination = recommenders
         trail = AuditTrail()
-        store = ProfileStore.create(UO, recommenders, audit=trail)
-        record_click(store, UO, consumer, source, item, day)
+        store = ProfileStore.create(UO, recommenders, [consumer], [item], audit=trail)
+        record_click(store, consumer, source, item, day)
         trail.emit(
             "switch", consumer=consumer, source=source, destination=destination, cycle=0, day=day
         )
-        on_switch(store, UO, consumer, source, destination)
+        on_switch(store, consumer, source, destination)
         expected = [
             {
                 "event": "click",
