@@ -8,6 +8,7 @@ Serving works on catalog rows: row r is the r-th smallest catalog item id.
 
 import numpy as np
 
+from recmarket.dataset import InteractionLog, RatingRecord
 from recmarket.recommender import (
     CatalogModel,
     RecommenderConfig,
@@ -47,6 +48,15 @@ tier, rows = serve(model, 99, unclicked, 2, rng, lambda: counts, np.array([0, 1,
 print(f"new consumer:     {item_ids[rows].tolist()} via {tier.value}")
 
 cold = CatalogModel.align(TrainedModel.empty(8), item_ids)
-popular = np.searchsorted(item_ids, popular_list(snapshot, 100))
+# The fallback ranks items by their ratings in the input log: here, one
+# rating per click above.
+log = InteractionLog(
+    tuple(
+        RatingRecord(consumer, item, 1.0, day)
+        for consumer, entries in snapshot.items()
+        for item, day in entries
+    )
+)
+popular = np.searchsorted(item_ids, popular_list(log, 100))
 tier, rows = serve(cold, 99, np.arange(5), 2, rng, lambda: no_counts, popular)
 print(f"cold recommender: {item_ids[rows].tolist()} via {tier.value}")

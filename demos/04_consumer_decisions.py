@@ -35,7 +35,7 @@ for current in (0.15, 0.25):
         if alternative is not None:
             consumer.tried.add("niche")
             consumer.utility_estimates["niche"] = alternative
-        decision = maybe_switch(consumer, params, ["generic", "niche"])
+        destination = maybe_switch(consumer, params, ["generic", "niche"])
         alt = "untried" if alternative is None else f"{alternative:.2f}"
-        outcome = f"-> {decision.destination}" if decision.switched else "stay"
+        outcome = "stay" if destination is None else f"-> {destination}"
         print(f"{current:>8.2f} {alt:>12s} {outcome:>10s}")

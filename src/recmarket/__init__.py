@@ -5,7 +5,7 @@ measures how profile-portability policies shape utility outcomes for niche
 and generic consumers and providers.
 """
 
-from .behavior import BehaviorParams, ConsumerState, SwitchDecision
+from .behavior import BehaviorParams, ConsumerState
 from .dataset import (
     Catalog,
     ConsumerProfileSeed,
@@ -69,7 +69,6 @@ __all__ = [
     "RecmarketError",
     "RecommenderConfig",
     "ScenarioConfig",
-    "SwitchDecision",
     "SwitchTiming",
     "SyntheticSpec",
     "TrainedModel",

@@ -81,16 +81,6 @@ def update_utility(prev: float, observed: float, recency_bias: float) -> float:
     return min(max(value, lo), hi)
 
 
-@dataclass(frozen=True)
-class SwitchDecision:
-    switched: bool
-    destination: str | None = None
-
-    @staticmethod
-    def stay() -> "SwitchDecision":
-        return SwitchDecision(False, None)
-
-
 def choose_item(
     sims: np.ndarray, select_threshold: float, rng: np.random.Generator
 ) -> int | None:
@@ -119,8 +109,9 @@ def maybe_switch(
     consumer: ConsumerState,
     params: BehaviorParams,
     active: Sequence[str],
-) -> SwitchDecision:
-    """Apply the threshold switching rule; mutates the consumer on a switch.
+) -> str | None:
+    """Apply the threshold switching rule: the destination's id on a switch,
+    which moves the consumer there, else ``None``.
 
     A consumer satisfied with the current recommender (estimate at or above
     the threshold) stays. Otherwise it moves to the most promising eligible
@@ -130,7 +121,7 @@ def maybe_switch(
     current = consumer.current_recommender
     current_estimate = consumer.utility_estimates[current]
     if current_estimate >= params.satisfaction_threshold:
-        return SwitchDecision.stay()
+        return None
 
     best: tuple[float, str] | None = None
     for other in sorted(set(active) - {current}):
@@ -142,9 +133,9 @@ def maybe_switch(
         if best is None or rank > best[0]:
             best = (rank, other)
     if best is None:
-        return SwitchDecision.stay()
+        return None
 
     destination = best[1]
     consumer.current_recommender = destination
     consumer.tried.add(destination)
-    return SwitchDecision(True, destination)
+    return destination

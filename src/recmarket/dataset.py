@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,23 +113,33 @@ class ConsumerProfileSeed:
 def load_ratings(path: str | Path, fmt: str = "movielens-dat") -> InteractionLog:
     """Load a ratings file into a deduplicated InteractionLog.
 
-    ``movielens-dat`` rows are ``UserID::MovieID::Rating::Timestamp``;
-    ``csv`` expects a ``user,item,rating,timestamp`` header. Duplicate
-    (user, item) pairs keep the record with the latest timestamp.
+    ``movielens-dat`` rows are ``UserID::MovieID::Rating::Timestamp`` with a
+    rating on the 1-5 scale; ``csv`` expects a ``user,item,rating,timestamp``
+    header and a finite, positive rating. Repeated (user, item) pairs keep
+    the record with the latest timestamp, and on equal timestamps the one
+    with the higher rating, so the order of a file's rows never matters.
     """
     path = Path(path)
     if fmt == "movielens-dat":
-        rows = _parse_dat_rows(path)
+        rows = _dat_rows(path)
     elif fmt == "csv":
-        rows = _parse_csv_rows(path)
+        rows = _csv_rows(path, ("user", "item", "rating", "timestamp"))
     else:
         raise DataError(f"unknown ratings format: {fmt!r}")
 
     latest: dict[tuple[int, int], RatingRecord] = {}
-    for rec in rows:
+    for where, fields in rows:
+        try:
+            rec = RatingRecord(int(fields[0]), int(fields[1]), float(fields[2]), int(fields[3]))
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        if fmt == "csv" and not (math.isfinite(rec.rating) and rec.rating > 0.0):
+            raise DataError(f"{where}: rating must be finite and positive")
+        if fmt != "csv" and not 1.0 <= rec.rating <= 5.0:
+            raise DataError(f"{where}: rating {rec.rating} outside the 1-5 scale")
         key = (rec.consumer_id, rec.item_id)
         prior = latest.get(key)
-        if prior is None or rec.timestamp >= prior.timestamp:
+        if prior is None or (rec.timestamp, rec.rating) > (prior.timestamp, prior.rating):
             latest[key] = rec
     if not latest:
         raise DataError(f"no interactions in {path}")
@@ -137,50 +147,45 @@ def load_ratings(path: str | Path, fmt: str = "movielens-dat") -> InteractionLog
     return InteractionLog(records)
 
 
-def _parse_dat_rows(path: Path) -> Iterable[RatingRecord]:
+def _read_text(path: Path) -> str:
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split("::")
-        if len(parts) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 '::'-delimited fields")
-        try:
-            rec = RatingRecord(int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3]))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if not 1.0 <= rec.rating <= 5.0:
-            raise DataError(f"{path}:{lineno}: rating {rec.rating} outside the 1-5 scale")
-        yield rec
 
 
-def _parse_csv_rows(path: Path) -> Iterable[RatingRecord]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"no interactions in {path}")
-    expected = ["user", "item", "rating", "timestamp"]
-    if [h.strip().lower() for h in header] != expected:
-        raise DataError(f"{path}:1: header must be {','.join(expected)}")
+def _dat_rows(path: Path) -> Iterator[tuple[str, list[str]]]:
+    """``(path:line, fields)`` for each non-blank line of a ``::``-delimited file."""
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        if line.strip():
+            fields = line.split("::")
+            if len(fields) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 '::'-delimited fields")
+            yield f"{path}:{lineno}", fields
+
+
+def _csv_rows(path: Path, header: Sequence[str]) -> Iterator[tuple[str, list[str]]]:
+    """``(path:line, row)`` for each non-blank row of a CSV file whose first
+    row is ``header`` (compared stripped and lower-cased)."""
+    reader = csv.reader(_read_text(path).splitlines())
+    if [h.strip().lower() for h in next(reader, [])] != list(header):
+        raise DataError(f"{path}:1: header must be {','.join(header)}")
     for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 columns")
-        try:
-            rec = RatingRecord(int(row[0]), int(row[1]), float(row[2]), int(row[3]))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if not (math.isfinite(rec.rating) and rec.rating > 0.0):
-            raise DataError(f"{path}:{lineno}: rating must be finite and positive")
-        yield rec
+        if row:
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} columns")
+            yield f"{path}:{lineno}", row
+
+
+def _new_item_id(where: str, text: str, seen: Mapping[int, object]) -> int:
+    """The item id in ``text``, which must not be a key of ``seen`` yet."""
+    try:
+        item_id = int(text)
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from exc
+    if item_id in seen:
+        raise DataError(f"{where}: item {item_id} repeats an earlier row")
+    return item_id
 
 
 def load_catalog(
@@ -190,53 +195,20 @@ def load_catalog(
 ) -> Catalog:
     """Load the item table (``item,title,genres``) and provider map (``item,provider``).
 
-    Genres are pipe-delimited within the items file. When ``genres`` is not
-    given, the taxonomy is the sorted union of genres seen in the file.
+    Genres are pipe-delimited within the items file, and each item id has
+    one row in each file. When ``genres`` is not given, the taxonomy is the
+    sorted union of genres seen in the file.
     """
-    items_path = Path(items_path)
-    providers_path = Path(providers_path)
-
     raw_items: dict[int, list[str]] = {}
-    try:
-        text = items_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {items_path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    header = next(reader, None)
-    if header is None or [h.strip().lower() for h in header] != ["item", "title", "genres"]:
-        raise DataError(f"{items_path}:1: header must be item,title,genres")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DataError(f"{items_path}:{lineno}: expected 3 columns")
-        try:
-            item_id = int(row[0])
-        except ValueError as exc:
-            raise DataError(f"{items_path}:{lineno}: {exc}") from exc
-        item_genres = [g.strip() for g in row[2].split("|") if g.strip()]
+    for where, (item, _title, names) in _csv_rows(Path(items_path), ("item", "title", "genres")):
+        item_id = _new_item_id(where, item, raw_items)
+        item_genres = [g.strip() for g in names.split("|") if g.strip()]
         if not item_genres:
-            raise DataError(f"{items_path}:{lineno}: item {item_id} has no genres")
+            raise DataError(f"{where}: item {item_id} has no genres")
         raw_items[item_id] = item_genres
-
     provider_of: dict[int, str] = {}
-    try:
-        text = providers_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {providers_path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    header = next(reader, None)
-    if header is None or [h.strip().lower() for h in header] != ["item", "provider"]:
-        raise DataError(f"{providers_path}:1: header must be item,provider")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataError(f"{providers_path}:{lineno}: expected 2 columns")
-        try:
-            provider_of[int(row[0])] = row[1].strip()
-        except ValueError as exc:
-            raise DataError(f"{providers_path}:{lineno}: {exc}") from exc
+    for where, (item, provider) in _csv_rows(Path(providers_path), ("item", "provider")):
+        provider_of[_new_item_id(where, item, provider_of)] = provider.strip()
 
     missing = sorted(set(raw_items) - set(provider_of))
     if missing:
@@ -309,13 +281,9 @@ def build_preferences(
     seeds: list[ConsumerProfileSeed] = []
     skipped = 0
     for consumer_id in sorted(by_consumer):
-        recs = by_consumer[consumer_id]
-        if not recs:
-            skipped += 1
-            continue
         mass = np.zeros(n_genres)
         history: list[int] = []
-        for rec in recs:
+        for rec in by_consumer[consumer_id]:
             item = catalog.items[rec.item_id]
             share = rec.rating / item.genre_count()
             for g, bit in enumerate(item.genre_vector):
@@ -427,6 +395,11 @@ class SyntheticSpec:
             raise DataError("more providers than items")
         if self.providers < 2:
             raise DataError("providers must be >= 2: niche studios and generic ones")
+        if self.niche_genre not in DEFAULT_GENRES:
+            raise DataError(
+                f"niche_genre {self.niche_genre!r} is not a synthetic genre: "
+                f"{', '.join(DEFAULT_GENRES)}"
+            )
 
 
 _GENERATION_ATTEMPTS = 4  # drift is rare: 1 of 72 seeds tried at 250x150x10
@@ -438,14 +411,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[InteractionLog, Catalog]:
     ``CROSSOVER_ITEM_FRACTION``, ``NICHE_PROVIDER_COUNT``, ``CANON_SIZE``).
 
     For a fixed seed the output is byte-identical across calls. The realized
-    Niche consumer count is within 1 of ``round(consumers * niche_fraction)``,
-    except for a niche genre outside ``DEFAULT_GENRES``, where every consumer
-    is Generic. A draw that drifts further is redrawn from
+    Niche consumer count is within 1 of ``round(consumers * niche_fraction)``.
+    A draw that drifts further is redrawn from
     ``default_rng([seed, attempt])``, a bounded number of times.
     """
     spec.validate()
-    if spec.niche_genre not in DEFAULT_GENRES:
-        return _generate_degenerate(spec, np.random.default_rng(spec.seed))
     niche_idx = DEFAULT_GENRES.index(spec.niche_genre)
     for attempt in range(_GENERATION_ATTEMPTS):
         rng = np.random.default_rng([spec.seed, attempt] if attempt else spec.seed)
@@ -587,23 +557,3 @@ def _generate_labelled(
             ts += 1
 
     return InteractionLog(tuple(records)), catalog, niche_consumers
-
-
-def _generate_degenerate(
-    spec: SyntheticSpec, rng: np.random.Generator
-) -> tuple[InteractionLog, Catalog]:
-    """A niche genre outside the taxonomy: every label is Generic, so the
-    realized-fraction guarantee is waived."""
-    item_rows = [
-        (i, [DEFAULT_GENRES[int(rng.integers(len(DEFAULT_GENRES)))]], f"p{i % spec.providers:03d}")
-        for i in range(spec.items)
-    ]
-    catalog = build_catalog(item_rows, DEFAULT_GENRES)
-    records = []
-    ts = 0
-    size = min(RATINGS_PER_CONSUMER, spec.items)
-    for consumer in range(spec.consumers):
-        for item_id in sorted(int(i) for i in rng.choice(spec.items, size=size, replace=False)):
-            records.append(RatingRecord(consumer, item_id, float(rng.integers(3, 6)), ts))
-            ts += 1
-    return InteractionLog(tuple(records)), catalog

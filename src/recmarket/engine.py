@@ -422,19 +422,19 @@ def _serve(
 
 def _apply_switch(state: EcosystemState, consumer: ConsumerState, day_in_cycle: int) -> None:
     from_id = consumer.current_recommender
-    decision = behavior.maybe_switch(consumer, state.config.behavior, state.active)
-    if not decision.switched:
+    destination = behavior.maybe_switch(consumer, state.config.behavior, state.active)
+    if destination is None:
         return
     if state.store.audit is not None:
         state.store.audit.emit(
             "switch",
             consumer=consumer.consumer_id,
             source=from_id,
-            destination=decision.destination,
+            destination=destination,
             cycle=state.cycle,
             day=state.cycle * state.config.days_per_cycle + day_in_cycle,
         )
-    portability.on_switch(state.store, consumer.consumer_id, from_id, decision.destination)
+    portability.on_switch(state.store, consumer.consumer_id, from_id, destination)
     state.metrics.switch_events.append(
         SwitchEvent(
             state.cycle,
@@ -442,7 +442,7 @@ def _apply_switch(state: EcosystemState, consumer: ConsumerState, day_in_cycle: 
             consumer.consumer_id,
             consumer.type_label,
             from_id,
-            decision.destination,
+            destination,
         )
     )
 

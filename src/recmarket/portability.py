@@ -71,10 +71,6 @@ class AuditTrail:
         """The events decoded from the lines; editing them changes nothing."""
         return [json.loads(line) for line in self.lines]
 
-    @staticmethod
-    def from_jsonl(text: str) -> "AuditTrail":
-        return AuditTrail([line + "\n" for line in text.splitlines() if line.strip()])
-
 
 @dataclass(eq=False)
 class ProfileStore:

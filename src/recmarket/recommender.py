@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -210,15 +210,11 @@ def _solve_side(
     return out
 
 
-def popular_list(source: InteractionLog | TrainingSnapshot, k: int) -> list[int]:
-    """Items by descending interaction count, ties by ascending id, cut to k."""
+def popular_list(log: InteractionLog, k: int) -> list[int]:
+    """Items by descending rating count, ties by ascending id, cut to k."""
     counts: dict[int, int] = {}
-    if isinstance(source, InteractionLog):
-        event_items: Iterable[int] = (rec.item_id for rec in source.records)
-    else:
-        event_items = (item for entries in source.values() for item, _day in entries)
-    for item in event_items:
-        counts[item] = counts.get(item, 0) + 1
+    for rec in log.records:
+        counts[rec.item_id] = counts.get(rec.item_id, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [item for item, _n in ranked[: max(k, 0)]]
 

@@ -159,6 +159,28 @@ def assert_store_matches_reference(run: EventRun) -> None:
     assert store_state(run.store) == run.reference.state()
 
 
+def assert_engine_invariants(
+    state: engine.EcosystemState, switched: tuple[int, str] | None = None
+) -> None:
+    """What must hold after every simulated day and every switch.
+
+    ``switched`` is the (consumer id, source recommender) of a switch just
+    made: under Cold Start and User Ownership the source keeps nothing of
+    that consumer, neither a list nor a set matrix cell.
+    """
+    metrics, store = state.metrics, state.store
+    assert sum(metrics.provider_clicks.values()) == metrics.total_clicks
+    assert all(c.current_recommender in state.active for c in state.consumers)
+    if store.policy is PortabilityPolicy.UNIVERSAL:
+        assert not store.per_recommender
+    exclusive = (PortabilityPolicy.COLD_START, PortabilityPolicy.USER_OWNERSHIP)
+    if switched is not None and store.policy in exclusive:
+        consumer, source = switched
+        assert consumer not in store.per_recommender[source]
+        assert not store.visible[source][store.consumer_rows[consumer]].any()
+    assert_matrices_index_lists(store)
+
+
 # ---------------------------------------------------------------------------
 # Per-item serving and selection oracles
 # ---------------------------------------------------------------------------

@@ -390,6 +390,18 @@ class TestMainEntry:
         assert "providers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("policies", ["", "policies = baseline\n"])
+    def test_synthetic_niche_genre_outside_the_genres_is_a_data_error(
+        self, tmp_path, capsys, policies
+    ):
+        jazz = MINIMAL.replace("niche_genre = Horror\n", "niche_genre = Jazz\n" + policies)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(write(tmp_path, jazz)), "--out", str(out)]) == 2
+        assert "niche_genre 'Jazz'" in capsys.readouterr().err
+        assert cli.main(["synth", "--out", str(out), "--niche-genre", "Jazz"]) == 2
+        assert "niche_genre 'Jazz'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synth_then_run_from_files(self, tmp_path, capsys):
         assert (
             cli.main(

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from recmarket import dataset
 from recmarket.dataset import (
@@ -81,6 +83,22 @@ class TestLoadRatings:
         p = tmp_path / "r.csv"
         p.write_text(f"user,item,rating,timestamp\n3,9,{rating},100\n4,9,4.0,101\n")
         with pytest.raises(DataError, match=r"r\.csv:2: rating must be finite and positive"):
+            load_ratings(p, fmt="csv")
+
+    def test_equal_timestamps_keep_the_higher_rating(self, tmp_path):
+        rows = ["1::7::2::10\n", "1::7::5::10\n"]
+        for ordering in (rows, rows[::-1]):
+            p = tmp_path / "r.dat"
+            p.write_text("".join(ordering))
+            assert load_ratings(p).records == (RatingRecord(1, 7, 5.0, 10),)
+
+    def test_csv_without_rows(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("user,item,rating,timestamp\n\n")
+        with pytest.raises(DataError, match="no interactions"):
+            load_ratings(p, fmt="csv")
+        p.write_text("")
+        with pytest.raises(DataError, match=r"r\.csv:1: header must be user,item,rating,timestamp"):
             load_ratings(p, fmt="csv")
 
     def test_ingestion_idempotent(self, tmp_path):
@@ -172,6 +190,14 @@ class TestBuildPreferences:
         (seed_low,) = build_preferences(log, cat, "Horror", history_threshold=3.0)
         assert seed_low.initial_history == (1, 2)
 
+    def test_niche_genre_outside_the_taxonomy_labels_generic(self):
+        # File data may name a niche genre that its catalog does not use
+        cat = catalog3({1: (["Horror"], "p0"), 2: (["Drama"], "p1")})
+        log = InteractionLog((RatingRecord(1, 1, 5.0, 0), RatingRecord(2, 2, 5.0, 1)))
+        assert {s.type_label for s in build_preferences(log, cat, "Jazz")} == {GENERIC}
+        labeled = classify_providers(cat, "Jazz")
+        assert {p.type_label for p in labeled.providers.values()} == {GENERIC}
+
 
 class TestClassifyProviders:
     def test_majority_by_inspection(self):
@@ -255,13 +281,12 @@ class TestGenerateSynthetic:
         labeled = classify_providers(cat, "Horror")
         assert any(p.type_label == NICHE for p in labeled.providers.values())
 
-    def test_niche_genre_outside_the_taxonomy_forces_labels(self):
+    def test_niche_genre_outside_the_taxonomy_errors(self):
         spec = SyntheticSpec(
             consumers=10, items=12, providers=2, niche_fraction=0.5, seed=3, niche_genre="Jazz"
         )
-        log, cat = generate_synthetic(spec)
-        assert cat.genres == DEFAULT_GENRES
-        assert all(s.type_label == GENERIC for s in build_preferences(log, cat, "Jazz"))
+        with pytest.raises(DataError, match=r"niche_genre 'Jazz'.*Action, Comedy"):
+            generate_synthetic(spec)
 
     def test_infeasible_population_errors(self):
         with pytest.raises(DataError, match="infeasible"):
@@ -303,3 +328,75 @@ class TestLoadCatalog:
         (tmp_path / "providers.csv").write_text("item,provider\n")
         with pytest.raises(DataError, match="provider map"):
             load_catalog(tmp_path / "items.csv", tmp_path / "providers.csv")
+
+    @pytest.mark.parametrize("repeated", ["items", "providers"])
+    def test_repeated_item_id_names_the_line(self, tmp_path, repeated):
+        items = ["item,title,genres", "1,a,Drama", "2,c,Drama"]
+        providers = ["item,provider", "1,p1", "2,p1"]
+        if repeated == "items":
+            items.append("1,b,Horror")
+        else:
+            providers.append("1,p2")
+        (tmp_path / "items.csv").write_text("\n".join(items) + "\n")
+        (tmp_path / "providers.csv").write_text("\n".join(providers) + "\n")
+        with pytest.raises(DataError, match=rf"{repeated}\.csv:4: item 1 repeats"):
+            load_catalog(tmp_path / "items.csv", tmp_path / "providers.csv")
+
+
+# Few ids and timestamps, so that rows repeat (user, item) pairs at equal
+# timestamps; each list also gets one such repeat at another rating.
+RATING_ROWS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 5), st.integers(0, 2)),
+    min_size=1,
+    max_size=25,
+).map(lambda rows: rows + [(*rows[0][:2], rows[0][2] % 5 + 1, rows[0][3])])
+CATALOG_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 50),
+        st.lists(st.sampled_from(G3), min_size=1, max_size=3, unique=True),
+        st.sampled_from(["p0", "p1", "p2"]),
+    ),
+    min_size=1,
+    max_size=15,
+    unique_by=lambda row: row[0],
+)
+FILES = settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+
+
+def written_log(path, rows, fmt):
+    if fmt == "csv":
+        lines = ["user,item,rating,timestamp"] + [",".join(map(str, row)) for row in rows]
+    else:
+        lines = ["::".join(map(str, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return load_ratings(path, fmt=fmt)
+
+
+def written_catalog(tmp_path, item_rows, provider_rows):
+    items = ["item,title,genres"] + [f"{i},t{i},{'|'.join(gs)}" for i, gs, _p in item_rows]
+    providers = ["item,provider"] + [f"{i},{p}" for i, _gs, p in provider_rows]
+    (tmp_path / "items.csv").write_text("\n".join(items) + "\n")
+    (tmp_path / "providers.csv").write_text("\n".join(providers) + "\n")
+    return load_catalog(tmp_path / "items.csv", tmp_path / "providers.csv")
+
+
+class TestFileMetamorphic:
+    @FILES
+    @given(rows=RATING_ROWS, data=st.data())
+    def test_ratings_row_order_is_irrelevant(self, tmp_path, rows, data):
+        shuffled = data.draw(st.permutations(rows))
+        path = tmp_path / "r.csv"
+        assert written_log(path, shuffled, "csv") == written_log(path, rows, "csv")
+
+    @FILES
+    @given(rows=RATING_ROWS)
+    def test_dat_and_csv_load_alike(self, tmp_path, rows):
+        dat = written_log(tmp_path / "r.dat", rows, "movielens-dat")
+        assert written_log(tmp_path / "r.csv", rows, "csv") == dat
+
+    @FILES
+    @given(rows=CATALOG_ROWS, data=st.data())
+    def test_catalog_row_order_is_irrelevant(self, tmp_path, rows, data):
+        expected = written_catalog(tmp_path, rows, rows)
+        items, providers = data.draw(st.permutations(rows)), data.draw(st.permutations(rows))
+        assert written_catalog(tmp_path, items, providers) == expected

@@ -18,6 +18,7 @@ import pytest
 from helpers import (
     ServingContext,
     Slate,
+    assert_engine_invariants,
     list_utility,
     recommend,
     run_from_scratch,
@@ -436,6 +437,42 @@ class TestServeMirrorsRecommend:
         )
         assert Slate(rid, consumer.consumer_id, items, tier) == expected
         assert tier is Provenance.GLOBAL_POPULAR_FALLBACK
+
+
+class TestEngineInvariants:
+    @pytest.mark.parametrize("timing", list(SwitchTiming))
+    def test_hold_after_every_day_and_switch(self, monkeypatch, timing):
+        configs = standard_suite(
+            seed=1,
+            niche_genre="Horror",
+            cycles=4,
+            days_per_cycle=3,
+            warmup_cycles=1,
+            slate_size=5,
+            switch_timing=timing,
+            behavior=BehaviorParams(satisfaction_threshold=0.5),
+        )
+        days, switches = [], Counter()
+        original_run_day, original_switch = engine.run_day, engine._apply_switch
+
+        def run_day(state):
+            original_run_day(state)
+            assert_engine_invariants(state)
+            days.append(state.day)
+
+        def apply_switch(state, consumer, day_in_cycle):
+            source = consumer.current_recommender
+            original_switch(state, consumer, day_in_cycle)
+            moved = consumer.current_recommender != source
+            assert_engine_invariants(state, (consumer.consumer_id, source) if moved else None)
+            switches[state.config.scenario_name] += moved
+
+        monkeypatch.setattr(engine, "run_day", run_day)
+        monkeypatch.setattr(engine, "_apply_switch", apply_switch)
+        run_experiment_suite(configs, small_data())
+        assert sorted(set(days)) == list(range(1, 4 * 3 + 1))
+        assert set(switches) == {c.scenario_name for c in configs if not c.is_baseline}
+        assert all(switches.values()), switches
 
 
 class TestAuditIntegration:

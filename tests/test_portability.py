@@ -258,7 +258,7 @@ class TestAuditReplay:
         path = tmp_path / "audit.jsonl"
         _write_lines(path, run.trail.lines)
         assert path.read_bytes() == "".join(run.trail.lines).encode()
-        parsed = AuditTrail.from_jsonl(path.read_text(encoding="utf-8"))
+        parsed = AuditTrail(path.read_text(encoding="utf-8").splitlines(keepends=True))
         assert parsed.lines == run.trail.lines
         rebuilt = replay_audit(parsed.events, UO, RECS)
         assert store_state(rebuilt) == store_state(run.store)

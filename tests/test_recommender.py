@@ -189,13 +189,6 @@ class TestPopularList:
         expected = sorted(counts, key=lambda i: (-counts[i], i))[:15]
         assert popular_list(log, 15) == expected
 
-    def test_snapshot_source(self):
-        snap = {0: [(7, 0), (8, 1)], 1: [(7, 2)]}
-        assert popular_list(snap, 2) == [7, 8]
-
-    def test_empty_snapshot(self):
-        assert popular_list({}, 5) == []
-
 
 class TestRecommendTiers:
     def test_model_tier_tiebreak_by_id(self):
