@@ -221,8 +221,11 @@ def cmd_run(
     config: Path, out: Path, seed: int | None = None, emit: Sequence[str] = ()
 ) -> int:
     spec = parse_config(config, seed)
-    data = load_data(spec.source)
-    out.mkdir(parents=True, exist_ok=True)
+    _log, catalog = data = load_data(spec.source)
+    niche = spec.scenarios[0].niche_genre
+    if catalog.genre_index(niche) is None and not all(c.is_baseline for c in spec.scenarios):
+        genres = ", ".join(catalog.genres)
+        raise ConfigError(f"[scenario] niche_genre {niche!r} is not an item genre: {genres}")
 
     audits: dict[str, AuditTrail] = {}
     if "audit-log" in emit:
@@ -232,6 +235,7 @@ def cmd_run(
     result = engine.run_experiment_suite(
         spec.scenarios, data, audits=audits, collect_day_rows=collect_days
     )
+    out.mkdir(parents=True, exist_ok=True)  # only now: a failed run leaves no directory
 
     texts = {
         "consumer_utility_per_cycle.csv": engine.cycle_csv_lines(result.reports),

@@ -242,7 +242,7 @@ def _build_index(
         [catalog.items[int(i)].genre_vector for i in item_ids], dtype=float
     )
     provider_type = [
-        catalog.providers[catalog.items[int(i)].provider_id].type_label or GENERIC
+        catalog.providers[catalog.items[int(i)].provider_id].type_label
         for i in item_ids
     ]
 
@@ -271,7 +271,6 @@ def _build_index(
 
 @dataclass
 class _MetricsAccumulator:
-    n_consumers: int
     cycle_sum: np.ndarray
     rows: list[CycleUtilityRow] = field(default_factory=list)
     day_rows: list[DayUtilityRow] = field(default_factory=list)
@@ -358,7 +357,7 @@ def prepare_state(
     consumer_rngs = {
         c.consumer_id: derive_rng(config.seed, "consumer", c.consumer_id) for c in consumers
     }
-    metrics = _MetricsAccumulator(len(consumers), np.zeros(len(consumers)))
+    metrics = _MetricsAccumulator(np.zeros(len(consumers)))
     return EcosystemState(
         config=config,
         catalog=catalog,
@@ -375,15 +374,19 @@ def prepare_state(
 
 def train_cycle(state: EcosystemState) -> None:
     """Train every active recommender that has no model of the current cycle
-    yet on its current training view."""
+    yet on the consumers and items its visibility matrix has observed."""
+    consumer_ids = np.fromiter(state.store.consumer_rows, np.int64)  # in row order
     for rid in state.active:
         held = state.models.get(rid)
         if held is not None and held.model.trained_at_cycle == state.cycle:
             continue
-        view = portability.training_view(state.store, rid)
-        cfg = state.rec_configs[rid]
+        visible = state.store.visible[rid]
+        users, items = visible.any(axis=1), visible.any(axis=0)
         seed = derive_seed(state.config.seed, "train", rid, state.cycle)
-        model = recommender.train(view, cfg, seed=seed, trained_at_cycle=state.cycle)
+        model = recommender.fit(
+            visible[users][:, items], consumer_ids[users], state.index.item_ids[items],
+            state.rec_configs[rid], seed, state.cycle,
+        )
         state.models[rid] = CatalogModel.align(model, state.index.item_ids)
 
 

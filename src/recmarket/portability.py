@@ -212,7 +212,8 @@ def on_switch(store: ProfileStore, consumer_id: int, from_id: str, to_id: str) -
 
 
 def training_view(store: ProfileStore, recommender_id: str) -> dict[int, tuple[Interaction, ...]]:
-    """Immutable snapshot of the profiles this recommender may train on."""
+    """Immutable snapshot of the profiles this recommender may train on, as
+    lists (the engine trains on their index, the matrix in ``store.visible``)."""
     bucket = store._bucket(recommender_id)
     return {consumer: tuple(entries) for consumer, entries in bucket.items() if entries}
 

@@ -103,28 +103,44 @@ def train(
     seed: int,
     trained_at_cycle: int = 0,
 ) -> TrainedModel:
+    """``fit`` on the snapshot's (consumer, item) pairs, each counted once."""
+    users = sorted(c for c, entries in snapshot.items() if entries)
+    items = np.array(sorted({item for c in users for item, _day in snapshot[c]}), np.int64)
+    observed = np.zeros((len(users), len(items)), dtype=bool)
+    for row, c in enumerate(users):
+        observed[row, np.searchsorted(items, [item for item, _day in snapshot[c]])] = True
+    return fit(observed, users, items, config, seed, trained_at_cycle)
+
+
+def fit(
+    observed: np.ndarray,
+    user_ids: Sequence[int],
+    item_ids: Sequence[int],
+    config: RecommenderConfig,
+    seed: int,
+    trained_at_cycle: int = 0,
+) -> TrainedModel:
     """Fit implicit-feedback matrix factorization by alternating least squares.
 
-    Every (consumer, item) pair present in the snapshot is an observation of
-    weight 1 with confidence ``1 + confidence_weight``; unobserved pairs have
-    zero preference. Iteration order is by sorted ids, so the result is a
-    deterministic function of (snapshot contents, seed, config).
+    ``observed`` is a boolean users x items matrix over the ascending
+    ``user_ids`` and ``item_ids``, with a True in every row and column. Each
+    True is an observation of weight 1 and confidence ``1 + confidence_weight``,
+    every other pair a zero preference. The result is deterministic.
     """
-    users = sorted(c for c, entries in snapshot.items() if entries)
-    if not users:
-        return TrainedModel.empty(config.latent_factors, trained_at_cycle)
-    d = config.latent_factors
-    items, user_chunks, item_chunks = _observation_chunks(snapshot, users, d)
+    (n_users, n_items), d = observed.shape, config.latent_factors
+    # Row-major pairs: user rows list their items ascending, item rows their users
+    user_chunks = _count_chunks(*np.nonzero(observed), n_users, d)
+    item_chunks = _count_chunks(*np.nonzero(observed.T), n_items, d)
 
     rng = np.random.default_rng(seed)
-    user_mat = rng.standard_normal((len(users), d)) * 0.01
-    item_mat = rng.standard_normal((len(items), d)) * 0.01
+    user_mat = rng.standard_normal((n_users, d)) * 0.01
+    item_mat = rng.standard_normal((n_items, d)) * 0.01
 
     alpha = config.confidence_weight
     reg = config.regularization
     for epoch in range(config.epochs):
-        user_mat = _solve_side(user_chunks, len(users), item_mat, alpha, reg)
-        item_mat = _solve_side(item_chunks, len(items), user_mat, alpha, reg)
+        user_mat = _solve_side(user_chunks, n_users, item_mat, alpha, reg)
+        item_mat = _solve_side(item_chunks, n_items, user_mat, alpha, reg)
         if not (np.isfinite(user_mat).all() and np.isfinite(item_mat).all()):
             raise TrainingError(
                 f"{config.recommender_id}: non-finite factors in epoch {epoch}, "
@@ -133,8 +149,8 @@ def train(
     # One model can serve several scenarios of a suite, so it is read-only.
     user_mat.flags.writeable = False
     item_mat.flags.writeable = False
-    user_index = {c: k for k, c in enumerate(users)}
-    item_index = {int(i): k for k, i in enumerate(items)}
+    user_index = {int(c): k for k, c in enumerate(user_ids)}
+    item_index = {int(i): k for k, i in enumerate(item_ids)}
     return TrainedModel(user_index, item_index, user_mat, item_mat, trained_at_cycle)
 
 
@@ -144,27 +160,6 @@ _CHUNK_FLOATS = 1 << 15
 
 # (row indices, rows x count array of each row's observed columns) per chunk
 _Chunks = list[tuple[np.ndarray, np.ndarray]]
-
-
-def _observation_chunks(
-    snapshot: TrainingSnapshot, users: list[int], d: int
-) -> tuple[np.ndarray, _Chunks, _Chunks]:
-    """The sorted item ids and both sides' chunks of observed pairs.
-
-    Each (user, item) pair counts once however often it was clicked. User
-    rows list their items ascending and item rows their users ascending.
-    """
-    clicked = [item for c in users for item, _day in snapshot[c]]
-    items = np.unique(np.array(clicked, dtype=np.int64))
-    user_of = np.repeat(np.arange(len(users)), [len(snapshot[c]) for c in users])
-    keys = np.unique(user_of * len(items) + np.searchsorted(items, clicked))
-    pair_users, pair_items = np.divmod(keys, len(items))
-    by_item = np.argsort(pair_items, kind="stable")
-    return (
-        items,
-        _count_chunks(pair_users, pair_items, len(users), d),
-        _count_chunks(pair_items[by_item], pair_users[by_item], len(items), d),
-    )
 
 
 def _count_chunks(rows: np.ndarray, cols: np.ndarray, n_rows: int, d: int) -> _Chunks:

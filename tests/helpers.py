@@ -8,7 +8,7 @@ sequences through both and compare final states.
 The per-item serving and selection functions below work on item ids, one
 item at a time. The engine's array-native path over catalog rows must
 reproduce them exactly, including random-number consumption. The per-row
-ALS trainer is the reference for the stacked solves in ``recommender.train``,
+ALS trainer is the reference for the stacked solves in ``recommender.fit``,
 which must reproduce its factors bit for bit. ``run_from_scratch`` runs one
 scenario straight through from cycle 0; a suite, which runs the warm-up once
 and branches it into every scenario, must reproduce it byte for byte.

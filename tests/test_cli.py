@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from recmarket import cli, dataset
+from recmarket import cli, dataset, engine
 from recmarket.behavior import BehaviorParams
 from recmarket.cli import (
     ExperimentSpec,
@@ -60,6 +60,25 @@ def write(tmp_path, text, name="config.ini"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def synth_files(out):
+    """Write SMALL_RUN's synthetic population to ``out`` through ``synth``."""
+    argv = ["synth", "--out", str(out), "--seed", "5", "--consumers", "25", "--items", "60"]
+    assert cli.main([*argv, "--providers", "5", "--niche-fraction", "0.12"]) == 0
+    return out
+
+
+def files_run(data):
+    """SMALL_RUN reading the population that ``synth_files`` wrote to ``data``."""
+    text = SMALL_RUN.replace(
+        "source = synthetic",
+        f"source = files\nratings = {data / 'ratings.csv'}\n"
+        f"items_file = {data / 'items.csv'}\nproviders_file = {data / 'providers.csv'}",
+    )
+    for line in ("consumers = 25", "items = 60", "providers = 5", "niche_fraction = 0.12"):
+        text = text.replace(line, "")
+    return text
 
 
 class TestParseConfig:
@@ -277,6 +296,59 @@ class TestCmdRun:
             assert (flagged / name).read_bytes() == (configured / name).read_bytes(), name
 
 
+def relabel_files(data, out, item=lambda i: i, provider=lambda p: p):
+    """Copy the population that ``synth_files`` wrote to ``data`` into
+    ``out``, with every item id mapped by ``item`` and provider id by
+    ``provider``."""
+    out.mkdir()
+    for name, fix in (
+        ("ratings.csv", lambda r: [r[0], str(item(int(r[1]))), *r[2:]]),
+        ("items.csv", lambda r: [str(item(int(r[0]))), *r[1:]]),
+        ("providers.csv", lambda r: [str(item(int(r[0]))), provider(r[1])]),
+    ):
+        header, *rows = (data / name).read_text().splitlines()
+        lines = [header] + [",".join(fix(row.split(","))) for row in rows]
+        (out / name).write_text("\n".join(lines) + "\n")
+    return out
+
+
+class TestRelabelling:
+    """Ids are labels: reports depend on their order, never on their values.
+
+    Consumer ids are left out, because each consumer's random stream is
+    derived from its id, so relabelling consumers changes the reports.
+    """
+
+    @pytest.mark.parametrize("timing", ["end_of_cycle", "per_day"])
+    def test_order_preserving_relabels_leave_every_report_byte(self, tmp_path, capsys, timing):
+        data = synth_files(tmp_path / "data")
+        relabelled = {
+            "original": data,
+            "items": relabel_files(data, tmp_path / "items", item=lambda i: 3 * i + 7),
+            "providers": relabel_files(data, tmp_path / "providers", provider=lambda p: "z" + p),
+        }
+        switching = f"warmup_cycles = 1\nswitch_timing = {timing}\n[behavior]\ntau = 0.5"
+        outputs = {}
+        for name, files in relabelled.items():
+            text = files_run(files).replace("warmup_cycles = 1", switching)
+            config, out = write(tmp_path, text, f"{name}.ini"), tmp_path / f"out_{name}"
+            argv = ["run", "--config", str(config), "--out", str(out), "--emit", "per-day"]
+            assert cli.main(argv) == 0
+            outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        catalogs = {
+            name: dataset.load_catalog(files / "items.csv", files / "providers.csv")
+            for name, files in relabelled.items()
+        }
+        original = catalogs["original"]
+        assert sorted(catalogs["items"].items) == [3 * i + 7 for i in sorted(original.items)]
+        assert sorted(catalogs["providers"].providers) == ["z" + p for p in sorted(original.providers)]
+        assert len(outputs["original"]) == 10  # five reports, four CSVs and the summary
+        assert outputs["original"]["switch_events.csv"].count(b"\n") > 1  # consumers switched
+        assert outputs["items"] == outputs["original"]
+        assert outputs["providers"] == outputs["original"]
+
+
 class TestCompare:
     def reference_reports(self):
         # Published reference values for the two-table report shape.
@@ -403,31 +475,10 @@ class TestMainEntry:
         assert not out.exists()
 
     def test_synth_then_run_from_files(self, tmp_path, capsys):
-        assert (
-            cli.main(
-                [
-                    "synth",
-                    "--out",
-                    str(tmp_path / "data"),
-                    "--seed",
-                    "5",
-                    "--consumers",
-                    "25",
-                    "--items",
-                    "60",
-                    "--providers",
-                    "5",
-                    "--niche-fraction",
-                    "0.12",
-                ]
-            )
-            == 0
-        )
-        log = dataset.load_ratings(tmp_path / "data" / "ratings.csv", fmt="csv")
+        data = synth_files(tmp_path / "data")
+        log = dataset.load_ratings(data / "ratings.csv", fmt="csv")
         catalog = dataset.load_catalog(
-            tmp_path / "data" / "items.csv",
-            tmp_path / "data" / "providers.csv",
-            genres=dataset.DEFAULT_GENRES,
+            data / "items.csv", data / "providers.csv", genres=dataset.DEFAULT_GENRES
         )
         direct = dataset.generate_synthetic(
             dataset.SyntheticSpec(
@@ -436,18 +487,38 @@ class TestMainEntry:
         )
         assert (log, catalog) == direct
 
-        file_config = SMALL_RUN.replace(
-            "source = synthetic",
-            f"source = files\nratings = {tmp_path / 'data' / 'ratings.csv'}\n"
-            f"items_file = {tmp_path / 'data' / 'items.csv'}\n"
-            f"providers_file = {tmp_path / 'data' / 'providers.csv'}",
-        )
-        for line in ("consumers = 25", "items = 60", "providers = 5", "niche_fraction = 0.12"):
-            file_config = file_config.replace(line, "")
-        config = write(tmp_path, file_config, "files.ini")
+        config = write(tmp_path, files_run(data), "files.ini")
         assert (
             cli.main(["run", "--config", str(config), "--out", str(tmp_path / "fo")]) == 0
         )
+        capsys.readouterr()
+
+    def test_file_data_niche_genre_outside_the_items_names_the_key(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        data = synth_files(tmp_path / "data")
+        genres = dataset.load_catalog(data / "items.csv", data / "providers.csv").genres
+        jazz = files_run(data).replace("niche_genre = Horror", "niche_genre = Jazz\npolicies =")
+        out = tmp_path / "o"
+        both = write(tmp_path, jazz.replace("policies =", "policies = baseline, cold_start"))
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(both), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "niche_genre 'Jazz'" in err and ", ".join(genres) in err, err
+        assert not out.exists()
+
+        # The baseline needs no specialist, so it runs; the report
+        # directory appears only once the suite has returned.
+        original = engine.run_experiment_suite
+
+        def run_experiment_suite(*args, **kwargs):
+            assert not out.exists()
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_experiment_suite", run_experiment_suite)
+        alone = write(tmp_path, jazz.replace("policies =", "policies = baseline"), "alone.ini")
+        assert cli.main(["run", "--config", str(alone), "--out", str(out)]) == 0
+        assert (out / "report_baseline.json").exists()
         capsys.readouterr()
 
     def test_compare_cli(self, tmp_path, capsys):

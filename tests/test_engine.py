@@ -439,19 +439,25 @@ class TestServeMirrorsRecommend:
         assert tier is Provenance.GLOBAL_POPULAR_FALLBACK
 
 
+def switching_suite(timing):
+    """The five scenarios over ``small_data`` with enough switching to move
+    profiles under every policy."""
+    return standard_suite(
+        seed=1,
+        niche_genre="Horror",
+        cycles=4,
+        days_per_cycle=3,
+        warmup_cycles=1,
+        slate_size=5,
+        switch_timing=timing,
+        behavior=BehaviorParams(satisfaction_threshold=0.5),
+    )
+
+
 class TestEngineInvariants:
     @pytest.mark.parametrize("timing", list(SwitchTiming))
     def test_hold_after_every_day_and_switch(self, monkeypatch, timing):
-        configs = standard_suite(
-            seed=1,
-            niche_genre="Horror",
-            cycles=4,
-            days_per_cycle=3,
-            warmup_cycles=1,
-            slate_size=5,
-            switch_timing=timing,
-            behavior=BehaviorParams(satisfaction_threshold=0.5),
-        )
+        configs = switching_suite(timing)
         days, switches = [], Counter()
         original_run_day, original_switch = engine.run_day, engine._apply_switch
 
@@ -473,6 +479,38 @@ class TestEngineInvariants:
         assert sorted(set(days)) == list(range(1, 4 * 3 + 1))
         assert set(switches) == {c.scenario_name for c in configs if not c.is_baseline}
         assert all(switches.values()), switches
+
+
+class TestTrainingMirrorsTheLists:
+    """The engine trains on the store's visibility matrices; ``train`` on the
+    store's list view, ``portability.training_view``, is the reference."""
+
+    @pytest.mark.parametrize("timing", list(SwitchTiming))
+    def test_every_model_equals_training_on_the_lists(self, monkeypatch, timing):
+        configs = switching_suite(timing)
+        trained = Counter()
+        original_train_cycle = engine.train_cycle
+
+        def train_cycle(state):
+            original_train_cycle(state)
+            for rid in state.active:
+                got = state.models[rid].model
+                seed = engine.derive_seed(state.config.seed, "train", rid, state.cycle)
+                view = portability.training_view(state.store, rid)
+                want = recommender.train(view, state.rec_configs[rid], seed, state.cycle)
+                where = (state.config.scenario_name, rid, state.cycle)
+                assert got.user_index == want.user_index, where
+                assert got.item_index == want.item_index, where
+                assert got.user_factors.tobytes() == want.user_factors.tobytes(), where
+                assert got.item_factors.tobytes() == want.item_factors.tobytes(), where
+                assert got.trained_at_cycle == want.trained_at_cycle, where
+                trained[state.config.scenario_name, rid] += bool(want.user_index)
+
+        monkeypatch.setattr(engine, "train_cycle", train_cycle)
+        run_experiment_suite(configs, small_data())
+        # every scenario's niche recommender trained on data at least once
+        assert all(trained[c.scenario_name, "niche"] for c in configs if not c.is_baseline)
+        assert trained["baseline", "generic"] >= 4
 
 
 class TestAuditIntegration:
@@ -573,16 +611,16 @@ def run_alone_and_in_suite(configs, data):
 
 
 def count_train_calls(monkeypatch):
-    """Patch ``recommender.train`` to record the (recommender id, cycle) of
-    every call."""
+    """Patch ``recommender.fit``, which the engine trains through, to record
+    the (recommender id, cycle) of every call."""
     calls = []
-    original = recommender.train
+    original = recommender.fit
 
-    def train(snapshot, config, seed, trained_at_cycle=0):
+    def fit(observed, user_ids, item_ids, config, seed, trained_at_cycle=0):
         calls.append((config.recommender_id, trained_at_cycle))
-        return original(snapshot, config, seed, trained_at_cycle)
+        return original(observed, user_ids, item_ids, config, seed, trained_at_cycle)
 
-    monkeypatch.setattr(recommender, "train", train)
+    monkeypatch.setattr(recommender, "fit", fit)
     return calls
 
 
