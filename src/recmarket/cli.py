@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import enum
 import json
+import logging
 import os
 import re
 import sys
@@ -410,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="extra artifacts to write",
     )
+    run.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
 
     cmp_ = sub.add_parser("compare", help="compare scenario reports against the baseline")
     cmp_.add_argument("reports", nargs="+", type=Path)
@@ -429,6 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "verbose", False):
+        logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     try:
         if args.command == "run":
             return cmd_run(args.config, args.out, args.seed, tuple(args.emit))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import enum
 import hashlib
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -31,6 +32,8 @@ from .dataset import (
 from .errors import ConfigError
 from .portability import AuditTrail, PortabilityPolicy, ProfileStore
 from .recommender import ALL_GENRES, CatalogModel, Provenance, RecommenderConfig
+
+logger = logging.getLogger(__name__)
 
 GENERIC_RECOMMENDER = "generic"
 NICHE_RECOMMENDER = "niche"
@@ -372,22 +375,64 @@ def prepare_state(
     )
 
 
-def train_cycle(state: EcosystemState) -> None:
-    """Train every active recommender that has no model of the current cycle
-    yet on the consumers and items its visibility matrix has observed."""
+def _fit(
+    state: EcosystemState, visible: np.ndarray, config: RecommenderConfig, seed: int
+) -> CatalogModel:
+    """``recommender.fit`` of the current cycle on the consumers and items
+    the visibility matrix ``visible`` has observed, laid out by catalog row."""
     consumer_ids = np.fromiter(state.store.consumer_rows, np.int64)  # in row order
+    users, items = visible.any(axis=1), visible.any(axis=0)
+    model = recommender.fit(
+        visible[users][:, items], consumer_ids[users], state.index.item_ids[items],
+        config, seed, state.cycle,
+    )
+    return CatalogModel.align(model, state.index.item_ids)
+
+
+def _fit_key(visible: np.ndarray, config: RecommenderConfig, seed: int, cycle: int) -> tuple:
+    """All that ``_fit`` reads which can differ between a suite's branches:
+    the consumer and catalog item ids are constants of the suite."""
+    digest = hashlib.sha256(np.packbits(visible)).digest()
+    return config, seed, cycle, visible.shape, digest
+
+
+@dataclass
+class _ForkModels:
+    """A suite's memo of the models its branches fit at the fork cycle, by
+    ``_fit_key``. ``model`` fits only a key it does not hold, and stores the
+    result only while ``store`` is set: the last branch only reads."""
+
+    store: bool = True
+    models: dict[tuple, CatalogModel] = field(default_factory=dict)
+    trained: int = 0
+    reused: int = 0
+
+    def model(
+        self, state: EcosystemState, visible: np.ndarray, config: RecommenderConfig, seed: int
+    ) -> CatalogModel:
+        key = _fit_key(visible, config, seed, state.cycle)
+        model = self.models.get(key)
+        if model is not None:
+            self.reused += 1
+            return model
+        self.trained += 1
+        model = _fit(state, visible, config, seed)
+        if self.store:
+            self.models[key] = model
+        return model
+
+
+def train_cycle(state: EcosystemState, memo: _ForkModels | None = None) -> None:
+    """Train every active recommender that has no model of the current cycle
+    yet on the consumers and items its visibility matrix has observed; with
+    a ``memo``, a training it holds is reused, not fitted again."""
+    train = _fit if memo is None else memo.model
     for rid in state.active:
         held = state.models.get(rid)
         if held is not None and held.model.trained_at_cycle == state.cycle:
             continue
-        visible = state.store.visible[rid]
-        users, items = visible.any(axis=1), visible.any(axis=0)
         seed = derive_seed(state.config.seed, "train", rid, state.cycle)
-        model = recommender.fit(
-            visible[users][:, items], consumer_ids[users], state.index.item_ids[items],
-            state.rec_configs[rid], seed, state.cycle,
-        )
-        state.models[rid] = CatalogModel.align(model, state.index.item_ids)
+        state.models[rid] = train(state, state.store.visible[rid], state.rec_configs[rid], seed)
 
 
 def _subscriber_counts(state: EcosystemState, rid: str) -> np.ndarray:
@@ -528,11 +573,12 @@ def run_scenario(
     return run_experiment_suite([config], data, audits, collect_day_rows).reports[0]
 
 
-def _run_cycles(state: EcosystemState, cycles: range) -> None:
+def _run_cycles(state: EcosystemState, cycles: range, memo: _ForkModels | None = None) -> None:
+    """Run ``cycles``; the first one trains through ``memo``."""
     cfg = state.config
     for cycle in cycles:
         state.cycle = cycle
-        train_cycle(state)
+        train_cycle(state, memo if cycle == cycles.start else None)
         for _day in range(cfg.days_per_cycle):
             run_day(state)
         if cfg.switch_timing is SwitchTiming.END_OF_CYCLE and not cfg.is_baseline:
@@ -620,16 +666,29 @@ def run_experiment_suite(
         train_cycle(prefix)
 
     # At most the prefix and one branch exist: the last scenario runs on the prefix itself.
-    reports = [_run_branch(_fork(prefix), c, audits.get(c.scenario_name)) for c in configs[:-1]]
-    reports.append(_run_branch(prefix, configs[-1], audits.get(configs[-1].scenario_name)))
+    # At the fork cycle branches often repeat a training (README), so each is fitted once.
+    memo = _ForkModels() if len(configs) > 1 else None
+    reports = [
+        _run_branch(_fork(prefix), c, audits.get(c.scenario_name), memo) for c in configs[:-1]
+    ]
+    if memo is not None:
+        memo.store = False
+    reports.append(_run_branch(prefix, configs[-1], audits.get(configs[-1].scenario_name), memo))
+    if memo is not None:
+        logger.info(
+            "fork cycle %d: %d fits trained, %d reused",
+            widest.warmup_cycles + end_of_cycle, memo.trained, memo.reused,
+        )
     return ExperimentResult(tuple(reports))
 
 
 def _fork(prefix: EcosystemState) -> EcosystemState:
     """A deep copy of the prefix for one branch. Branches share what none of
-    them writes (trained factors are read-only; each branch copies the store's
-    home lists and matrix into its own). Generators are copied by state: a
-    third of the cost of a deep copy, for the same streams."""
+    them writes: the catalog, the index, the prefix's store (each branch
+    copies its home lists and matrix into its own) and the trained models,
+    whose factors are read-only, as are those the suite's fork-cycle memo
+    hands to several branches. Generators are copied by state: a third of
+    the cost of a deep copy, for the same streams."""
     keep = (prefix.catalog, prefix.type_rows, prefix.index, prefix.store, *prefix.models.values())
     memo = {id(x): x for x in keep}
     for rng in prefix.consumer_rngs.values():
@@ -640,9 +699,13 @@ def _fork(prefix: EcosystemState) -> EcosystemState:
 
 
 def _run_branch(
-    state: EcosystemState, config: ScenarioConfig, audit: AuditTrail | None
+    state: EcosystemState,
+    config: ScenarioConfig,
+    audit: AuditTrail | None,
+    memo: _ForkModels | None,
 ) -> MetricsReport:
-    """Run ``config`` on a copy of the suite's prefix, from where it ends."""
+    """Run ``config`` on a copy of the suite's prefix, from where it ends; its
+    first cycle, the fork cycle, trains through ``memo``."""
     state.config = config
     state.store = state.store.branch(
         config.store_policy, state.active, config.home.recommender_id, audit
@@ -650,7 +713,7 @@ def _run_branch(
     end_of_cycle = config.switch_timing is SwitchTiming.END_OF_CYCLE
     if end_of_cycle and not config.is_baseline:
         evaluate_switches(state)
-    _run_cycles(state, range(config.warmup_cycles + end_of_cycle, config.cycles))
+    _run_cycles(state, range(config.warmup_cycles + end_of_cycle, config.cycles), memo)
     return _build_report(state)
 
 

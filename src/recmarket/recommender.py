@@ -232,6 +232,7 @@ class CatalogModel:
         keep = np.isin(ids, item_ids)  # items outside the catalog are never served
         aligned = np.zeros((len(item_ids), model.item_factors.shape[1]))
         aligned[np.searchsorted(item_ids, ids[keep])] = model.item_factors[src[keep]]
+        aligned.flags.writeable = False  # shared like the model's own factors
         return cls(model, aligned)
 
     def user_vector(self, consumer_id: int) -> np.ndarray | None:

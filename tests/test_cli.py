@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -408,6 +411,28 @@ class TestCompare:
 
 
 class TestMainEntry:
+    def test_verbose_logs_the_fork_and_changes_no_output(self, tmp_path):
+        # In a fresh process, where `-v` sets up logging as a user's shell has it
+        config = write(tmp_path, SMALL_RUN)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs = []
+        for flags in ([], ["-v"]):
+            out = tmp_path / f"out{len(flags)}"
+            argv = ["run", "--config", str(config), "--out", str(out), "--emit", "audit-log"]
+            proc = subprocess.run(
+                [sys.executable, "-m", "recmarket.cli", *argv, *flags],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            runs.append((proc, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        (quiet, quiet_files), (verbose, verbose_files) = runs
+        assert quiet.stderr == ""
+        assert verbose.stdout == quiet.stdout and verbose_files == quiet_files
+        lines = verbose.stderr.splitlines()
+        assert all(line.startswith("recmarket.") for line in lines)
+        (fork,) = [line for line in lines if line.startswith("recmarket.engine:")]
+        assert re.fullmatch(r"recmarket\.engine: fork cycle 2: \d+ fits trained, \d+ reused", fork)
+
     def test_exit_code_validation_error(self, tmp_path, capsys):
         no_genre = "[scenario]\nseed = 1\n"
         xml = MINIMAL.replace(

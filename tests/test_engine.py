@@ -4,6 +4,7 @@ import copy
 import gc
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -491,8 +492,8 @@ class TestTrainingMirrorsTheLists:
         trained = Counter()
         original_train_cycle = engine.train_cycle
 
-        def train_cycle(state):
-            original_train_cycle(state)
+        def train_cycle(state, *memo):
+            original_train_cycle(state, *memo)
             for rid in state.active:
                 got = state.models[rid].model
                 seed = engine.derive_seed(state.config.seed, "train", rid, state.cycle)
@@ -629,17 +630,23 @@ class TestSuiteFork:
 
     @pytest.mark.parametrize("warmup_cycles", [0, 1, 2])
     @pytest.mark.parametrize("timing", list(SwitchTiming))
-    def test_suite_equals_scenarios_run_from_scratch(self, timing, warmup_cycles):
+    def test_suite_equals_scenarios_run_from_scratch(self, caplog, timing, warmup_cycles):
         configs = standard_suite(
             **{**self.SUITE, "warmup_cycles": warmup_cycles},
             slate_size=4,
             switch_timing=timing,
             behavior=BehaviorParams(satisfaction_threshold=0.4),
         )
+        caplog.set_level(logging.INFO, logger="recmarket.engine")
         scratch, alone, in_suite = run_alone_and_in_suite(configs, small_data())
         assert alone == scratch
         assert in_suite == scratch
         assert any(switch_events for _json, _days, switch_events, _audit in scratch)
+        # The suite reused a fork-cycle model, so the oracle covers the memo,
+        # unless the suite ends where it forks (warm-up 2 under end_of_cycle)
+        (record,) = [r for r in caplog.records if r.name == "recmarket.engine"]
+        fork, _trained, reused = record.args
+        assert reused > 0 or fork == self.SUITE["cycles"]
 
     @pytest.mark.parametrize(
         "other",
@@ -682,13 +689,85 @@ class TestSuiteFork:
         run_experiment_suite(configs, small_data())
         warmup, cycles = self.SUITE["warmup_cycles"], self.SUITE["cycles"]
         counts = Counter(calls)
+        # At the fork cycle each distinct training is fitted once: under
+        # end_of_cycle baseline, algorithm_specific and universal share one
+        # home model and cold_start and user_ownership another; the niches
+        # that no switch has filled are one empty model (under per_day all
+        # but universal's, which sees the shared store).
+        end_of_cycle = timing is SwitchTiming.END_OF_CYCLE
+        fork = warmup + end_of_cycle
+        fork_fits = {"generic": 2, "niche": 3} if end_of_cycle else {"niche": 2}
         assert all(counts["generic", c] == 1 for c in range(warmup + 1))
-        assert all(counts["generic", c] == 5 for c in range(warmup + 1, cycles))
-        first_niche = warmup + (timing is SwitchTiming.END_OF_CYCLE)
+        assert all(counts["generic", c] == 5 for c in range(warmup + 1, cycles) if c != fork)
         niche_cycles = sorted({c for rid, c in calls if rid == "niche"})
-        assert niche_cycles == list(range(first_niche, cycles))
-        assert all(counts["niche", c] == 4 for c in niche_cycles)
+        assert niche_cycles == list(range(fork, cycles))
+        assert all(counts["niche", c] == 4 for c in niche_cycles if c != fork)
+        assert {rid: counts[rid, fork] for rid in fork_fits} == fork_fits
         assert len(prepared) == 1
+
+    @pytest.mark.parametrize("timing", list(SwitchTiming))
+    def test_fork_cycle_fits_each_distinct_training_once(self, monkeypatch, caplog, timing):
+        # The oracle: a branch's training at the fork cycle, as its list view,
+        # is fitted unless an earlier branch fitted an equal one.
+        configs = standard_suite(**self.SUITE, switch_timing=timing)
+        calls = count_train_calls(monkeypatch)
+        trainings = []  # (recommender id, cycle, training pairs) of the branches' memo calls
+        fitted = []  # the fits of those calls
+        original_train_cycle = engine.train_cycle
+
+        def train_cycle(state, memo=None):
+            if memo is None:
+                return original_train_cycle(state)
+            for rid in state.active:
+                held = state.models.get(rid)
+                if held is None or held.model.trained_at_cycle != state.cycle:
+                    view = portability.training_view(state.store, rid)
+                    pairs = frozenset((c, i) for c, e in view.items() for i, _day in e)
+                    trainings.append((rid, state.cycle, pairs))
+            before = len(calls)
+            original_train_cycle(state, memo)
+            fitted.extend(calls[before:])
+
+        monkeypatch.setattr(engine, "train_cycle", train_cycle)
+        caplog.set_level(logging.INFO, logger="recmarket.engine")
+        run_experiment_suite(configs, small_data())
+        fork = self.SUITE["warmup_cycles"] + (timing is SwitchTiming.END_OF_CYCLE)
+        assert {c for _rid, c, _pairs in trainings} == {fork}
+        distinct = Counter((rid, c) for rid, c, _pairs in set(trainings))
+        assert Counter(fitted) == distinct
+        assert len(trainings) > sum(distinct.values())  # some training was reused
+        (record,) = [r for r in caplog.records if r.name == "recmarket.engine"]
+        assert record.getMessage() == (
+            f"fork cycle {fork}: {sum(distinct.values())} fits trained, "
+            f"{len(trainings) - sum(distinct.values())} reused"
+        )
+
+    def test_run_scenario_builds_no_memo_and_computes_no_key(self, monkeypatch, caplog):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-scenario suite has no fork to memoize")
+
+        monkeypatch.setattr(engine, "_ForkModels", refuse)
+        monkeypatch.setattr(engine, "_fit_key", refuse)
+        caplog.set_level(logging.INFO, logger="recmarket.engine")
+        run_scenario(small_config(), small_data())
+        assert not [r for r in caplog.records if r.name == "recmarket.engine"]
+
+    def test_every_model_is_read_only(self, monkeypatch):
+        # The prefix's models and the fork-cycle memo's serve several
+        # branches, so no factor array a suite trains may be writable.
+        models = []
+        original_train_cycle = engine.train_cycle
+
+        def train_cycle(state, *memo):
+            original_train_cycle(state, *memo)
+            models.extend(state.models.values())
+
+        monkeypatch.setattr(engine, "train_cycle", train_cycle)
+        run_experiment_suite(switching_suite(SwitchTiming.END_OF_CYCLE), small_data())
+        assert models
+        for m in models:
+            arrays = (m.item_factors, m.model.user_factors, m.model.item_factors)
+            assert not any(a.flags.writeable for a in arrays)
 
     def test_run_scenario_shares_nothing_across_calls(self, monkeypatch):
         calls = count_train_calls(monkeypatch)
@@ -719,31 +798,32 @@ class TestSuiteFork:
             assert draws(prefix.consumer_rngs[cid]) == draws(untouched[cid])
 
     def test_branches_run_one_at_a_time(self, monkeypatch):
-        # At most the prefix and one branch exist at a time, and no state
-        # outlives the suite, or peak memory grows by a scenario.
-        refs = []  # the prefix, then each branch
-        original_run_day, original_deepcopy = engine.run_day, copy.deepcopy
+        # At most the prefix and one branch exist at a time: every forked
+        # state is dead when the next branch is forked and when the next one
+        # starts, and no state outlives the suite, or peak memory grows by a
+        # scenario.
+        forks, started = [], []
+        original_fork, original_run_branch = engine._fork, engine._run_branch
 
-        def assert_branches_freed():
+        def assert_forks_freed(running=None):
             gc.collect()
-            assert all(ref() is None for ref in refs[1:])
+            assert all(ref() is None or ref() is running for ref in forks)
 
-        def run_day(state):
-            if not any(ref() is state for ref in refs):
-                assert_branches_freed()
-                refs.append(weakref.ref(state))
-            elif state is refs[0]():  # the last scenario runs on the prefix
-                assert_branches_freed()
-            original_run_day(state)
+        def fork(prefix):
+            assert_forks_freed()
+            state = original_fork(prefix)
+            forks.append(weakref.ref(state))
+            return state
 
-        def deepcopy(x, memo=None):
-            if isinstance(x, engine.EcosystemState):
-                assert_branches_freed()
-            return original_deepcopy(x, memo)
+        def run_branch(state, *args):
+            assert_forks_freed(running=state)
+            started.append(weakref.ref(state))
+            return original_run_branch(state, *args)
 
-        monkeypatch.setattr(engine, "run_day", run_day)
-        monkeypatch.setattr(copy, "deepcopy", deepcopy)
+        monkeypatch.setattr(engine, "_fork", fork)
+        monkeypatch.setattr(engine, "_run_branch", run_branch)
         result = run_experiment_suite(standard_suite(**self.SUITE), small_data())
         gc.collect()
-        assert len(refs) == len(result.reports)
-        assert all(ref() is None for ref in refs)
+        assert len(forks) == len(result.reports) - 1
+        assert len(started) == len(result.reports)
+        assert all(ref() is None for ref in started)
