@@ -6,10 +6,14 @@
 Each pair runs ``perfbench/run.py`` once in each checkout, at the same seed
 and ``--seconds``; which side runs first alternates from pair to pair, so a
 drift in host speed does not favour one side. Every run is untraced and
-uses the benchmark exactly as that checkout has it. Before the first pair
-it runs ``python -m compileall -q src`` in both checkouts: the benchmark
-times ``import recmarket``, so stale bytecode on one side would read as a
-slower set-up there.
+uses the benchmark exactly as that checkout has it, but the metric list is
+read from the parent's ``BENCHMARK.json``; so before the first pair it
+prints each file under ``perfbench/``, and ``BENCHMARK.json``, whose sha256
+differs between the checkouts, as ``differs: <path>``. A ratio over such a
+difference compares two benchmarks. It also runs
+``python -m compileall -q src`` in both checkouts: the benchmark times
+``import recmarket``, so stale bytecode on one side would read as a slower
+set-up there.
 
 For each seed and each end-to-end metric of ``BENCHMARK.json`` it prints the
 median of both sides, the interquartile range of the parent's runs, the
@@ -22,6 +26,7 @@ scenarios each side ``failed`` over all its runs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -40,6 +45,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: perfbench/run.py exited {proc.returncode}\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def benchmark_digests(checkout: Path) -> dict[str, str]:
+    """sha256 of ``BENCHMARK.json`` and of each file under ``perfbench/``
+    but bytecode, by path relative to ``checkout``."""
+    files = [checkout / "BENCHMARK.json", *(checkout / "perfbench").rglob("*")]
+    return {
+        path.relative_to(checkout).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in files
+        if path.is_file() and "__pycache__" not in path.parts
+    }
+
+
+def differing_files(parent: Path, change: Path) -> list[str]:
+    """The benchmark's files that differ between the checkouts or that only
+    one of them has."""
+    ours, theirs = benchmark_digests(parent), benchmark_digests(change)
+    return sorted(name for name in ours | theirs if ours.get(name) != theirs.get(name))
 
 
 def quartile_spread(values: list[float]) -> float:
@@ -98,6 +121,8 @@ def main(argv: list[str] | None = None) -> int:
     for checkout in sides.values():
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} holds no perfbench/run.py")
+    for name in differing_files(sides["parent"], sides["change"]):
+        print(f"differs: {name}", flush=True)
     metrics = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     for checkout in sides.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True)

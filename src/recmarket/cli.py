@@ -70,6 +70,9 @@ def _policy_names(text: str) -> tuple[str, ...]:
     names = tuple(_one_of(*POLICY_NAMES)(p.strip()) for p in text.split(",") if p.strip())
     if not names:
         raise ValueError("no policy given")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"{', '.join(repeated)} named more than once")
     return names
 
 
@@ -149,7 +152,7 @@ def parse_config(path: str | Path, seed: int | None = None) -> ExperimentSpec:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     given = _parse_keys(text, str(path))

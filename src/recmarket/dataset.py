@@ -149,7 +149,7 @@ def load_ratings(path: str | Path, fmt: str = "movielens-dat") -> InteractionLog
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 

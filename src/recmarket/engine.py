@@ -423,14 +423,11 @@ class _ForkModels:
 
 
 def train_cycle(state: EcosystemState, memo: _ForkModels | None = None) -> None:
-    """Train every active recommender that has no model of the current cycle
-    yet on the consumers and items its visibility matrix has observed; with
-    a ``memo``, a training it holds is reused, not fitted again."""
+    """Train every active recommender on the consumers and items its
+    visibility matrix has observed; with a ``memo``, a training it holds is
+    reused, not fitted again."""
     train = _fit if memo is None else memo.model
     for rid in state.active:
-        held = state.models.get(rid)
-        if held is not None and held.model.trained_at_cycle == state.cycle:
-            continue
         seed = derive_seed(state.config.seed, "train", rid, state.cycle)
         state.models[rid] = train(state, state.store.visible[rid], state.rec_configs[rid], seed)
 
@@ -654,16 +651,14 @@ def run_experiment_suite(
 
     # The prefix is the suite's baseline up to the first possible switch: under
     # per-day switching that is cycle warmup_cycles' first day, else its end.
+    # The fork cycle after it is the first in which the branches train.
     audits = audits or {}
     universal = replace(widest, policy=PortabilityPolicy.UNIVERSAL)
     trail = AuditTrail() if any(audits.values()) else None
     prefix = prepare_state(universal, data, trail, collect_day_rows)
     prefix.config = replace(widest, policy=None, recommenders=(widest.home,))
-    end_of_cycle = widest.switch_timing is SwitchTiming.END_OF_CYCLE
-    _run_cycles(prefix, range(widest.warmup_cycles + end_of_cycle))
-    if not end_of_cycle:
-        prefix.cycle = widest.warmup_cycles
-        train_cycle(prefix)
+    fork = widest.warmup_cycles + (widest.switch_timing is SwitchTiming.END_OF_CYCLE)
+    _run_cycles(prefix, range(fork))
 
     # At most the prefix and one branch exist: the last scenario runs on the prefix itself.
     # At the fork cycle branches often repeat a training (README), so each is fitted once.
@@ -675,20 +670,17 @@ def run_experiment_suite(
         memo.store = False
     reports.append(_run_branch(prefix, configs[-1], audits.get(configs[-1].scenario_name), memo))
     if memo is not None:
-        logger.info(
-            "fork cycle %d: %d fits trained, %d reused",
-            widest.warmup_cycles + end_of_cycle, memo.trained, memo.reused,
-        )
+        logger.info("fork cycle %d: %d fits trained, %d reused", fork, memo.trained, memo.reused)
     return ExperimentResult(tuple(reports))
 
 
 def _fork(prefix: EcosystemState) -> EcosystemState:
     """A deep copy of the prefix for one branch. Branches share what none of
-    them writes: the catalog, the index, the prefix's store (each branch
-    copies its home lists and matrix into its own) and the trained models,
-    whose factors are read-only, as are those the suite's fork-cycle memo
-    hands to several branches. Generators are copied by state: a third of
-    the cost of a deep copy, for the same streams."""
+    them writes: the catalog, the index and the prefix's store (each branch
+    copies its home lists and matrix into its own). The prefix's models are
+    kept only so that they are not copied: a branch trains every recommender
+    at its first cycle and never reads them. Generators are copied by state:
+    a third of the cost of a deep copy, for the same streams."""
     keep = (prefix.catalog, prefix.type_rows, prefix.index, prefix.store, *prefix.models.values())
     memo = {id(x): x for x in keep}
     for rng in prefix.consumer_rngs.values():
@@ -704,16 +696,16 @@ def _run_branch(
     audit: AuditTrail | None,
     memo: _ForkModels | None,
 ) -> MetricsReport:
-    """Run ``config`` on a copy of the suite's prefix, from where it ends; its
-    first cycle, the fork cycle, trains through ``memo``."""
+    """Run ``config`` on a copy of the suite's prefix, from the day where it
+    ends: its first cycle, the fork cycle, trains every recommender through
+    ``memo``."""
     state.config = config
     state.store = state.store.branch(
         config.store_policy, state.active, config.home.recommender_id, audit
     )
-    end_of_cycle = config.switch_timing is SwitchTiming.END_OF_CYCLE
-    if end_of_cycle and not config.is_baseline:
+    if config.switch_timing is SwitchTiming.END_OF_CYCLE and not config.is_baseline:
         evaluate_switches(state)
-    _run_cycles(state, range(config.warmup_cycles + end_of_cycle, config.cycles), memo)
+    _run_cycles(state, range(state.day // config.days_per_cycle, config.cycles), memo)
     return _build_report(state)
 
 

@@ -1,5 +1,6 @@
 """Config parsing, commands, emitted files, exit codes."""
 
+import codecs
 import hashlib
 import json
 import os
@@ -171,6 +172,12 @@ class TestParseConfig:
         text = MINIMAL + "\n[scenario]\npolicies = baseline, quantum\n"
         with pytest.raises(ConfigError, match="quantum"):
             parse_config(write(tmp_path, text))
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        plain = write(tmp_path, SMALL_RUN.lstrip())
+        marked = tmp_path / "bom.ini"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert parse_config(marked) == parse_config(plain)
 
     def test_hash_inside_a_value_is_not_a_comment(self, tmp_path):
         text = (
@@ -441,6 +448,9 @@ class TestMainEntry:
         )
         no_policy = MINIMAL.replace("niche_genre = Horror", "niche_genre = Horror\npolicies =")
         comma = MINIMAL.replace("niche_genre = Horror", "niche_genre = Horror\npolicies = ,")
+        twice = MINIMAL.replace(
+            "niche_genre = Horror", "niche_genre = Horror\npolicies = baseline, cold_start, baseline"
+        )
         files = "source = files\nratings = r\nitems_file = i\n"
         no_providers_file = no_genre + "niche_genre = Horror\n[data]\n" + files
         for text, named in (
@@ -448,6 +458,7 @@ class TestMainEntry:
             (xml, "format"),
             (no_policy, "[scenario] policies"),
             (comma, "[scenario] policies"),
+            (twice, "[scenario] policies: baseline named more than once"),
             (MINIMAL + "ratings = q\nformat = csv\n", "[data] ratings"),
             (MINIMAL.replace("source = synthetic", files + "providers_file = p"), "[data] consumers"),
             (no_providers_file, "'providers_file'"),

@@ -1,5 +1,6 @@
 """Ingestion, preference derivation, classification, synthetic data."""
 
+import codecs
 import warnings
 
 import numpy as np
@@ -400,3 +401,25 @@ class TestFileMetamorphic:
         expected = written_catalog(tmp_path, rows, rows)
         items, providers = data.draw(st.permutations(rows)), data.draw(st.permutations(rows))
         assert written_catalog(tmp_path, items, providers) == expected
+
+
+def with_bom(path):
+    """A copy of ``path`` beside it that starts with a UTF-8 byte-order mark."""
+    copy = path.with_name(f"bom_{path.name}")
+    copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return copy
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("fmt, name", [("csv", "r.csv"), ("movielens-dat", "r.dat")])
+    def test_ratings_load_alike(self, tmp_path, fmt, name):
+        log = written_log(tmp_path / name, [(1, 10, 4, 5), (2, 11, 3, 6)], fmt)
+        assert load_ratings(with_bom(tmp_path / name), fmt=fmt) == log
+
+    @pytest.mark.parametrize("marked", ["items.csv", "providers.csv"])
+    def test_catalog_loads_alike(self, tmp_path, marked):
+        rows = [(1, ["Drama"], "p0"), (2, ["Horror", "Drama"], "p1")]
+        catalog = written_catalog(tmp_path, rows, rows)
+        files = {name: tmp_path / name for name in ("items.csv", "providers.csv")}
+        files[marked] = with_bom(files[marked])
+        assert load_catalog(files["items.csv"], files["providers.csv"]) == catalog

@@ -691,12 +691,13 @@ class TestSuiteFork:
         counts = Counter(calls)
         # At the fork cycle each distinct training is fitted once: under
         # end_of_cycle baseline, algorithm_specific and universal share one
-        # home model and cold_start and user_ownership another; the niches
-        # that no switch has filled are one empty model (under per_day all
-        # but universal's, which sees the shared store).
+        # home model and cold_start and user_ownership another, and under
+        # per_day every branch's home is the prefix's; the niches that no
+        # switch has filled are one empty model (under per_day all but
+        # universal's, which sees the shared store).
         end_of_cycle = timing is SwitchTiming.END_OF_CYCLE
         fork = warmup + end_of_cycle
-        fork_fits = {"generic": 2, "niche": 3} if end_of_cycle else {"niche": 2}
+        fork_fits = {"generic": 2, "niche": 3} if end_of_cycle else {"generic": 1, "niche": 2}
         assert all(counts["generic", c] == 1 for c in range(warmup + 1))
         assert all(counts["generic", c] == 5 for c in range(warmup + 1, cycles) if c != fork)
         niche_cycles = sorted({c for rid, c in calls if rid == "niche"})
@@ -708,22 +709,24 @@ class TestSuiteFork:
     @pytest.mark.parametrize("timing", list(SwitchTiming))
     def test_fork_cycle_fits_each_distinct_training_once(self, monkeypatch, caplog, timing):
         # The oracle: a branch's training at the fork cycle, as its list view,
-        # is fitted unless an earlier branch fitted an equal one.
+        # is fitted unless an earlier branch fitted an equal one. The prefix
+        # trains only the cycles before the fork, and every branch trains
+        # every recommender at the fork cycle through the memo.
         configs = standard_suite(**self.SUITE, switch_timing=timing)
         calls = count_train_calls(monkeypatch)
+        cycles = []  # (cycle, through a memo) of every train_cycle call
         trainings = []  # (recommender id, cycle, training pairs) of the branches' memo calls
         fitted = []  # the fits of those calls
         original_train_cycle = engine.train_cycle
 
         def train_cycle(state, memo=None):
+            cycles.append((state.cycle, memo is not None))
             if memo is None:
                 return original_train_cycle(state)
             for rid in state.active:
-                held = state.models.get(rid)
-                if held is None or held.model.trained_at_cycle != state.cycle:
-                    view = portability.training_view(state.store, rid)
-                    pairs = frozenset((c, i) for c, e in view.items() for i, _day in e)
-                    trainings.append((rid, state.cycle, pairs))
+                view = portability.training_view(state.store, rid)
+                pairs = frozenset((c, i) for c, e in view.items() for i, _day in e)
+                trainings.append((rid, state.cycle, pairs))
             before = len(calls)
             original_train_cycle(state, memo)
             fitted.extend(calls[before:])
@@ -732,7 +735,11 @@ class TestSuiteFork:
         caplog.set_level(logging.INFO, logger="recmarket.engine")
         run_experiment_suite(configs, small_data())
         fork = self.SUITE["warmup_cycles"] + (timing is SwitchTiming.END_OF_CYCLE)
+        assert cycles[: cycles.index((fork, True))] == [(c, False) for c in range(fork)]
+        later = Counter(c for c, memo in cycles if not memo and c >= fork)
+        assert later == {c: len(configs) for c in range(fork + 1, self.SUITE["cycles"])}
         assert {c for _rid, c, _pairs in trainings} == {fork}
+        assert len(trainings) == sum(len(c.recommenders) for c in configs)
         distinct = Counter((rid, c) for rid, c, _pairs in set(trainings))
         assert Counter(fitted) == distinct
         assert len(trainings) > sum(distinct.values())  # some training was reused
@@ -753,8 +760,9 @@ class TestSuiteFork:
         assert not [r for r in caplog.records if r.name == "recmarket.engine"]
 
     def test_every_model_is_read_only(self, monkeypatch):
-        # The prefix's models and the fork-cycle memo's serve several
-        # branches, so no factor array a suite trains may be writable.
+        # The fork-cycle memo hands a model to several branches, and every
+        # branch shares the prefix's, so no factor array a suite trains may
+        # be writable.
         models = []
         original_train_cycle = engine.train_cycle
 
