@@ -15,6 +15,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -62,9 +63,6 @@ class ItemRecord:
     item_id: int
     genre_vector: tuple[int, ...]
     provider_id: str
-
-    def genre_count(self) -> int:
-        return sum(self.genre_vector)
 
 
 @dataclass(frozen=True)
@@ -268,52 +266,48 @@ def build_preferences(
     argmax of their vector is the niche genre (a tie at the niche genre
     classifies as Generic). Items rated at or above ``history_threshold``
     form the consumer's initial implicit-feedback history.
+
+    One array pass: each (consumer, genre) sum adds its shares in record
+    order, as a per-record loop does. Seeds ascend by consumer id.
     """
-    n_genres = len(catalog.genres)
+    # Not zip(*records): it makes an iterator per record, each tracked by the GC
+    consumer, item, rating = (
+        np.fromiter(map(itemgetter(k), log.records), dtype, len(log.records))
+        for k, dtype in enumerate((np.int64, np.int64, float))
+    )
+    item_ids = np.array(sorted(catalog.items), dtype=np.int64)
+    unknown = np.flatnonzero(~np.isin(item, item_ids))
+    if unknown.size:
+        raise DataError(f"rated item {item[unknown[0]]} not in catalog")
+    genre_mat = np.array([catalog.items[i].genre_vector for i in item_ids.tolist()], dtype=bool)
+    rated = genre_mat[np.searchsorted(item_ids, item)]  # record x genre
+
+    consumer_ids, rows = np.unique(consumer, return_inverse=True)
+    record, genre = np.nonzero(rated)  # record order, then genre order
+    mass = np.zeros((len(consumer_ids), len(catalog.genres)))
+    np.add.at(mass, (rows[record], genre), (rating / rated.sum(axis=1))[record])
+    total = mass.sum(axis=1)
+    usable = total > 0.0
+    vectors = mass[usable] / total[usable, None]
+    winners = vectors == vectors.max(axis=1, keepdims=True)
     niche_idx = catalog.genre_index(niche_genre)
+    niche = (winners.sum(axis=1) == 1) & (niche_idx is not None and winners[:, niche_idx])
 
-    by_consumer: dict[int, list[RatingRecord]] = {}
-    for rec in log.records:
-        if rec.item_id not in catalog.items:
-            raise DataError(f"rated item {rec.item_id} not in catalog")
-        by_consumer.setdefault(rec.consumer_id, []).append(rec)
-
-    seeds: list[ConsumerProfileSeed] = []
-    skipped = 0
-    for consumer_id in sorted(by_consumer):
-        mass = np.zeros(n_genres)
-        history: list[int] = []
-        for rec in by_consumer[consumer_id]:
-            item = catalog.items[rec.item_id]
-            share = rec.rating / item.genre_count()
-            for g, bit in enumerate(item.genre_vector):
-                if bit:
-                    mass[g] += share
-            if rec.rating >= history_threshold:
-                history.append(rec.item_id)
-        total = float(mass.sum())
-        if total <= 0.0:
-            skipped += 1
-            continue
-        vector = tuple(float(v) for v in mass / total)
-        label = _label_from_vector(vector, niche_idx)
-        seeds.append(
-            ConsumerProfileSeed(consumer_id, vector, label, tuple(sorted(history)))
+    liked = np.flatnonzero(rating >= history_threshold)
+    liked = liked[np.lexsort((item[liked], rows[liked]))]  # by consumer, then item
+    kept = np.flatnonzero(usable)
+    starts, ends = (np.searchsorted(rows[liked], kept, s).tolist() for s in ("left", "right"))
+    history = item[liked].tolist()
+    seeds = [
+        ConsumerProfileSeed(c, tuple(v), NICHE if n else GENERIC, tuple(history[a:b]))
+        for c, v, n, a, b in zip(
+            consumer_ids[kept].tolist(), vectors.tolist(), niche.tolist(), starts, ends
         )
+    ]
+    skipped = len(consumer_ids) - len(kept)
     if skipped:
         warnings.warn(f"excluded {skipped} consumers with no usable ratings", stacklevel=2)
     return seeds
-
-
-def _label_from_vector(vector: Sequence[float], niche_idx: int | None) -> str:
-    """Niche requires a strict, unique argmax at the niche genre."""
-    if niche_idx is None:
-        return GENERIC
-    top = max(vector)
-    winners = [g for g, v in enumerate(vector) if v == top]
-    if winners == [niche_idx]:
-        return NICHE
-    return GENERIC
 
 
 def classify_providers(catalog: Catalog, niche_genre: str) -> Catalog:
@@ -485,6 +479,11 @@ def _generate_labelled(
     canon = pure_ids[: min(CANON_SIZE, n_pure)]
     tagged_ids = np.arange(n_pure + n_cross)
     generic_ids = np.arange(n_pure + n_cross, spec.items)
+    generic_genres = np.array([catalog.items[i].genre_vector for i in generic_ids.tolist()], bool)
+    # A niche consumer's picks beyond the canon come from the tagged items after it
+    n_tag = min(max(RATINGS_PER_CONSUMER // 2, len(canon) + 2), len(tagged_ids))
+    n_canon = min(len(canon), n_tag)
+    tag_pool = tagged_ids[n_canon:]
 
     # Popularity skew for mainstream items so the global popular list has a
     # realistic long tail.
@@ -501,12 +500,10 @@ def _generate_labelled(
             # Everyone in the niche audience knows the genre canon; those
             # shared ratings are what keeps canon items inside the global
             # popular list that cold recommenders fall back on.
-            n_tag = min(max(per // 2, len(canon) + 2), len(tagged_ids))
-            picks = list(canon[: min(len(canon), n_tag)])
-            pool = np.setdiff1d(tagged_ids, np.array(picks, dtype=int))
-            extra = min(n_tag - len(picks), len(pool))
+            picks = list(canon[:n_canon])
+            extra = min(n_tag - n_canon, len(tag_pool))
             if extra > 0:
-                picks += list(rng.choice(pool, size=extra, replace=False))
+                picks += list(rng.choice(tag_pool, size=extra, replace=False))
             for i in picks:
                 # Concentrated but mid-level ratings: only some cross the
                 # implicit-history threshold.
@@ -525,17 +522,14 @@ def _generate_labelled(
                 int(g)
                 for g in rng.choice(other_idx, size=n_like, replace=False, p=genre_weight)
             }
-            if len(generic_ids):
-                match = np.array(
-                    [i for i in generic_ids if liked & set(item_genres[i])], dtype=int
-                )
-            else:
-                match = np.array([], dtype=int)
+            match = generic_ids[generic_genres[:, sorted(liked)].any(axis=1)]
             n_match = min(len(match), max(1, round(per * 0.25)))
+            taken = np.zeros(len(generic_ids), dtype=bool)
             if n_match > 0:
                 for i in rng.choice(match, size=n_match, replace=False):
                     rated[int(i)] = 5.0
-            fill_pool = np.setdiff1d(generic_ids, np.array(sorted(rated), dtype=int))
+                    taken[int(i) - n_pure - n_cross] = True
+            fill_pool = generic_ids[~taken]
             n_fill = min(per - len(rated), len(fill_pool))
             if n_fill > 0:
                 fill_pop = 1.0 / (1.0 + np.arange(len(fill_pool)) * 0.05)

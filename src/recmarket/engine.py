@@ -336,7 +336,7 @@ def prepare_state(
             type_label=s.type_label,
             current_recommender=home,
         )
-        for s in sorted(seeds, key=lambda s: s.consumer_id)
+        for s in seeds
     ]
 
     index = _build_index(catalog, consumers, config.recommenders)
@@ -344,14 +344,12 @@ def prepare_state(
     store = ProfileStore.create(
         config.store_policy, active, [c.consumer_id for c in consumers], index.item_ids, audit
     )
-    for s in sorted(seeds, key=lambda s: s.consumer_id):
-        portability.seed_history(store, s.consumer_id, home, s.initial_history)
+    portability.seed_histories(store, home, {s.consumer_id: s.initial_history for s in seeds})
 
+    longest = max(r.popular_list_size for r in config.recommenders)
+    popular = np.searchsorted(index.item_ids, recommender.popular_list(log, longest))
     global_popular = {
-        r.recommender_id: np.searchsorted(
-            index.item_ids, recommender.popular_list(log, r.popular_list_size)
-        )
-        for r in config.recommenders
+        r.recommender_id: popular[: r.popular_list_size] for r in config.recommenders
     }
     type_rows = {
         t: [k for k, c in enumerate(consumers) if c.type_label == t]

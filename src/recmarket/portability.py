@@ -16,7 +16,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -155,16 +155,24 @@ class ProfileStore:
         self.per_recommender[recommender_id].pop(consumer_id, None)
 
 
-def seed_history(
-    store: ProfileStore,
-    consumer_id: int,
-    recommender_id: str,
-    item_ids: Iterable[int],
-    day: int = -1,
+def seed_histories(
+    store: ProfileStore, recommender_id: str, histories: Mapping[int, Sequence[int]]
 ) -> None:
-    """Place a consumer's pre-simulation history via ordinary click records."""
-    for item_id in item_ids:
-        record_click(store, consumer_id, recommender_id, item_id, day)
+    """Place pre-simulation histories in one bulk write: the matrix cells,
+    list entries and audit lines of ``record_click`` of each consumer's
+    items at day -1, consumers in the mapping's order."""
+    histories = {c: items for c, items in histories.items() if len(items)}
+    # The lookups come first, so an unknown id raises before any write
+    rows = np.fromiter((store.consumer_rows[c] for c in histories), np.intp, len(histories))
+    cols = np.fromiter((store.item_rows[i] for h in histories.values() for i in h), np.intp)
+    rows = np.repeat(rows, [len(h) for h in histories.values()])
+    store.visible[recommender_id][rows, cols] = True
+    bucket = store._bucket(recommender_id)
+    for consumer_id, items in histories.items():
+        bucket.setdefault(consumer_id, []).extend((item_id, -1) for item_id in items)
+        if store.audit is not None:
+            for item_id in items:
+                store.audit.click(consumer_id, recommender_id, item_id, -1)
 
 
 def record_click(

@@ -9,7 +9,11 @@ The per-item serving and selection functions below work on item ids, one
 item at a time. The engine's array-native path over catalog rows must
 reproduce them exactly, including random-number consumption. The per-row
 ALS trainer is the reference for the stacked solves in ``recommender.fit``,
-which must reproduce its factors bit for bit. ``run_from_scratch`` runs one
+which must reproduce its factors bit for bit. ``build_preferences_per_record``
+is the per-record reference for the one array pass of
+``dataset.build_preferences``, and ``seed_per_click`` seeds a store one
+``record_click`` at a time, the reference for the engine's bulk seeding.
+``run_from_scratch`` runs one
 scenario straight through from cycle 0; a suite, which runs the warm-up once
 and branches it into every scenario, must reproduce it byte for byte.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -25,7 +30,15 @@ import numpy as np
 
 from recmarket import engine
 from recmarket.behavior import BehaviorParams, ConsumerState
-from recmarket.dataset import Catalog
+from recmarket.dataset import (
+    GENERIC,
+    NICHE,
+    Catalog,
+    ConsumerProfileSeed,
+    InteractionLog,
+    RatingRecord,
+)
+from recmarket.errors import DataError, TrainingError
 from recmarket.portability import (
     AuditTrail,
     PortabilityPolicy,
@@ -34,7 +47,6 @@ from recmarket.portability import (
     record_click,
     store_state,
 )
-from recmarket.errors import TrainingError
 from recmarket.recommender import (
     CatalogModel,
     Provenance,
@@ -440,3 +452,68 @@ def run_from_scratch(
             engine.evaluate_switches(state)
         engine._finish_cycle(state)
     return engine._build_report(state)
+
+
+# ---------------------------------------------------------------------------
+# Per-record set-up oracles
+# ---------------------------------------------------------------------------
+
+
+def build_preferences_per_record(
+    log: InteractionLog,
+    catalog: Catalog,
+    niche_genre: str,
+    history_threshold: float = 4.0,
+) -> list[ConsumerProfileSeed]:
+    """``dataset.build_preferences`` one consumer, record and genre at a time."""
+    n_genres = len(catalog.genres)
+    niche_idx = catalog.genre_index(niche_genre)
+
+    by_consumer: dict[int, list[RatingRecord]] = {}
+    for rec in log.records:
+        if rec.item_id not in catalog.items:
+            raise DataError(f"rated item {rec.item_id} not in catalog")
+        by_consumer.setdefault(rec.consumer_id, []).append(rec)
+
+    seeds: list[ConsumerProfileSeed] = []
+    skipped = 0
+    for consumer_id in sorted(by_consumer):
+        mass = np.zeros(n_genres)
+        history: list[int] = []
+        for rec in by_consumer[consumer_id]:
+            item = catalog.items[rec.item_id]
+            share = rec.rating / sum(item.genre_vector)
+            for g, bit in enumerate(item.genre_vector):
+                if bit:
+                    mass[g] += share
+            if rec.rating >= history_threshold:
+                history.append(rec.item_id)
+        total = float(mass.sum())
+        if total <= 0.0:
+            skipped += 1
+            continue
+        vector = tuple(float(v) for v in mass / total)
+        label = label_from_vector(vector, niche_idx)
+        seeds.append(ConsumerProfileSeed(consumer_id, vector, label, tuple(sorted(history))))
+    if skipped:
+        warnings.warn(f"excluded {skipped} consumers with no usable ratings", stacklevel=2)
+    return seeds
+
+
+def label_from_vector(vector: Sequence[float], niche_idx: int | None) -> str:
+    """Niche requires a strict, unique argmax at the niche genre."""
+    if niche_idx is None:
+        return GENERIC
+    top = max(vector)
+    winners = [g for g, v in enumerate(vector) if v == top]
+    return NICHE if winners == [niche_idx] else GENERIC
+
+
+def seed_per_click(
+    store: ProfileStore, recommender_id: str, histories: Mapping[int, Sequence[int]]
+) -> None:
+    """Seed each consumer's history, in the mapping's order, through
+    ``record_click`` at day -1."""
+    for consumer_id, item_ids in histories.items():
+        for item_id in item_ids:
+            record_click(store, consumer_id, recommender_id, item_id, -1)

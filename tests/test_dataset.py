@@ -1,6 +1,7 @@
 """Ingestion, preference derivation, classification, synthetic data."""
 
 import codecs
+import hashlib
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import build_preferences_per_record
 from recmarket import dataset
 from recmarket.dataset import (
     DEFAULT_GENRES,
@@ -306,6 +308,60 @@ class TestGenerateSynthetic:
             )
 
 
+def synthetic_digests(consumers, items, providers, seed):
+    """sha256 of the generated log's records and of its catalog's tables."""
+    log, cat = generate_synthetic(SyntheticSpec(consumers, items, providers, seed=seed))
+    records = [tuple(r) for r in log.records]
+    tables = (
+        cat.genres,
+        [(i, rec.genre_vector, rec.provider_id) for i, rec in sorted(cat.items.items())],
+        [(p, rec.item_ids) for p, rec in sorted(cat.providers.items())],
+    )
+    return tuple(hashlib.sha256(repr(x).encode()).hexdigest() for x in (records, tables))
+
+
+class TestSyntheticStream:
+    """``generate_synthetic`` keeps its random stream. The digests were
+    recorded by ``synthetic_digests`` on f492c2b, before the draw became
+    array-native; this command prints them:
+
+        PYTHONPATH=src:tests python -c "from test_dataset import synthetic_digests as d; \\
+            print(d(250, 150, 10, 3), d(500, 300, 20, 3), d(250, 150, 10, 2104))"
+
+    ``repr`` tells a numpy scalar from a Python one, so a record field that
+    changes type changes its digest too. Seed 2104 takes the redraw path.
+    """
+
+    @pytest.mark.parametrize(
+        "shape, digests",
+        [
+            (
+                (250, 150, 10, 3),
+                (
+                    "71e71c72df56f43f61866d52cbb2140952217a6608335f1a132c3b222fa49886",
+                    "4b92615956eb74732072b74cff56dd763ab22a9af3c061e9ce8feafe5ce8bf0f",
+                ),
+            ),
+            (
+                (500, 300, 20, 3),
+                (
+                    "4b789a3b07f32d18a4a08c3dcf2d084f04500e3fa4ab9ed6d64563804f1f6c07",
+                    "7e89a806b13b64e273cb3076c2bd072d97ae536f5c1c2d3dbd1e7f79d6cb50f8",
+                ),
+            ),
+            (
+                (250, 150, 10, 2104),
+                (
+                    "644a6b751159722161d86f7fb398f91003fefdf8b9f043268da896046a544084",
+                    "8c64846010223c90ee5c7b64b0e59e058b6299625db47cc4b79ecda97c86ffd6",
+                ),
+            ),
+        ],
+    )
+    def test_log_and_catalog_digests(self, shape, digests):
+        assert synthetic_digests(*shape) == digests
+
+
 class TestLoadCatalog:
     def test_round_trip_through_files(self, tmp_path):
         spec = SyntheticSpec(consumers=20, items=40, providers=4, niche_fraction=0.2, seed=9)
@@ -401,6 +457,98 @@ class TestFileMetamorphic:
         expected = written_catalog(tmp_path, rows, rows)
         items, providers = data.draw(st.permutations(rows)), data.draw(st.permutations(rows))
         assert written_catalog(tmp_path, items, providers) == expected
+
+
+def assert_same_seeds(seeds, expected):
+    """Equal consumers, labels and histories, preference vectors equal to
+    the bit, and every field of the same Python type."""
+    assert [(s.consumer_id, s.type_label, s.initial_history) for s in seeds] == [
+        (s.consumer_id, s.type_label, s.initial_history) for s in expected
+    ]
+    vectors = np.array([s.preference_vector for s in seeds])
+    assert vectors.tobytes() == np.array([s.preference_vector for s in expected]).tobytes()
+    assert repr(seeds) == repr(expected)
+
+
+def warned(build, *args, **kwargs):
+    """``build``'s result and the (message, category, file) of its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = build(*args, **kwargs)
+    return result, [(str(w.message), w.category, w.filename) for w in caught]
+
+
+# More genres than a numpy pairwise sum adds one by one (8), and a niche genre
+# that may be outside the taxonomy
+WIDE = tuple(f"g{k:02d}" for k in range(12))
+WIDE_LOG_ROWS = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 15), st.integers(1, 5), st.integers(0, 9)),
+    min_size=1,
+    max_size=60,
+)
+WIDE_ITEM_GENRES = st.lists(
+    st.lists(st.sampled_from(WIDE), min_size=1, max_size=len(WIDE), unique=True),
+    min_size=16,
+    max_size=16,
+)
+
+
+class TestPreferencesMatchPerRecord:
+    """The array pass of ``build_preferences`` against the per-record loop
+    of ``helpers.build_preferences_per_record``."""
+
+    @pytest.mark.parametrize(
+        "size,seed",
+        [((500, 300, 20), 3), ((500, 300, 20), 11), ((500, 300, 20), 42), ((250, 150, 10), 2104)],
+    )
+    def test_synthetic_data(self, size, seed):
+        log, cat = generate_synthetic(SyntheticSpec(*size, niche_fraction=0.1, seed=seed))
+        for threshold in (4.0, 3.0):
+            assert_same_seeds(
+                build_preferences(log, cat, "Horror", history_threshold=threshold),
+                build_preferences_per_record(log, cat, "Horror", history_threshold=threshold),
+            )
+
+    @FILES
+    @given(rows=WIDE_LOG_ROWS, item_genres=WIDE_ITEM_GENRES, data=st.data())
+    def test_file_logs_in_any_record_order(self, tmp_path, rows, item_genres, data):
+        log = written_log(tmp_path / "r.csv", data.draw(st.permutations(rows)), "csv")
+        # The loader sorts records; sums follow record order, so shuffle them
+        log = InteractionLog(tuple(data.draw(st.permutations(log.records))))
+        cat = build_catalog([(i, gs, "p0") for i, gs in enumerate(item_genres)], WIDE)
+        niche = data.draw(st.sampled_from(WIDE + ("Jazz",)))
+        threshold = data.draw(st.sampled_from([1.0, 3.0, 3.5, 5.0]))
+        assert_same_seeds(
+            build_preferences(log, cat, niche, history_threshold=threshold),
+            build_preferences_per_record(log, cat, niche, history_threshold=threshold),
+        )
+
+    def test_niche_tie_stays_generic(self):
+        cat = catalog3({1: (["Drama"], "p0"), 2: (["Horror"], "p0"), 3: (["Horror"], "p0")})
+        rows = [(1, 1, 3.0, 0), (1, 2, 3.0, 1), (2, 1, 2.0, 2), (2, 2, 1.0, 3), (2, 3, 1.0, 4)]
+        log = InteractionLog(tuple(RatingRecord(*r) for r in rows))
+        seeds = build_preferences(log, cat, "Horror")
+        assert [s.type_label for s in seeds] == [GENERIC, GENERIC]
+        assert_same_seeds(seeds, build_preferences_per_record(log, cat, "Horror"))
+
+    def test_skipped_consumers_warn_alike(self):
+        cat = catalog3({1: (["Drama"], "p0"), 2: (["Horror", "Drama"], "p0")})
+        rows = [(1, 1, 0.0, 0), (2, 2, 4.0, 1), (3, 2, 0.0, 2), (3, 1, 0.0, 3), (4, 1, -1.0, 4)]
+        log = InteractionLog(tuple(RatingRecord(*r) for r in rows))
+        seeds, warnings_seen = warned(build_preferences, log, cat, "Horror")
+        expected, expected_warnings = warned(build_preferences_per_record, log, cat, "Horror")
+        assert_same_seeds(seeds, expected)
+        assert [s.consumer_id for s in seeds] == [2]
+        assert warnings_seen == expected_warnings
+        assert warnings_seen[0][0] == "excluded 3 consumers with no usable ratings"
+
+    def test_first_unknown_item_in_record_order_is_named(self):
+        cat = catalog3({1: (["Drama"], "p0")})
+        rows = [(2, 1, 3.0, 0), (2, 98, 3.0, 1), (1, 97, 3.0, 2)]
+        log = InteractionLog(tuple(RatingRecord(*r) for r in rows))
+        for build in (build_preferences, build_preferences_per_record):
+            with pytest.raises(DataError, match="rated item 98 not in catalog"):
+                build(log, cat, "Horror")
 
 
 def with_bom(path):

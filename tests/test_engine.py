@@ -20,9 +20,12 @@ from helpers import (
     ServingContext,
     Slate,
     assert_engine_invariants,
+    assert_matrices_index_lists,
+    build_preferences_per_record,
     list_utility,
     recommend,
     run_from_scratch,
+    seed_per_click,
     select_item,
 )
 from recmarket import behavior, engine, portability, recommender
@@ -41,7 +44,7 @@ from recmarket.engine import (
     train_cycle,
 )
 from recmarket.errors import ConfigError
-from recmarket.portability import AuditTrail, PortabilityPolicy
+from recmarket.portability import AuditTrail, PortabilityPolicy, ProfileStore
 from recmarket.recommender import ALL_GENRES, Provenance, RecommenderConfig
 
 
@@ -514,6 +517,48 @@ class TestTrainingMirrorsTheLists:
         assert trained["baseline", "generic"] >= 4
 
 
+class TestSeedingMatchesPerClick:
+    """``prepare_state`` seeds every history in one bulk write; seeding the
+    same histories one ``record_click`` at a time is the reference."""
+
+    @pytest.mark.parametrize("audited", [False, True])
+    @pytest.mark.parametrize("policy", [None, *PortabilityPolicy])
+    def test_store_equals_per_click_seeding(self, policy, audited):
+        config = small_config(policy) if policy else baseline_config()
+        log, catalog = small_data(seed=4)
+        state = prepare_state(config, (log, catalog), audit=AuditTrail() if audited else None)
+
+        seeds = build_preferences_per_record(log, state.catalog, "Horror")
+        reference = ProfileStore.create(
+            config.store_policy,
+            state.active,
+            [s.consumer_id for s in seeds],
+            sorted(catalog.items),
+            AuditTrail() if audited else None,
+        )
+        histories = {s.consumer_id: s.initial_history for s in seeds}
+        seed_per_click(reference, config.home.recommender_id, histories)
+
+        store = state.store
+        assert portability.store_state(store) == portability.store_state(reference)
+        assert store.per_recommender == reference.per_recommender
+        assert store.consumer_rows == reference.consumer_rows
+        assert store.item_rows == reference.item_rows
+        for rid in state.active:
+            assert store.visible[rid].dtype == reference.visible[rid].dtype
+            assert store.visible[rid].tobytes() == reference.visible[rid].tobytes(), rid
+        shared = {id(m) for m in store.visible.values()}
+        assert len(shared) == len({id(m) for m in reference.visible.values()})
+        assert_matrices_index_lists(store)
+        if not audited:
+            assert store.audit is None
+            return
+        assert "".join(store.audit.lines).encode() == "".join(reference.audit.lines).encode()
+        assert len(store.audit.lines) == sum(len(h) for h in histories.values())
+        rebuilt = portability.replay_audit(store.audit.events, store.policy, state.active)
+        assert portability.store_state(rebuilt) == portability.store_state(store)
+
+
 class TestAuditIntegration:
     def test_audit_replay_matches_final_store_and_events(self):
         config = small_config(policy=PortabilityPolicy.USER_OWNERSHIP)
@@ -835,3 +880,27 @@ class TestSuiteFork:
         assert len(forks) == len(result.reports) - 1
         assert len(started) == len(result.reports)
         assert all(ref() is None for ref in started)
+
+
+def test_a_run_never_imports_numpy_ma(tmp_path):
+    # A plain np.unique imports numpy.ma at its first call (12-16 ms), which
+    # then lands in whichever phase of a run makes that call first
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[scenario]\nseed = 5\nniche_genre = Horror\n"
+        "policies = baseline, algorithm_specific, cold_start, user_ownership, universal\n"
+        "cycles = 3\ndays_per_cycle = 2\nwarmup_cycles = 1\nswitch_timing = per_day\n"
+        "[behavior]\ntau = 0.5\n"
+        "[data]\nsource = synthetic\nconsumers = 60\nitems = 80\nproviders = 6\n"
+    )
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    argv += ["--emit", "audit-log", "--emit", "per-day"]
+    code = f"import sys\nfrom recmarket import cli\ncli.main({argv!r})\n"
+    code += "print('numpy.ma' in sys.modules)"
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

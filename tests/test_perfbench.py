@@ -3,7 +3,9 @@
 ``perfbench/rep.py`` wraps the layer functions it times by module and name,
 and calls ``engine.prepare_state`` with keywords, so renaming either breaks
 traced runs and set-up runs. The benchmark drops a set-up probe that fails
-without counting a failure, so this test is where such a break shows.
+without counting a failure, so this test is where such a break shows. A
+set-up probe must also time its work in the wrapped names: one data load,
+and one ``prepare_state`` per scenario of the config.
 """
 
 import json
@@ -61,4 +63,9 @@ def test_rep_exits_cleanly(tmp_path, mode, trace):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(result.read_text())["exit_code"] == 0
+    report = json.loads(result.read_text())
+    assert report["exit_code"] == 0
+    if mode == "setup":
+        calls = {name: stat["calls"] for name, stat in report["stats"].items()}
+        assert calls["engine.prepare_state"] == 4  # the config's policies
+        assert calls["cli.load_data"] == 1

@@ -16,7 +16,7 @@ from recmarket.portability import (
     on_switch,
     record_click,
     replay_audit,
-    seed_history,
+    seed_histories,
     store_state,
     training_view,
     visible_items,
@@ -166,8 +166,33 @@ class TestTrainingView:
 class TestSeedHistory:
     def test_seeds_as_pre_simulation_clicks(self):
         store = store_for(AS)
-        seed_history(store, 1, "generic", [3, 1, 2])
+        seed_histories(store, "generic", {1: [3, 1, 2]})
         assert training_view(store, "generic")[1] == ((3, -1), (1, -1), (2, -1))
+
+    @pytest.mark.parametrize("policy", list(PortabilityPolicy))
+    def test_equals_record_click_in_mapping_order(self, policy):
+        histories = {4: [7, 2], 1: [], 0: [5], 9: [0, 127, 3]}
+        store, reference = store_for(policy), store_for(policy)
+        store.audit, reference.audit = AuditTrail(), AuditTrail()
+        seed_histories(store, "niche", histories)
+        for consumer, items in histories.items():
+            for item in items:
+                record_click(reference, consumer, "niche", item, -1)
+        assert store.shared == reference.shared
+        assert store.per_recommender == reference.per_recommender
+        assert 1 not in store._bucket("niche")  # an empty history writes nothing
+        for rid in RECS:
+            assert store.visible[rid].tobytes() == reference.visible[rid].tobytes()
+        assert store.audit.lines == reference.audit.lines
+
+    @pytest.mark.parametrize("unknown", [{1: [3], 99: [2]}, {1: [3], 2: [128]}])
+    def test_unknown_id_raises_before_any_write(self, unknown):
+        store = store_for(CS)
+        store.audit = AuditTrail()
+        with pytest.raises(KeyError):
+            seed_histories(store, "generic", unknown)
+        assert store_state(store) == store_state(store_for(CS))
+        assert not store.visible["generic"].any() and not store.audit.lines
 
 
 class TestInvariantsRandomized:

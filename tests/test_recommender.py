@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import ServingContext, recommend, score, serve_ids, train_per_row
 from recmarket import recommender
@@ -188,6 +190,20 @@ class TestPopularList:
         counts = Counter(r.item_id for r in rows)
         expected = sorted(counts, key=lambda i: (-counts[i], i))[:15]
         assert popular_list(log, 15) == expected
+
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(-3, 12)), min_size=1, max_size=80),
+        k=st.integers(-1, 40),
+        extra=st.integers(0, 40),
+    )
+    def test_each_ranking_is_a_prefix_of_a_longer_one(self, pairs, k, extra):
+        # Few items and many repeats, so that counts tie often
+        log = InteractionLog(tuple(RatingRecord(u, i, 1.0, t) for t, (u, i) in enumerate(pairs)))
+        ranking = popular_list(log, k + extra)
+        assert popular_list(log, k) == ranking[: max(k, 0)]
+        assert all(type(item) is int for item in ranking)
+        counts = {i: sum(1 for _u, j in pairs if j == i) for _u, i in pairs}
+        assert ranking == sorted(counts, key=lambda i: (-counts[i], i))[: max(k + extra, 0)]
 
 
 class TestRecommendTiers:
