@@ -261,12 +261,10 @@ def cmd_run(
         _write_lines(out / f"audit_{name}.jsonl", trail.lines)
         written.add(f"audit_{name}.jsonl")
     if "model-dump" in emit:
-        for config in spec.scenarios:
-            state = engine.prepare_state(config, data)
-            engine.train_cycle(state)
-            for rid, view in state.models.items():
-                path = out / f"model_{config.scenario_name}_{rid}.txt"
-                _write_atomically(path, view.model.dump)
+        for report in result.reports:
+            for rid, model in report.models.items():
+                path = out / f"model_{report.scenario}_{rid}.txt"
+                _write_atomically(path, model.dump)
                 written.add(path.name)
     # Remove what an earlier run wrote and this one did not: `compare
     # results/report_*.json` must not pick up a scenario this run dropped
@@ -342,18 +340,35 @@ def compare_reports(reports: list[dict]) -> list[dict]:
     return rows
 
 
+def _read_report(path: Path) -> dict:
+    """A report file's JSON object, whose compared families map groups to numbers."""
+    try:
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read report {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid report {path}: {exc}") from exc
+    families = [field for field, _metric, _who in _COMPARED]
+    if not (
+        isinstance(report, dict)
+        and isinstance(report.get("scenario"), str)
+        and all(
+            isinstance(report.get(f), dict)
+            and all(type(v) in (int, float) for v in report[f].values())
+            for f in families
+        )
+    ):
+        raise DataError(
+            f"invalid report {path}: expected an object with a scenario name and "
+            f"numbers in {' and '.join(families)}"
+        )
+    return report
+
+
 def cmd_compare(paths: list[Path]) -> int:
     if len(paths) < 2:
         raise ConfigError("compare requires at least two report files")
-    reports = []
-    for p in paths:
-        try:
-            reports.append(json.loads(Path(p).read_text(encoding="utf-8")))
-        except OSError as exc:
-            raise DataError(f"cannot read report {p}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid report {p}: {exc}") from exc
-    rows = compare_reports(reports)
+    rows = compare_reports([_read_report(p) for p in paths])
     sys.stdout.write("scenario\tmetric\tgroup\tvalue\tbaseline\tdelta\tratio\n")
     for row in rows:
         sys.stdout.write(

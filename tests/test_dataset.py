@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from helpers import build_preferences_per_record
 from recmarket import dataset
 from recmarket.dataset import (
-    DEFAULT_GENRES,
     GENERIC,
     NICHE,
     InteractionLog,
@@ -375,9 +374,7 @@ class TestLoadCatalog:
             prov_lines.append(f"{i},{rec.provider_id}")
         (tmp_path / "items.csv").write_text("\n".join(items_lines) + "\n")
         (tmp_path / "providers.csv").write_text("\n".join(prov_lines) + "\n")
-        loaded = load_catalog(
-            tmp_path / "items.csv", tmp_path / "providers.csv", genres=DEFAULT_GENRES
-        )
+        loaded = load_catalog(tmp_path / "items.csv", tmp_path / "providers.csv")
         assert loaded == cat
 
     def test_missing_provider_mapping_errors(self, tmp_path):

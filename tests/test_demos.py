@@ -1,6 +1,8 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, and README's imports resolve."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +32,17 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=600,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_imports_resolve():
+    # Each `from recmarket... import ...` of README's Python blocks, run as written
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    imports = [
+        node
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "recmarket"
+    ]
+    assert {node.module for node in imports} >= {"recmarket", "recmarket.portability"}
+    for node in imports:
+        exec(compile(ast.Module([node], []), "README.md", "exec"), {})

@@ -129,8 +129,12 @@ class TestRunDay:
         assert sum(state.metrics.provenance.values()) == len(state.consumers)
 
     def test_click_conservation(self):
-        report = run_scenario(small_config(), small_data())
-        assert sum(report.provider_clicks.values()) == report.total_clicks
+        # Every click the store records counts once, for a Generic or a Niche provider
+        audit = AuditTrail()
+        report = run_scenario(small_config(), small_data(), audit=audit)
+        clicks = [e for e in audit.events if e["event"] == "click" and e["day"] >= 0]
+        assert set(report.provider_clicks) == {GENERIC, NICHE}
+        assert report.total_clicks == len(clicks) > 0
 
     def test_no_selection_still_updates_estimate(self):
         # Raise the similarity bar so nothing is clickable.
@@ -140,18 +144,18 @@ class TestRunDay:
         state = prepare_state(config, small_data())
         train_cycle(state)
         run_day(state)
-        assert state.metrics.total_clicks == 0
+        assert not state.metrics.provider_clicks
         assert all(
             c.current_recommender in c.utility_estimates for c in state.consumers
         )
 
     def test_provider_credit_increments_by_one_per_click(self):
-        state = prepare_state(small_config(), small_data())
+        audit = AuditTrail()
+        state = prepare_state(small_config(), small_data(), audit=audit)
         train_cycle(state)
-        before = dict(state.metrics.provider_clicks)
+        seeded = len(audit.lines)
         run_day(state)
-        gained = sum(state.metrics.provider_clicks.values()) - sum(before.values())
-        assert gained == state.metrics.total_clicks
+        assert sum(state.metrics.provider_clicks.values()) == len(audit.lines) - seeded > 0
 
 
 class TestWarmupAndSwitching:
