@@ -17,7 +17,7 @@ from recmarket.dataset import (
 spec = SyntheticSpec(consumers=200, items=150, providers=10, niche_fraction=0.1, seed=7)
 log, catalog = generate_synthetic(spec)
 print(f"interactions: {len(log.records)}")
-print(f"items: {len(catalog.items)}  genres: {catalog.genres}")
+print(f"items: {len(catalog.item_ids)}  genres: {catalog.genres}")
 
 seeds = build_preferences(log, catalog, "Horror")
 labels = Counter(s.type_label for s in seeds)
@@ -32,9 +32,8 @@ for genre, weight in sorted(
         print(f"  {genre:12s} {weight:.3f}")
 print(f"  initial history: {len(niche_example.initial_history)} items")
 
-labeled = classify_providers(catalog, "Horror")
-provider_labels = Counter(p.type_label for p in labeled.providers.values())
-print(f"\nprovider labels: {dict(provider_labels)}")
-for pid in sorted(labeled.providers):
-    rec = labeled.providers[pid]
-    print(f"  {pid}: {len(rec.item_ids):3d} items -> {rec.type_label}")
+provider_labels = classify_providers(catalog, "Horror")
+print(f"\nprovider labels: {dict(Counter(provider_labels.values()))}")
+item_counts = Counter(catalog.provider_ids)
+for pid, label in provider_labels.items():
+    print(f"  {pid}: {item_counts[pid]:3d} items -> {label}")

@@ -391,22 +391,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
     log, catalog = dataset.generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["user,item,rating,timestamp"]
-    for rec in log.records:
-        lines.append(f"{rec.consumer_id},{rec.item_id},{rec.rating!r},{rec.timestamp}")
-    (out / "ratings.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    lines = ["item,title,genres"]
-    for item_id in sorted(catalog.items):
-        item = catalog.items[item_id]
-        genres = "|".join(
-            g for g, bit in zip(catalog.genres, item.genre_vector) if bit
-        )
-        lines.append(f"{item_id},item {item_id},{genres}")
-    (out / "items.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    lines = ["item,provider"]
-    for item_id in sorted(catalog.items):
-        lines.append(f"{item_id},{catalog.items[item_id].provider_id}")
-    (out / "providers.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ratings = [f"{r.consumer_id},{r.item_id},{r.rating!r},{r.timestamp}" for r in log.records]
+    items, providers = [], []
+    for item_id, bits, provider_id in zip(
+        catalog.item_ids.tolist(), catalog.genre_matrix.tolist(), catalog.provider_ids
+    ):
+        genres = "|".join(g for g, bit in zip(catalog.genres, bits) if bit)
+        items.append(f"{item_id},item {item_id},{genres}")
+        providers.append(f"{item_id},{provider_id}")
+    for name, header, lines in (
+        ("ratings.csv", "user,item,rating,timestamp", ratings),
+        ("items.csv", "item,title,genres", items),
+        ("providers.csv", "item,provider", providers),
+    ):
+        _write_text(out / name, "\n".join([header, *lines]) + "\n")
     sys.stdout.write(f"wrote ratings.csv, items.csv, providers.csv to {out}\n")
     return 0
 

@@ -14,7 +14,9 @@ import csv
 import logging
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -59,26 +61,18 @@ class InteractionLog:
 
 
 @dataclass(frozen=True)
-class ItemRecord:
-    item_id: int
-    genre_vector: tuple[int, ...]
-    provider_id: str
-
-
-@dataclass(frozen=True)
-class ProviderRecord:
-    provider_id: str
-    item_ids: tuple[int, ...]
-    type_label: str | None = None
-
-
-@dataclass(frozen=True)
 class Catalog:
-    """Item and provider tables over a fixed, ordered genre taxonomy."""
+    """The item table as columns over a fixed, ordered genre taxonomy.
 
-    items: dict[int, ItemRecord]
+    Row ``r`` is the item with the ``r``-th smallest id; every layer that
+    lays items out by catalog row reads this order. ``build_catalog`` makes
+    the columns, and its arrays are read-only, so one catalog can be shared.
+    """
+
+    item_ids: np.ndarray  # int64, ascending
     genres: tuple[str, ...]
-    providers: dict[str, ProviderRecord]
+    genre_matrix: np.ndarray  # bool, rows x genres
+    provider_ids: tuple[str, ...]  # each row's provider
 
     def genre_index(self, genre: str) -> int | None:
         try:
@@ -90,7 +84,7 @@ class Catalog:
         g = self.genre_index(genre)
         if g is None:
             return []
-        return sorted(i for i, rec in self.items.items() if rec.genre_vector[g])
+        return self.item_ids[self.genre_matrix[:, g]].tolist()
 
 
 @dataclass(frozen=True)
@@ -190,8 +184,9 @@ def load_catalog(items_path: str | Path, providers_path: str | Path) -> Catalog:
     """Load the item table (``item,title,genres``) and provider map (``item,provider``).
 
     Genres are pipe-delimited within the items file, and each item id has
-    one row in each file. The taxonomy is the sorted union of genres seen
-    in the file.
+    one row in each file: an item without a provider row, or a provider row
+    without an item, is an error. The taxonomy is the sorted union of genres
+    seen in the file.
     """
     raw_items: dict[int, list[str]] = {}
     for where, (item, _title, names) in _csv_rows(Path(items_path), ("item", "title", "genres")):
@@ -207,34 +202,37 @@ def load_catalog(items_path: str | Path, providers_path: str | Path) -> Catalog:
     missing = sorted(set(raw_items) - set(provider_of))
     if missing:
         raise DataError(f"{len(missing)} items missing from provider map, first: {missing[:5]}")
+    unknown = sorted(set(provider_of) - set(raw_items))
+    if unknown:
+        raise DataError(
+            f"{len(unknown)} provider-map items missing from items file, first: {unknown[:5]}"
+        )
 
     taxonomy = tuple(sorted({g for gs in raw_items.values() for g in gs}))
-    return build_catalog(
-        [(i, gs, provider_of[i]) for i, gs in sorted(raw_items.items())], taxonomy
-    )
+    return build_catalog([(i, gs, provider_of[i]) for i, gs in raw_items.items()], taxonomy)
 
 
 def build_catalog(
     item_rows: Iterable[tuple[int, Sequence[str], str]],
     genres: Sequence[str],
 ) -> Catalog:
-    """Assemble a Catalog from (item_id, genre names, provider_id) rows."""
+    """Assemble a Catalog from (item_id, genre names, provider_id) rows in
+    any order. Each item id has one row, with at least one genre."""
     taxonomy = tuple(genres)
     index = {g: k for k, g in enumerate(taxonomy)}
-    items: dict[int, ItemRecord] = {}
-    provider_items: dict[str, list[int]] = {}
-    for item_id, item_genres, provider_id in item_rows:
-        vec = [0] * len(taxonomy)
-        for g in item_genres:
-            vec[index[g]] = 1
-        if not any(vec):
+    rows = sorted(item_rows, key=itemgetter(0))
+    item_ids = np.array([row[0] for row in rows], dtype=np.int64)
+    repeated = item_ids[1:][item_ids[1:] == item_ids[:-1]]
+    if repeated.size:
+        raise DataError(f"item {repeated[0]} appears in more than one catalog row")
+    genre_matrix = np.zeros((len(rows), len(taxonomy)), dtype=bool)
+    for r, (item_id, item_genres, _provider) in enumerate(rows):
+        if not item_genres:
             raise DataError(f"item {item_id} has no genres")
-        items[item_id] = ItemRecord(item_id, tuple(vec), provider_id)
-        provider_items.setdefault(provider_id, []).append(item_id)
-    providers = {
-        pid: ProviderRecord(pid, tuple(sorted(ids))) for pid, ids in provider_items.items()
-    }
-    return Catalog(items=items, genres=taxonomy, providers=providers)
+        genre_matrix[r, [index[g] for g in item_genres]] = True
+    item_ids.flags.writeable = False
+    genre_matrix.flags.writeable = False
+    return Catalog(item_ids, taxonomy, genre_matrix, tuple(row[2] for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +262,10 @@ def build_preferences(
         np.fromiter(map(itemgetter(k), log.records), dtype, len(log.records))
         for k, dtype in enumerate((np.int64, np.int64, float))
     )
-    item_ids = np.array(sorted(catalog.items), dtype=np.int64)
-    unknown = np.flatnonzero(~np.isin(item, item_ids))
+    unknown = np.flatnonzero(~np.isin(item, catalog.item_ids))
     if unknown.size:
         raise DataError(f"rated item {item[unknown[0]]} not in catalog")
-    genre_mat = np.array([catalog.items[i].genre_vector for i in item_ids.tolist()], dtype=bool)
-    rated = genre_mat[np.searchsorted(item_ids, item)]  # record x genre
+    rated = catalog.genre_matrix[np.searchsorted(catalog.item_ids, item)]  # record x genre
 
     consumer_ids, rows = np.unique(consumer, return_inverse=True)
     record, genre = np.nonzero(rated)  # record order, then genre order
@@ -299,34 +295,21 @@ def build_preferences(
     return seeds
 
 
-def classify_providers(catalog: Catalog, niche_genre: str) -> Catalog:
-    """Return a catalog copy whose providers carry Niche/Generic labels.
+def classify_providers(catalog: Catalog, niche_genre: str) -> dict[str, str]:
+    """Each provider's Niche/Generic label, by provider id in ascending order.
 
     A provider is Niche when strictly more than half of its items carry the
-    niche genre; providers with no items are labeled Generic with a warning.
+    niche genre.
     """
     niche_idx = catalog.genre_index(niche_genre)
-    labeled: dict[str, ProviderRecord] = {}
-    counts = {NICHE: 0, GENERIC: 0}
-    empty = 0
-    for pid in sorted(catalog.providers):
-        rec = catalog.providers[pid]
-        if not rec.item_ids:
-            empty += 1
-            label = GENERIC
-        elif niche_idx is None:
-            label = GENERIC
-        else:
-            niche_items = sum(
-                1 for i in rec.item_ids if catalog.items[i].genre_vector[niche_idx]
-            )
-            label = NICHE if 2 * niche_items > len(rec.item_ids) else GENERIC
-        counts[label] += 1
-        labeled[pid] = replace(rec, type_label=label)
-    if empty:
-        warnings.warn(f"{empty} providers have no items; labeled Generic", stacklevel=2)
+    items = Counter(catalog.provider_ids)
+    niche = Counter()
+    if niche_idx is not None:
+        niche = Counter(compress(catalog.provider_ids, catalog.genre_matrix[:, niche_idx].tolist()))
+    labels = {p: NICHE if 2 * niche[p] > n else GENERIC for p, n in sorted(items.items())}
+    counts = Counter(labels.values())
     logger.info("provider labels: %d Niche, %d Generic", counts[NICHE], counts[GENERIC])
-    return replace(catalog, providers=labeled)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +451,7 @@ def _generate_labelled(
     canon = pure_ids[: min(CANON_SIZE, n_pure)]
     tagged_ids = np.arange(n_pure + n_cross)
     generic_ids = np.arange(n_pure + n_cross, spec.items)
-    generic_genres = np.array([catalog.items[i].genre_vector for i in generic_ids.tolist()], bool)
+    generic_genres = catalog.genre_matrix[generic_ids]  # item ids are catalog rows
     # A niche consumer's picks beyond the canon come from the tagged items after it
     n_tag = min(max(RATINGS_PER_CONSUMER // 2, len(canon) + 2), len(tagged_ids))
     n_canon = min(len(canon), n_tag)

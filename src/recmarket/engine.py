@@ -229,9 +229,8 @@ class MetricsReport:
 
 @dataclass
 class _SimIndex:
-    """Catalog-row lookups. Row ``r`` is the ``r``-th smallest catalog item id."""
+    """Lookups by catalog row (``Catalog``'s row order)."""
 
-    item_ids: np.ndarray  # sorted catalog item ids
     provider_type_of_row: list[str]
     pools: dict[str, np.ndarray]  # recommender id -> candidate catalog rows (ascending)
     sims: np.ndarray  # consumer row x catalog row cosine similarity
@@ -239,22 +238,14 @@ class _SimIndex:
 
 def _build_index(
     catalog: Catalog,
+    provider_labels: Mapping[str, str],
     consumers: Sequence[ConsumerState],
     recommenders: Sequence[RecommenderConfig],
 ) -> _SimIndex:
-    item_ids = np.array(sorted(catalog.items), dtype=np.int64)
-    genre_mat = np.array(
-        [catalog.items[int(i)].genre_vector for i in item_ids], dtype=float
-    )
-    provider_type = [
-        catalog.providers[catalog.items[int(i)].provider_id].type_label
-        for i in item_ids
-    ]
-
     pools: dict[str, np.ndarray] = {}
     for rec in recommenders:
         if rec.specialization == ALL_GENRES:
-            pools[rec.recommender_id] = np.arange(len(item_ids))
+            pools[rec.recommender_id] = np.arange(len(catalog.item_ids))
         else:
             g = catalog.genre_index(rec.specialization)
             if g is None:
@@ -262,11 +253,11 @@ def _build_index(
                     f"{rec.recommender_id}: specialization genre "
                     f"{rec.specialization!r} not in catalog taxonomy"
                 )
-            pools[rec.recommender_id] = np.flatnonzero(genre_mat[:, g] > 0)
+            pools[rec.recommender_id] = np.flatnonzero(catalog.genre_matrix[:, g])
 
     pref = np.array([c.preference_vector for c in consumers], dtype=float)
-    sims = behavior.genre_similarities(pref, genre_mat)
-    return _SimIndex(item_ids, provider_type, pools, sims)
+    sims = behavior.genre_similarities(pref, catalog.genre_matrix)
+    return _SimIndex([provider_labels[p] for p in catalog.provider_ids], pools, sims)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +313,7 @@ def prepare_state(
     """Validate the config, derive consumer profiles, and seed the store."""
     config.validate()
     log, catalog = data
-    catalog = classify_providers(catalog, config.niche_genre)
+    labels = classify_providers(catalog, config.niche_genre)
     seeds = build_preferences(
         log, catalog, config.niche_genre, history_threshold=config.history_threshold
     )
@@ -340,15 +331,15 @@ def prepare_state(
         for s in seeds
     ]
 
-    index = _build_index(catalog, consumers, config.recommenders)
+    index = _build_index(catalog, labels, consumers, config.recommenders)
     active = sorted(r.recommender_id for r in config.recommenders)
     store = ProfileStore.create(
-        config.store_policy, active, [c.consumer_id for c in consumers], index.item_ids, audit
+        config.store_policy, active, [c.consumer_id for c in consumers], catalog.item_ids, audit
     )
     portability.seed_histories(store, home, {s.consumer_id: s.initial_history for s in seeds})
 
     longest = max(r.popular_list_size for r in config.recommenders)
-    popular = np.searchsorted(index.item_ids, recommender.popular_list(log, longest))
+    popular = np.searchsorted(catalog.item_ids, recommender.popular_list(log, longest))
     global_popular = {
         r.recommender_id: popular[: r.popular_list_size] for r in config.recommenders
     }
@@ -382,10 +373,10 @@ def _fit(
     consumer_ids = np.fromiter(state.store.consumer_rows, np.int64)  # in row order
     users, items = visible.any(axis=1), visible.any(axis=0)
     model = recommender.fit(
-        visible[users][:, items], consumer_ids[users], state.index.item_ids[items],
+        visible[users][:, items], consumer_ids[users], state.catalog.item_ids[items],
         config, seed, state.cycle,
     )
-    return CatalogModel.align(model, state.index.item_ids)
+    return CatalogModel.align(model, state.catalog.item_ids)
 
 
 def _fit_key(visible: np.ndarray, config: RecommenderConfig, seed: int, cycle: int) -> tuple:
@@ -518,7 +509,7 @@ def run_day(state: EcosystemState) -> None:
         )
         if picked is not None:
             row = int(rows[picked])
-            item = int(state.index.item_ids[row])
+            item = int(state.catalog.item_ids[row])
             portability.record_click(state.store, consumer.consumer_id, rid, item, state.day)
             state.metrics.provider_clicks[state.index.provider_type_of_row[row]] += 1
         if per_day_switching:

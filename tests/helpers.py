@@ -194,6 +194,22 @@ def assert_engine_invariants(
     assert_matrices_index_lists(store)
 
 
+def catalog_tables(catalog: Catalog) -> tuple:
+    """The catalog as plain Python values, for comparing catalogs: its
+    taxonomy, one (item id, genre bits, provider id) row per item in id
+    order, and one (provider id, item ids) row per provider in id order."""
+    item_ids = catalog.item_ids.tolist()
+    provider_items: dict[str, list[int]] = {}
+    for item_id, provider_id in zip(item_ids, catalog.provider_ids):
+        provider_items.setdefault(provider_id, []).append(item_id)
+    bits = [tuple(row) for row in catalog.genre_matrix.astype(int).tolist()]
+    return (
+        catalog.genres,
+        list(zip(item_ids, bits, catalog.provider_ids)),
+        [(p, tuple(ids)) for p, ids in sorted(provider_items.items())],
+    )
+
+
 # ---------------------------------------------------------------------------
 # Per-item serving and selection oracles
 # ---------------------------------------------------------------------------
@@ -318,10 +334,10 @@ def serve_ids(
     return Slate(recommender_id, consumer_id, tuple(int(i) for i in item_ids[rows]), tier)
 
 
-def genre_similarity(preference: Sequence[float], genre_vector: Sequence[int]) -> float:
+def genre_similarity(preference: Sequence[float], genres: Sequence[int]) -> float:
     """Cosine similarity; 0 when either vector is all zeros."""
     p = np.asarray(preference, dtype=float)
-    g = np.asarray(genre_vector, dtype=float)
+    g = np.asarray(genres, dtype=float)
     pn = math.sqrt(float(p @ p))
     gn = math.sqrt(float(g @ g))
     if pn == 0.0 or gn == 0.0:
@@ -329,12 +345,19 @@ def genre_similarity(preference: Sequence[float], genre_vector: Sequence[int]) -
     return float(p @ g) / (pn * gn)
 
 
+def item_genres(catalog: Catalog, item_id: int) -> np.ndarray:
+    """The genre matrix row of one catalog item."""
+    row = int(np.searchsorted(catalog.item_ids, item_id))
+    assert catalog.item_ids[row] == item_id, f"item {item_id} not in catalog"
+    return catalog.genre_matrix[row]
+
+
 def list_utility(consumer: ConsumerState, slate: Slate, catalog: Catalog) -> float:
     """Mean similarity of slate items to the consumer's preferences (0 if empty)."""
     if not slate.item_ids:
         return 0.0
     sims = [
-        genre_similarity(consumer.preference_vector, catalog.items[i].genre_vector)
+        genre_similarity(consumer.preference_vector, item_genres(catalog, i))
         for i in slate.item_ids
     ]
     return sum(sims) / len(sims)
@@ -352,7 +375,7 @@ def select_item(
         return None
     sims = np.array(
         [
-            genre_similarity(consumer.preference_vector, catalog.items[i].genre_vector)
+            genre_similarity(consumer.preference_vector, item_genres(catalog, i))
             for i in slate.item_ids
         ]
     )
@@ -470,9 +493,10 @@ def build_preferences_per_record(
     n_genres = len(catalog.genres)
     niche_idx = catalog.genre_index(niche_genre)
 
+    row_of = {item_id: row for row, item_id in enumerate(catalog.item_ids.tolist())}
     by_consumer: dict[int, list[RatingRecord]] = {}
     for rec in log.records:
-        if rec.item_id not in catalog.items:
+        if rec.item_id not in row_of:
             raise DataError(f"rated item {rec.item_id} not in catalog")
         by_consumer.setdefault(rec.consumer_id, []).append(rec)
 
@@ -482,9 +506,9 @@ def build_preferences_per_record(
         mass = np.zeros(n_genres)
         history: list[int] = []
         for rec in by_consumer[consumer_id]:
-            item = catalog.items[rec.item_id]
-            share = rec.rating / sum(item.genre_vector)
-            for g, bit in enumerate(item.genre_vector):
+            genres = catalog.genre_matrix[row_of[rec.item_id]].tolist()
+            share = rec.rating / sum(genres)
+            for g, bit in enumerate(genres):
                 if bit:
                     mass[g] += share
             if rec.rating >= history_threshold:

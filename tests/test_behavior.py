@@ -24,9 +24,9 @@ def consumer_with(pref, current="generic"):
     )
 
 
-def sims_of(pref, genre_vectors):
+def sims_of(pref, genre_rows):
     """Similarities of one consumer's preference to each item, in slate order."""
-    genres = np.array(genre_vectors, dtype=float).reshape(-1, len(pref))
+    genres = np.array(genre_rows, dtype=float).reshape(-1, len(pref))
     return genre_similarities(np.array([pref], dtype=float), genres)[0]
 
 

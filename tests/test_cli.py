@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import run_from_scratch
+from helpers import catalog_tables, run_from_scratch
 from recmarket import cli, dataset, engine, recommender
 from recmarket.behavior import BehaviorParams
 from recmarket.cli import (
@@ -395,8 +395,8 @@ class TestRelabelling:
             for name, files in relabelled.items()
         }
         original = catalogs["original"]
-        assert sorted(catalogs["items"].items) == [3 * i + 7 for i in sorted(original.items)]
-        assert sorted(catalogs["providers"].providers) == ["z" + p for p in sorted(original.providers)]
+        assert catalogs["items"].item_ids.tolist() == [3 * i + 7 for i in original.item_ids]
+        assert catalogs["providers"].provider_ids == tuple("z" + p for p in original.provider_ids)
         assert len(outputs["original"]) == 10  # five reports, four CSVs and the summary
         assert outputs["original"]["switch_events.csv"].count(b"\n") > 1  # consumers switched
         assert outputs["items"] == outputs["original"]
@@ -558,18 +558,32 @@ class TestMainEntry:
         data = synth_files(tmp_path / "data")
         log = dataset.load_ratings(data / "ratings.csv", fmt="csv")
         catalog = dataset.load_catalog(data / "items.csv", data / "providers.csv")
-        direct = dataset.generate_synthetic(
+        direct_log, direct_catalog = dataset.generate_synthetic(
             dataset.SyntheticSpec(
                 consumers=25, items=60, providers=5, niche_fraction=0.12, seed=5
             )
         )
-        assert (log, catalog) == direct
+        assert log == direct_log
+        assert catalog_tables(catalog) == catalog_tables(direct_catalog)
 
         config = write(tmp_path, files_run(data), "files.ini")
         assert (
             cli.main(["run", "--config", str(config), "--out", str(tmp_path / "fo")]) == 0
         )
         capsys.readouterr()
+
+    def test_synth_writes_each_file_atomically(self, tmp_path, monkeypatch):
+        written = []
+        atomic = cli._write_atomically
+
+        def recorded(path, write):
+            written.append(path.name)
+            atomic(path, write)
+
+        monkeypatch.setattr(cli, "_write_atomically", recorded)
+        data = synth_files(tmp_path / "data")
+        assert written == ["ratings.csv", "items.csv", "providers.csv"]
+        assert sorted(p.name for p in data.iterdir()) == sorted(written)  # no temporary left
 
     def test_file_data_niche_genre_outside_the_items_names_the_key(
         self, tmp_path, capsys, monkeypatch

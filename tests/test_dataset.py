@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_preferences_per_record
+from helpers import build_preferences_per_record, catalog_tables
 from recmarket import dataset
 from recmarket.dataset import (
     GENERIC,
@@ -197,8 +197,7 @@ class TestBuildPreferences:
         cat = catalog3({1: (["Horror"], "p0"), 2: (["Drama"], "p1")})
         log = InteractionLog((RatingRecord(1, 1, 5.0, 0), RatingRecord(2, 2, 5.0, 1)))
         assert {s.type_label for s in build_preferences(log, cat, "Jazz")} == {GENERIC}
-        labeled = classify_providers(cat, "Jazz")
-        assert {p.type_label for p in labeled.providers.values()} == {GENERIC}
+        assert classify_providers(cat, "Jazz") == {"p0": GENERIC, "p1": GENERIC}
 
 
 class TestClassifyProviders:
@@ -211,8 +210,7 @@ class TestClassifyProviders:
                 4: (["Drama"], "pN"),
             }
         )
-        labeled = classify_providers(cat, "Horror")
-        assert labeled.providers["pN"].type_label == NICHE
+        assert classify_providers(cat, "Horror") == {"pN": NICHE}
 
     def test_exactly_half_is_generic_and_order_invariant(self):
         items = {
@@ -221,27 +219,46 @@ class TestClassifyProviders:
             3: (["Horror"], "pH"),
             4: (["Romance"], "pH"),
         }
-        labeled = classify_providers(catalog3(items), "Horror")
-        assert labeled.providers["pH"].type_label == GENERIC
+        assert classify_providers(catalog3(items), "Horror") == {"pH": GENERIC}
         reordered = build_catalog(
             [(i, gs, p) for i, (gs, p) in reversed(list(items.items()))], G3
         )
-        assert classify_providers(reordered, "Horror").providers["pH"].type_label == GENERIC
+        assert classify_providers(reordered, "Horror") == {"pH": GENERIC}
 
-    def test_zero_item_provider_warns_generic(self):
-        cat = catalog3({1: (["Horror"], "pN")})
-        cat.providers["empty"] = type(cat.providers["pN"])("empty", ())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            labeled = classify_providers(cat, "Horror")
-        assert labeled.providers["empty"].type_label == GENERIC
-        assert any("no items" in str(w.message) for w in caught)
+    def test_every_provider_is_labelled_in_id_order(self):
+        cat = catalog3({5: (["Drama"], "pb"), 3: (["Horror"], "pc"), 1: (["Drama"], "pa")})
+        labels = classify_providers(cat, "Horror")
+        assert list(labels.items()) == [("pa", GENERIC), ("pb", GENERIC), ("pc", NICHE)]
+
+
+class TestBuildCatalog:
+    def test_rows_are_items_in_id_order(self):
+        cat = catalog3({7: (["Romance"], "p1"), 2: (["Drama", "Horror"], "p0")})
+        assert cat.item_ids.tolist() == [2, 7]
+        assert cat.item_ids.dtype == np.int64
+        assert cat.genre_matrix.tolist() == [[True, True, False], [False, False, True]]
+        assert cat.provider_ids == ("p0", "p1")
+        assert cat.items_with_genre("Horror") == [2]
+
+    def test_repeated_item_id_errors(self):
+        rows = [(1, ["Horror"], "p0"), (2, ["Drama"], "p0"), (1, ["Drama"], "p1")]
+        with pytest.raises(DataError, match="item 1 appears in more than one catalog row"):
+            build_catalog(rows, G3)
+
+    @pytest.mark.parametrize("column", ["item_ids", "genre_matrix"])
+    def test_columns_are_read_only(self, column):
+        # One catalog is shared by every branch of a suite
+        array = getattr(catalog3({1: (["Drama"], "p0"), 2: (["Horror"], "p1")}), column)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 class TestGenerateSynthetic:
     def test_deterministic_for_fixed_seed(self):
         spec = SyntheticSpec(consumers=30, items=50, providers=5, niche_fraction=0.2, seed=7)
-        assert generate_synthetic(spec) == generate_synthetic(spec)
+        (log_a, cat_a), (log_b, cat_b) = generate_synthetic(spec), generate_synthetic(spec)
+        assert log_a == log_b
+        assert catalog_tables(cat_a) == catalog_tables(cat_b)
 
     def test_different_seeds_differ(self):
         a = generate_synthetic(
@@ -250,7 +267,7 @@ class TestGenerateSynthetic:
         b = generate_synthetic(
             SyntheticSpec(consumers=30, items=50, providers=5, niche_fraction=0.2, seed=8)
         )
-        assert a != b
+        assert (a[0], catalog_tables(a[1])) != (b[0], catalog_tables(b[1]))
 
     # seed 2104's first draw realizes 27 niche consumers of 25 and is redrawn
     @pytest.mark.parametrize("size,seed", [((500, 300, 20), 1), ((250, 150, 10), 2104)])
@@ -280,8 +297,7 @@ class TestGenerateSynthetic:
         log, cat = generate_synthetic(
             SyntheticSpec(consumers=30, items=50, providers=5, niche_fraction=0.2, seed=2)
         )
-        labeled = classify_providers(cat, "Horror")
-        assert any(p.type_label == NICHE for p in labeled.providers.values())
+        assert NICHE in classify_providers(cat, "Horror").values()
 
     def test_niche_genre_outside_the_taxonomy_errors(self):
         spec = SyntheticSpec(
@@ -311,11 +327,7 @@ def synthetic_digests(consumers, items, providers, seed):
     """sha256 of the generated log's records and of its catalog's tables."""
     log, cat = generate_synthetic(SyntheticSpec(consumers, items, providers, seed=seed))
     records = [tuple(r) for r in log.records]
-    tables = (
-        cat.genres,
-        [(i, rec.genre_vector, rec.provider_id) for i, rec in sorted(cat.items.items())],
-        [(p, rec.item_ids) for p, rec in sorted(cat.providers.items())],
-    )
+    tables = catalog_tables(cat)
     return tuple(hashlib.sha256(repr(x).encode()).hexdigest() for x in (records, tables))
 
 
@@ -367,20 +379,28 @@ class TestLoadCatalog:
         log, cat = generate_synthetic(spec)
         items_lines = ["item,title,genres"]
         prov_lines = ["item,provider"]
-        for i in sorted(cat.items):
-            rec = cat.items[i]
-            genres = "|".join(g for g, b in zip(cat.genres, rec.genre_vector) if b)
+        for i, bits, provider in zip(cat.item_ids.tolist(), cat.genre_matrix, cat.provider_ids):
+            genres = "|".join(g for g, b in zip(cat.genres, bits) if b)
             items_lines.append(f"{i},title {i},{genres}")
-            prov_lines.append(f"{i},{rec.provider_id}")
+            prov_lines.append(f"{i},{provider}")
         (tmp_path / "items.csv").write_text("\n".join(items_lines) + "\n")
         (tmp_path / "providers.csv").write_text("\n".join(prov_lines) + "\n")
         loaded = load_catalog(tmp_path / "items.csv", tmp_path / "providers.csv")
-        assert loaded == cat
+        assert catalog_tables(loaded) == catalog_tables(cat)
 
     def test_missing_provider_mapping_errors(self, tmp_path):
         (tmp_path / "items.csv").write_text("item,title,genres\n1,x,Drama\n")
         (tmp_path / "providers.csv").write_text("item,provider\n")
         with pytest.raises(DataError, match="provider map"):
+            load_catalog(tmp_path / "items.csv", tmp_path / "providers.csv")
+
+    def test_provider_row_without_an_item_errors(self, tmp_path):
+        # Dropping the row would make provider p2 vanish from the catalog
+        (tmp_path / "items.csv").write_text("item,title,genres\n1,x,Drama\n2,y,Horror\n")
+        (tmp_path / "providers.csv").write_text("item,provider\n1,p1\n2,p1\n3,p2\n")
+        with pytest.raises(
+            DataError, match=r"1 provider-map items missing from items file, first: \[3\]"
+        ):
             load_catalog(tmp_path / "items.csv", tmp_path / "providers.csv")
 
     @pytest.mark.parametrize("repeated", ["items", "providers"])
@@ -453,7 +473,8 @@ class TestFileMetamorphic:
     def test_catalog_row_order_is_irrelevant(self, tmp_path, rows, data):
         expected = written_catalog(tmp_path, rows, rows)
         items, providers = data.draw(st.permutations(rows)), data.draw(st.permutations(rows))
-        assert written_catalog(tmp_path, items, providers) == expected
+        shuffled = written_catalog(tmp_path, items, providers)
+        assert catalog_tables(shuffled) == catalog_tables(expected)
 
 
 def assert_same_seeds(seeds, expected):
@@ -567,4 +588,5 @@ class TestByteOrderMark:
         catalog = written_catalog(tmp_path, rows, rows)
         files = {name: tmp_path / name for name in ("items.csv", "providers.csv")}
         files[marked] = with_bom(files[marked])
-        assert load_catalog(files["items.csv"], files["providers.csv"]) == catalog
+        loaded = load_catalog(files["items.csv"], files["providers.csv"])
+        assert catalog_tables(loaded) == catalog_tables(catalog)

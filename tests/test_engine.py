@@ -299,7 +299,7 @@ class TestServeMirrorsRecommend:
             for rid in state.active:
                 view = portability.training_view(state.store, rid)
                 for k, consumer in enumerate(state.consumers):
-                    got = {int(i) for i in state.index.item_ids[state.store.visible[rid][k]]}
+                    got = {int(i) for i in state.catalog.item_ids[state.store.visible[rid][k]]}
                     expected = portability.visible_items(state.store, rid, consumer.consumer_id)
                     assert got == expected, (state.day, rid, consumer.consumer_id)
                     listed = [item for item, _day in view.get(consumer.consumer_id, ())]
@@ -324,7 +324,7 @@ class TestServeMirrorsRecommend:
             rec_config = state.rec_configs[rid]
             model = state.models[rid].model
             if rec_config.specialization == ALL_GENRES:
-                pool = sorted(state.catalog.items)
+                pool = state.catalog.item_ids.tolist()
             else:
                 pool = state.catalog.items_with_genre(rec_config.specialization)
             seen = portability.visible_items(state.store, rid, cid)
@@ -347,7 +347,7 @@ class TestServeMirrorsRecommend:
                 rid,
             )
             tier, rows = original_serve(state, row, consumer)
-            got = Slate(rid, cid, tuple(int(i) for i in state.index.item_ids[rows]), tier)
+            got = Slate(rid, cid, tuple(int(i) for i in state.catalog.item_ids[rows]), tier)
             assert got == expected, (state.day, cid)
             tiers[tier] += 1
             last.update(state=state, consumer=consumer, slate=expected)
@@ -422,7 +422,7 @@ class TestServeMirrorsRecommend:
         rid = consumer.current_recommender
         # force the fallback tier by blanking the model and store
         empty = recommender.TrainedModel.empty(2)
-        state.models[rid] = recommender.CatalogModel.align(empty, state.index.item_ids)
+        state.models[rid] = recommender.CatalogModel.align(empty, state.catalog.item_ids)
         state.store.shared.clear()
         state.store.per_recommender.get(rid, {}).clear()
         state.store.visible[rid][:] = False  # the lists' index, blanked with them
@@ -432,12 +432,12 @@ class TestServeMirrorsRecommend:
             config.seed, "consumer", consumer.consumer_id
         )
         tier, rows = engine._serve(state, 0, consumer)
-        items = tuple(int(i) for i in state.index.item_ids[rows])
+        items = tuple(int(i) for i in state.catalog.item_ids[rows])
         popular = recommender.popular_list(data[0], state.rec_configs[rid].popular_list_size)
         expected = recommend(
             consumer.consumer_id,
             empty,
-            sorted(state.catalog.items),
+            state.catalog.item_ids.tolist(),
             config.slate_size,
             seed_rng,
             ServingContext(subscriber_counts={}, global_popular=popular),
@@ -537,7 +537,7 @@ class TestSeedingMatchesPerClick:
             config.store_policy,
             state.active,
             [s.consumer_id for s in seeds],
-            sorted(catalog.items),
+            catalog.item_ids,
             AuditTrail() if audited else None,
         )
         histories = {s.consumer_id: s.initial_history for s in seeds}
