@@ -19,18 +19,19 @@ log, catalog = generate_synthetic(spec)
 print(f"interactions: {len(log.records)}")
 print(f"items: {len(catalog.item_ids)}  genres: {catalog.genres}")
 
-seeds = build_preferences(log, catalog, "Horror")
-labels = Counter(s.type_label for s in seeds)
-print(f"consumers: {len(seeds)}  labels: {dict(labels)}")
+# One row per consumer, in id order: preference vectors, labels and histories
+consumers = build_preferences(log, catalog, "Horror")
+labels = Counter(consumers.type_labels)
+print(f"consumers: {len(consumers)}  labels: {dict(labels)}")
 
-niche_example = next(s for s in seeds if s.type_label == "Niche")
+row = consumers.type_labels.index("Niche")
 print("\none niche consumer's preference vector:")
 for genre, weight in sorted(
-    zip(catalog.genres, niche_example.preference_vector), key=lambda kv: -kv[1]
+    zip(catalog.genres, consumers.preferences[row].tolist()), key=lambda kv: -kv[1]
 ):
     if weight > 0.005:
         print(f"  {genre:12s} {weight:.3f}")
-print(f"  initial history: {len(niche_example.initial_history)} items")
+print(f"  initial history: {len(consumers.histories[row])} items")
 
 provider_labels = classify_providers(catalog, "Horror")
 print(f"\nprovider labels: {dict(Counter(provider_labels.values()))}")

@@ -5,7 +5,9 @@ stretches of recommendations, then prints the full two-recommender switch
 decision table.
 """
 
-from recmarket.behavior import BehaviorParams, ConsumerState, maybe_switch, update_utility
+import numpy as np
+
+from recmarket.behavior import BehaviorParams, maybe_switch, update_utility
 
 params = BehaviorParams()  # recency_bias 2.0, thresholds 0.2
 
@@ -23,19 +25,12 @@ for day in range(1, 5):
 
 print("\nswitch decision table (current estimate x alternative):")
 print(f"{'current':>8s} {'alternative':>12s} {'decision':>10s}")
+columns = ["generic", "niche"]  # a consumer's row: one column per recommender, by id
 for current in (0.15, 0.25):
     for alternative in (None, 0.10, 0.30):
-        consumer = ConsumerState(
-            consumer_id=0,
-            preference_vector=(1.0,),
-            type_label="Generic",
-            current_recommender="generic",
-        )
-        consumer.utility_estimates["generic"] = current
-        if alternative is not None:
-            consumer.tried.add("niche")
-            consumer.utility_estimates["niche"] = alternative
-        destination = maybe_switch(consumer, params, ["generic", "niche"])
+        estimates = np.array([current, np.nan if alternative is None else alternative])
+        tried = np.array([True, alternative is not None])
+        column = maybe_switch(estimates, tried, columns.index("generic"), params)
         alt = "untried" if alternative is None else f"{alternative:.2f}"
-        outcome = "stay" if destination is None else f"-> {destination}"
+        outcome = "stay" if column is None else f"-> {columns[column]}"
         print(f"{current:>8.2f} {alt:>12s} {outcome:>10s}")

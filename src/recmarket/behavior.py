@@ -4,8 +4,7 @@ item selection, and the threshold rule for switching recommenders."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +32,6 @@ class BehaviorParams:
             raise ConfigError("satisfaction_threshold (tau) must lie in [0, 1]")
         if not 0.0 <= self.select_threshold <= 1.0:
             raise ConfigError("select_threshold must lie in [0, 1]")
-
-
-@dataclass
-class ConsumerState:
-    """Mutable per-consumer simulation state."""
-
-    consumer_id: int
-    preference_vector: tuple[float, ...]
-    type_label: str
-    current_recommender: str
-    utility_estimates: dict[str, float] = field(default_factory=dict)
-    tried: set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        self.tried.add(self.current_recommender)
 
 
 def genre_similarities(preferences: np.ndarray, genre_matrix: np.ndarray) -> np.ndarray:
@@ -106,36 +90,29 @@ def choose_item(
 
 
 def maybe_switch(
-    consumer: ConsumerState,
+    estimates_row: np.ndarray,
+    tried_row: np.ndarray,
+    current_column: int,
     params: BehaviorParams,
-    active: Sequence[str],
-) -> str | None:
-    """Apply the threshold switching rule: the destination's id on a switch,
-    which moves the consumer there, else ``None``.
+) -> int | None:
+    """The threshold switching rule for one consumer: the column to switch
+    to, or ``None`` to stay. It reads and changes nothing else.
 
-    A consumer satisfied with the current recommender (estimate at or above
-    the threshold) stays. Otherwise it moves to the most promising eligible
-    alternative: one it has not tried (ranked above everything), or one whose
-    estimate is at least the current one. Ties break by recommender id.
+    Columns are recommenders in id order; ``estimates_row`` holds the
+    satisfaction estimate of each (NaN where unset) and ``tried_row`` marks
+    those the consumer has used. A consumer satisfied with the current
+    recommender (estimate at or above the threshold) stays. Otherwise it
+    moves to the most promising eligible alternative: one it has not tried
+    (ranked above everything), or one whose estimate is at least the current
+    one, an unset estimate counting as 0. Ties break by recommender id.
     """
-    current = consumer.current_recommender
-    current_estimate = consumer.utility_estimates[current]
+    estimates = estimates_row.tolist()
+    current_estimate = estimates[current_column]
     if current_estimate >= params.satisfaction_threshold:
         return None
-
-    best: tuple[float, str] | None = None
-    for other in sorted(set(active) - {current}):
-        untried = other not in consumer.tried
-        estimate = consumer.utility_estimates.get(other, 0.0)
-        if not untried and estimate < current_estimate:
-            continue
-        rank = math.inf if untried else estimate
-        if best is None or rank > best[0]:
-            best = (rank, other)
-    if best is None:
-        return None
-
-    destination = best[1]
-    consumer.current_recommender = destination
-    consumer.tried.add(destination)
-    return destination
+    best, best_rank = None, -math.inf
+    for column, (estimate, tried) in enumerate(zip(estimates, tried_row.tolist())):
+        rank = (0.0 if math.isnan(estimate) else estimate) if tried else math.inf
+        if column != current_column and rank >= current_estimate and rank > best_rank:
+            best, best_rank = column, rank
+    return best

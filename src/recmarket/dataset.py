@@ -88,13 +88,21 @@ class Catalog:
 
 
 @dataclass(frozen=True)
-class ConsumerProfileSeed:
-    """Derived consumer profile: taste vector, label, and starting history."""
+class Consumers:
+    """The consumer table as columns in consumer-row order.
 
-    consumer_id: int
-    preference_vector: tuple[float, ...]
-    type_label: str
-    initial_history: tuple[int, ...]
+    Row ``r`` is the usable consumer with the ``r``-th smallest id; every
+    layer that lays consumers out by row reads this order.
+    ``build_preferences`` makes the columns, and its arrays are read-only.
+    """
+
+    consumer_ids: np.ndarray  # int64, ascending
+    preferences: np.ndarray  # float64, rows x genres, L1-normalized
+    type_labels: tuple[str, ...]  # each row's Niche/Generic label
+    histories: tuple[tuple[int, ...], ...]  # each row's initial item ids, ascending
+
+    def __len__(self) -> int:
+        return len(self.consumer_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +237,11 @@ def build_catalog(
     for r, (item_id, item_genres, _provider) in enumerate(rows):
         if not item_genres:
             raise DataError(f"item {item_id} has no genres")
-        genre_matrix[r, [index[g] for g in item_genres]] = True
+        try:
+            genre_matrix[r, [index[g] for g in item_genres]] = True
+        except KeyError as exc:
+            genre = exc.args[0]
+            raise DataError(f"item {item_id}: genre {genre!r} is not in the taxonomy") from None
     item_ids.flags.writeable = False
     genre_matrix.flags.writeable = False
     return Catalog(item_ids, taxonomy, genre_matrix, tuple(row[2] for row in rows))
@@ -245,7 +257,7 @@ def build_preferences(
     catalog: Catalog,
     niche_genre: str,
     history_threshold: float = 4.0,
-) -> list[ConsumerProfileSeed]:
+) -> Consumers:
     """Derive per-consumer genre preference vectors and Niche/Generic labels.
 
     Each rating contributes its value split evenly across the item's genres;
@@ -255,7 +267,7 @@ def build_preferences(
     form the consumer's initial implicit-feedback history.
 
     One array pass: each (consumer, genre) sum adds its shares in record
-    order, as a per-record loop does. Seeds ascend by consumer id.
+    order, as a per-record loop does. Rows ascend by consumer id.
     """
     # Not zip(*records): it makes an iterator per record, each tracked by the GC
     consumer, item, rating = (
@@ -283,16 +295,18 @@ def build_preferences(
     kept = np.flatnonzero(usable)
     starts, ends = (np.searchsorted(rows[liked], kept, s).tolist() for s in ("left", "right"))
     history = item[liked].tolist()
-    seeds = [
-        ConsumerProfileSeed(c, tuple(v), NICHE if n else GENERIC, tuple(history[a:b]))
-        for c, v, n, a, b in zip(
-            consumer_ids[kept].tolist(), vectors.tolist(), niche.tolist(), starts, ends
-        )
-    ]
-    skipped = len(consumer_ids) - len(kept)
+    consumer_ids = consumer_ids[kept]
+    consumer_ids.flags.writeable = False
+    vectors.flags.writeable = False
+    skipped = len(usable) - len(kept)
     if skipped:
         warnings.warn(f"excluded {skipped} consumers with no usable ratings", stacklevel=2)
-    return seeds
+    return Consumers(
+        consumer_ids,
+        vectors,
+        tuple(NICHE if n else GENERIC for n in niche.tolist()),
+        tuple(tuple(history[a:b]) for a, b in zip(starts, ends)),
+    )
 
 
 def classify_providers(catalog: Catalog, niche_genre: str) -> dict[str, str]:
@@ -386,13 +400,13 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[InteractionLog, Catalog]:
     for attempt in range(_GENERATION_ATTEMPTS):
         rng = np.random.default_rng([spec.seed, attempt] if attempt else spec.seed)
         log, catalog, designated = _generate_labelled(spec, rng, niche_idx)
-        seeds = build_preferences(log, catalog, spec.niche_genre)
-        realized = {s.consumer_id for s in seeds if s.type_label == NICHE}
-        if abs(len(realized) - len(designated)) <= 1:
+        consumers = build_preferences(log, catalog, spec.niche_genre)
+        realized = consumers.type_labels.count(NICHE)
+        if abs(realized - len(designated)) <= 1:
             return log, catalog
     raise DataError(
         f"synthetic generation drifted: designated {len(designated)} niche "
-        f"consumers, realized {len(realized)}"
+        f"consumers, realized {realized}"
     )
 
 

@@ -20,11 +20,12 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import behavior, portability, recommender
-from .behavior import BehaviorParams, ConsumerState
+from .behavior import BehaviorParams
 from .dataset import (
     GENERIC,
     NICHE,
     Catalog,
+    Consumers,
     InteractionLog,
     build_preferences,
     classify_providers,
@@ -239,7 +240,7 @@ class _SimIndex:
 def _build_index(
     catalog: Catalog,
     provider_labels: Mapping[str, str],
-    consumers: Sequence[ConsumerState],
+    preferences: np.ndarray,
     recommenders: Sequence[RecommenderConfig],
 ) -> _SimIndex:
     pools: dict[str, np.ndarray] = {}
@@ -255,8 +256,7 @@ def _build_index(
                 )
             pools[rec.recommender_id] = np.flatnonzero(catalog.genre_matrix[:, g])
 
-    pref = np.array([c.preference_vector for c in consumers], dtype=float)
-    sims = behavior.genre_similarities(pref, catalog.genre_matrix)
+    sims = behavior.genre_similarities(preferences, catalog.genre_matrix)
     return _SimIndex([provider_labels[p] for p in catalog.provider_ids], pools, sims)
 
 
@@ -277,14 +277,20 @@ class _MetricsAccumulator:
 
 @dataclass
 class EcosystemState:
+    """A scenario's market; per-consumer arrays are by consumer row, then column."""
+
     config: ScenarioConfig
     catalog: Catalog
-    consumers: list[ConsumerState]  # ascending consumer id
+    consumers: Consumers
     type_rows: dict[str, list[int]]  # consumer type -> consumer rows, types sorted
-    store: ProfileStore  # rows: consumers in id order; columns: catalog rows
+    store: ProfileStore  # rows: consumer rows; columns: catalog rows
     index: _SimIndex
     global_popular: dict[str, np.ndarray]  # recommender id -> catalog rows, most popular first
-    consumer_rngs: dict[int, np.random.Generator]
+    columns: list[str]  # recommender ids, ascending
+    current: np.ndarray  # each row's current column
+    estimates: np.ndarray  # float64 satisfaction, rows x columns, NaN where unset
+    tried: np.ndarray  # bool, rows x columns
+    consumer_rngs: list[np.random.Generator]  # by consumer row
     models: dict[str, CatalogModel] = field(default_factory=dict)
     cycle: int = 0
     day: int = 0  # global day counter
@@ -314,43 +320,27 @@ def prepare_state(
     config.validate()
     log, catalog = data
     labels = classify_providers(catalog, config.niche_genre)
-    seeds = build_preferences(
+    consumers = build_preferences(
         log, catalog, config.niche_genre, history_threshold=config.history_threshold
     )
-    if not seeds:
+    if not len(consumers):
         raise ConfigError("no usable consumers in the interaction log")
 
     home = config.home.recommender_id
-    consumers = [
-        ConsumerState(
-            consumer_id=s.consumer_id,
-            preference_vector=s.preference_vector,
-            type_label=s.type_label,
-            current_recommender=home,
-        )
-        for s in seeds
-    ]
-
-    index = _build_index(catalog, labels, consumers, config.recommenders)
-    active = sorted(r.recommender_id for r in config.recommenders)
-    store = ProfileStore.create(
-        config.store_policy, active, [c.consumer_id for c in consumers], catalog.item_ids, audit
-    )
-    portability.seed_histories(store, home, {s.consumer_id: s.initial_history for s in seeds})
+    index = _build_index(catalog, labels, consumers.preferences, config.recommenders)
+    columns = sorted(r.recommender_id for r in config.recommenders)
+    consumer_ids = consumers.consumer_ids.tolist()
+    store = ProfileStore.create(config.store_policy, columns, consumer_ids, catalog.item_ids, audit)
+    portability.seed_histories(store, home, dict(zip(consumer_ids, consumers.histories)))
 
     longest = max(r.popular_list_size for r in config.recommenders)
     popular = np.searchsorted(catalog.item_ids, recommender.popular_list(log, longest))
     global_popular = {
         r.recommender_id: popular[: r.popular_list_size] for r in config.recommenders
     }
-    type_rows = {
-        t: [k for k, c in enumerate(consumers) if c.type_label == t]
-        for t in sorted({c.type_label for c in consumers})
-    }
-    consumer_rngs = {
-        c.consumer_id: derive_rng(config.seed, "consumer", c.consumer_id) for c in consumers
-    }
-    metrics = _MetricsAccumulator(np.zeros(len(consumers)))
+    types = consumers.type_labels
+    type_rows = {t: [k for k, c in enumerate(types) if c == t] for t in sorted(set(types))}
+    current = np.full(len(consumers), columns.index(home))
     return EcosystemState(
         config=config,
         catalog=catalog,
@@ -359,8 +349,12 @@ def prepare_state(
         store=store,
         index=index,
         global_popular=global_popular,
-        consumer_rngs=consumer_rngs,
-        metrics=metrics,
+        columns=columns,
+        current=current,
+        estimates=np.full((len(consumers), len(columns)), np.nan),
+        tried=current[:, None] == np.arange(len(columns)),
+        consumer_rngs=[derive_rng(config.seed, "consumer", c) for c in consumer_ids],
+        metrics=_MetricsAccumulator(np.zeros(len(consumers))),
         collect_day_rows=collect_day_rows,
     )
 
@@ -370,7 +364,7 @@ def _fit(
 ) -> CatalogModel:
     """``recommender.fit`` of the current cycle on the consumers and items
     the visibility matrix ``visible`` has observed, laid out by catalog row."""
-    consumer_ids = np.fromiter(state.store.consumer_rows, np.int64)  # in row order
+    consumer_ids = state.consumers.consumer_ids
     users, items = visible.any(axis=1), visible.any(axis=0)
     model = recommender.fit(
         visible[users][:, items], consumer_ids[users], state.catalog.item_ids[items],
@@ -431,51 +425,56 @@ def _subscriber_counts(state: EcosystemState, rid: str) -> np.ndarray:
     cached = state._fallback_counts.get(rid)
     if cached is not None:
         return cached
-    subscribers = [k for k, c in enumerate(state.consumers) if c.current_recommender == rid]
+    subscribers = state.current == state.columns.index(rid)
     # A profile list never holds an item twice, so its matrix row counts it
     counts = state.store.visible[rid][subscribers].sum(axis=0)
     state._fallback_counts[rid] = counts
     return counts
 
 
-def _serve(
-    state: EcosystemState, row: int, consumer: ConsumerState
-) -> tuple[Provenance, np.ndarray]:
-    """Serve the consumer at consumer row ``row``: the tier and the slate's catalog rows."""
-    rid = consumer.current_recommender
+def _serve(state: EcosystemState, row: int, rid: str) -> tuple[Provenance, np.ndarray]:
+    """Serve consumer row ``row`` at recommender ``rid``: the tier and the
+    slate's catalog rows."""
     pool = state.index.pools[rid]
     return recommender.serve(
         state.models[rid],
-        consumer.consumer_id,
+        state.consumers.consumer_ids.item(row),
         pool[~state.store.visible[rid][row, pool]],
         state.config.slate_size,
-        state.consumer_rngs[consumer.consumer_id],
+        state.consumer_rngs[row],
         lambda: _subscriber_counts(state, rid),
         state.global_popular[rid],
     )
 
 
-def _apply_switch(state: EcosystemState, consumer: ConsumerState, day_in_cycle: int) -> None:
-    from_id = consumer.current_recommender
-    destination = behavior.maybe_switch(consumer, state.config.behavior, state.active)
-    if destination is None:
+def _apply_switch(state: EcosystemState, row: int, day_in_cycle: int) -> None:
+    """Move consumer row ``row`` where ``behavior.maybe_switch`` sends it, if anywhere."""
+    source = state.current.item(row)
+    column = behavior.maybe_switch(
+        state.estimates[row], state.tried[row], source, state.config.behavior
+    )
+    if column is None:
         return
+    state.current[row] = column
+    state.tried[row, column] = True
+    consumer_id = state.consumers.consumer_ids.item(row)
+    from_id, destination = state.columns[source], state.columns[column]
     if state.store.audit is not None:
         state.store.audit.emit(
             "switch",
-            consumer=consumer.consumer_id,
+            consumer=consumer_id,
             source=from_id,
             destination=destination,
             cycle=state.cycle,
             day=state.cycle * state.config.days_per_cycle + day_in_cycle,
         )
-    portability.on_switch(state.store, consumer.consumer_id, from_id, destination)
+    portability.on_switch(state.store, consumer_id, from_id, destination)
     state.metrics.switch_events.append(
         SwitchEvent(
             state.cycle,
             day_in_cycle,
-            consumer.consumer_id,
-            consumer.type_label,
+            consumer_id,
+            state.consumers.type_labels[row],
             from_id,
             destination,
         )
@@ -493,27 +492,27 @@ def run_day(state: EcosystemState) -> None:
         and state.cycle >= cfg.warmup_cycles
     )
     day_utility = np.zeros(len(state.consumers))
-    for k, consumer in enumerate(state.consumers):
-        rid = consumer.current_recommender
-        tier, rows = _serve(state, k, consumer)
+    current, estimates = state.current, state.estimates
+    for k, consumer_id in enumerate(state.consumers.consumer_ids.tolist()):
+        column = current.item(k)
+        rid = state.columns[column]
+        tier, rows = _serve(state, k, rid)
         state.metrics.provenance[tier.value] += 1
         sims = state.index.sims[k, rows]
         mu = behavior.slate_utility(sims)
-        prev = consumer.utility_estimates.get(rid)
-        consumer.utility_estimates[rid] = (
-            mu if prev is None else behavior.update_utility(prev, mu, cfg.behavior.recency_bias)
+        prev = estimates.item(k, column)
+        estimates[k, column] = (
+            mu if math.isnan(prev) else behavior.update_utility(prev, mu, cfg.behavior.recency_bias)
         )
         day_utility[k] = mu
-        picked = behavior.choose_item(
-            sims, cfg.behavior.select_threshold, state.consumer_rngs[consumer.consumer_id]
-        )
+        picked = behavior.choose_item(sims, cfg.behavior.select_threshold, state.consumer_rngs[k])
         if picked is not None:
             row = int(rows[picked])
             item = int(state.catalog.item_ids[row])
-            portability.record_click(state.store, consumer.consumer_id, rid, item, state.day)
+            portability.record_click(state.store, consumer_id, rid, item, state.day)
             state.metrics.provider_clicks[state.index.provider_type_of_row[row]] += 1
         if per_day_switching:
-            _apply_switch(state, consumer, day_in_cycle)
+            _apply_switch(state, k, day_in_cycle)
     state.metrics.cycle_sum += day_utility
     if state.collect_day_rows:
         for ctype, rows in state.type_rows.items():
@@ -534,8 +533,8 @@ def evaluate_switches(state: EcosystemState) -> list[SwitchEvent]:
     if state.cycle < state.config.warmup_cycles:
         raise ConfigError("switch evaluation before the warm-up period has ended")
     before = len(state.metrics.switch_events)
-    for consumer in state.consumers:
-        _apply_switch(state, consumer, state.config.days_per_cycle - 1)
+    for row in range(len(state.consumers)):
+        _apply_switch(state, row, state.config.days_per_cycle - 1)
     return state.metrics.switch_events[before:]
 
 
@@ -666,14 +665,15 @@ def run_experiment_suite(
 
 def _fork(prefix: EcosystemState) -> EcosystemState:
     """A deep copy of the prefix for one branch. Branches share what none of
-    them writes: the catalog, the index and the prefix's store (each branch
-    copies its home lists and matrix into its own). The prefix's models are
-    kept only so that they are not copied: a branch trains every recommender
-    at its first cycle and never reads them. Generators are copied by state:
-    a third of the cost of a deep copy, for the same streams."""
-    keep = (prefix.catalog, prefix.type_rows, prefix.index, prefix.store, *prefix.models.values())
-    memo = {id(x): x for x in keep}
-    for rng in prefix.consumer_rngs.values():
+    them writes: the catalog, the consumer table, the index and the prefix's
+    store (each branch copies its home lists and matrix into its own). The
+    prefix's models are kept only so that they are not copied: a branch
+    trains every recommender at its first cycle and never reads them.
+    Generators are copied by state: a third of the cost of a deep copy, for
+    the same streams."""
+    keep = (prefix.catalog, prefix.consumers, prefix.type_rows, prefix.index, prefix.store)
+    memo = {id(x): x for x in (*keep, *prefix.models.values())}
+    for rng in prefix.consumer_rngs:
         fresh = np.random.Generator(np.random.PCG64(0))
         fresh.bit_generator.state = rng.bit_generator.state
         memo[id(rng)] = fresh

@@ -13,7 +13,9 @@ which must reproduce its factors bit for bit. ``build_preferences_per_record``
 is the per-record reference for the one array pass of
 ``dataset.build_preferences``, and ``seed_per_click`` seeds a store one
 ``record_click`` at a time, the reference for the engine's bulk seeding.
-``run_from_scratch`` runs one
+``maybe_switch_by_id`` is the switching rule over dicts and sets keyed by
+recommender id, the reference for ``behavior.maybe_switch`` over a
+consumer's row of columns. ``run_from_scratch`` runs one
 scenario straight through from cycle 0; a suite, which runs the warm-up once
 and branches it into every scenario, must reproduce it byte for byte.
 """
@@ -24,17 +26,17 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from recmarket import engine
-from recmarket.behavior import BehaviorParams, ConsumerState
+from recmarket.behavior import BehaviorParams
 from recmarket.dataset import (
     GENERIC,
     NICHE,
     Catalog,
-    ConsumerProfileSeed,
+    Consumers,
     InteractionLog,
     RatingRecord,
 )
@@ -183,7 +185,12 @@ def assert_engine_invariants(
     metrics, store = state.metrics, state.store
     # The report's total_clicks is the sum over these two labels
     assert set(metrics.provider_clicks) <= {GENERIC, NICHE}
-    assert all(c.current_recommender in state.active for c in state.consumers)
+    # Every consumer has tried its current recommender, has an estimate only
+    # where it has been, and is at one of the config's recommenders
+    assert state.tried[np.arange(len(state.current)), state.current].all()
+    assert not (~np.isnan(state.estimates) & ~state.tried).any()
+    active = {state.columns.index(rid) for rid in state.active}
+    assert set(state.current.tolist()) <= active
     if store.policy is PortabilityPolicy.UNIVERSAL:
         assert not store.per_recommender
     exclusive = (PortabilityPolicy.COLD_START, PortabilityPolicy.USER_OWNERSHIP)
@@ -192,6 +199,26 @@ def assert_engine_invariants(
         assert consumer not in store.per_recommender[source]
         assert not store.visible[source][store.consumer_rows[consumer]].any()
     assert_matrices_index_lists(store)
+
+
+class ConsumerRow(NamedTuple):
+    consumer_id: int
+    preference_vector: tuple[float, ...]
+    type_label: str
+    initial_history: tuple[int, ...]
+
+
+def consumer_rows(consumers: Consumers) -> list[ConsumerRow]:
+    """The consumer table as plain Python values, one row per consumer row."""
+    return [
+        ConsumerRow(*row)
+        for row in zip(
+            consumers.consumer_ids.tolist(),
+            map(tuple, consumers.preferences.tolist()),
+            consumers.type_labels,
+            consumers.histories,
+        )
+    ]
 
 
 def catalog_tables(catalog: Catalog) -> tuple:
@@ -352,19 +379,16 @@ def item_genres(catalog: Catalog, item_id: int) -> np.ndarray:
     return catalog.genre_matrix[row]
 
 
-def list_utility(consumer: ConsumerState, slate: Slate, catalog: Catalog) -> float:
-    """Mean similarity of slate items to the consumer's preferences (0 if empty)."""
+def list_utility(preference: Sequence[float], slate: Slate, catalog: Catalog) -> float:
+    """Mean similarity of slate items to a preference row (0 if empty)."""
     if not slate.item_ids:
         return 0.0
-    sims = [
-        genre_similarity(consumer.preference_vector, item_genres(catalog, i))
-        for i in slate.item_ids
-    ]
+    sims = [genre_similarity(preference, item_genres(catalog, i)) for i in slate.item_ids]
     return sum(sims) / len(sims)
 
 
 def select_item(
-    consumer: ConsumerState,
+    preference: Sequence[float],
     slate: Slate,
     catalog: Catalog,
     params: BehaviorParams,
@@ -373,12 +397,7 @@ def select_item(
     """Pick one slate item id with probability proportional to similarity."""
     if not slate.item_ids:
         return None
-    sims = np.array(
-        [
-            genre_similarity(consumer.preference_vector, item_genres(catalog, i))
-            for i in slate.item_ids
-        ]
-    )
+    sims = np.array([genre_similarity(preference, item_genres(catalog, i)) for i in slate.item_ids])
     mask = sims >= params.select_threshold
     if not mask.any():
         return None
@@ -388,6 +407,34 @@ def select_item(
         return None
     ids = np.array(slate.item_ids)[mask]
     return int(rng.choice(ids, p=weights / total))
+
+
+def maybe_switch_by_id(
+    current: str,
+    estimates: Mapping[str, float],
+    tried: set[str],
+    params: BehaviorParams,
+    active: Sequence[str],
+) -> str | None:
+    """The threshold switching rule by recommender id: the destination, or
+    ``None`` to stay. A consumer whose estimate at ``current`` is below the
+    threshold moves to an untried recommender, else to the one with the
+    highest estimate at least the current one (0 where unset); ties break
+    by recommender id."""
+    current_estimate = estimates[current]
+    if current_estimate >= params.satisfaction_threshold:
+        return None
+
+    best: tuple[float, str] | None = None
+    for other in sorted(set(active) - {current}):
+        untried = other not in tried
+        estimate = estimates.get(other, 0.0)
+        if not untried and estimate < current_estimate:
+            continue
+        rank = math.inf if untried else estimate
+        if best is None or rank > best[0]:
+            best = (rank, other)
+    return None if best is None else best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +535,7 @@ def build_preferences_per_record(
     catalog: Catalog,
     niche_genre: str,
     history_threshold: float = 4.0,
-) -> list[ConsumerProfileSeed]:
+) -> Consumers:
     """``dataset.build_preferences`` one consumer, record and genre at a time."""
     n_genres = len(catalog.genres)
     niche_idx = catalog.genre_index(niche_genre)
@@ -500,7 +547,7 @@ def build_preferences_per_record(
             raise DataError(f"rated item {rec.item_id} not in catalog")
         by_consumer.setdefault(rec.consumer_id, []).append(rec)
 
-    seeds: list[ConsumerProfileSeed] = []
+    rows: list[tuple] = []
     skipped = 0
     for consumer_id in sorted(by_consumer):
         mass = np.zeros(n_genres)
@@ -519,10 +566,19 @@ def build_preferences_per_record(
             continue
         vector = tuple(float(v) for v in mass / total)
         label = label_from_vector(vector, niche_idx)
-        seeds.append(ConsumerProfileSeed(consumer_id, vector, label, tuple(sorted(history))))
+        rows.append((consumer_id, vector, label, tuple(sorted(history))))
     if skipped:
         warnings.warn(f"excluded {skipped} consumers with no usable ratings", stacklevel=2)
-    return seeds
+    consumer_ids = np.array([row[0] for row in rows], dtype=np.int64)
+    preferences = np.array([row[1] for row in rows], dtype=float).reshape(len(rows), n_genres)
+    consumer_ids.flags.writeable = False
+    preferences.flags.writeable = False
+    return Consumers(
+        consumer_ids,
+        preferences,
+        tuple(row[2] for row in rows),
+        tuple(row[3] for row in rows),
+    )
 
 
 def label_from_vector(vector: Sequence[float], niche_idx: int | None) -> str:

@@ -7,21 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import maybe_switch_by_id
 from recmarket.behavior import (
     BehaviorParams,
-    ConsumerState,
     choose_item,
     genre_similarities,
     maybe_switch,
     slate_utility,
     update_utility,
 )
-
-
-def consumer_with(pref, current="generic"):
-    return ConsumerState(
-        consumer_id=0, preference_vector=pref, type_label="Generic", current_recommender=current
-    )
 
 
 def sims_of(pref, genre_rows):
@@ -155,27 +149,40 @@ class TestSelectItem:
             assert mine.random() == ref.random()
 
 
-class TestMaybeSwitch:
-    def consumer(self, estimates, tried, current="generic"):
-        c = consumer_with((1.0, 0.0), current=current)
-        c.utility_estimates = dict(estimates)
-        c.tried = set(tried)
-        return c
+def switch_row(estimates, tried, current, active, params=BehaviorParams()):
+    """``maybe_switch`` on the row of a consumer whose estimates and tried
+    set are keyed by recommender id: the destination's id, or ``None``. The
+    rule must leave the row as it found it."""
+    columns = sorted(active)
+    estimates_row = np.array([estimates.get(rid, np.nan) for rid in columns])
+    tried_row = np.array([rid in tried for rid in columns])
+    before = estimates_row.tobytes(), tried_row.tobytes()
+    column = maybe_switch(estimates_row, tried_row, columns.index(current), params)
+    assert (estimates_row.tobytes(), tried_row.tobytes()) == before
+    return None if column is None else columns[column]
 
+
+TWO = ["generic", "niche"]
+ESTIMATES = st.sampled_from([0.0, 0.1, 0.15, 0.2, 0.5, 1.0]) | st.floats(0, 1)
+
+
+class TestMaybeSwitch:
     def test_satisfied_stays(self):
-        c = self.consumer({"generic": 0.25, "niche": 0.9}, {"generic", "niche"})
-        assert maybe_switch(c, BehaviorParams(), ["generic", "niche"]) is None
-        assert c.current_recommender == "generic"
+        estimates = {"generic": 0.25, "niche": 0.9}
+        assert switch_row(estimates, {"generic", "niche"}, "generic", TWO) is None
 
     def test_dissatisfied_switches_to_untried(self):
-        c = self.consumer({"generic": 0.15}, {"generic"})
-        assert maybe_switch(c, BehaviorParams(), ["generic", "niche"]) == "niche"
-        assert c.current_recommender == "niche"
-        assert "niche" in c.tried
+        assert switch_row({"generic": 0.15}, {"generic"}, "generic", TWO) == "niche"
+
+    def test_returns_a_column_and_changes_nothing(self):
+        estimates_row, tried_row = np.array([0.15, np.nan]), np.array([True, False])
+        assert maybe_switch(estimates_row, tried_row, 0, BehaviorParams()) == 1
+        assert tried_row.tolist() == [True, False]
+        assert maybe_switch(estimates_row, tried_row, 0, BehaviorParams()) == 1
 
     def test_dissatisfied_stays_when_alternative_is_worse(self):
-        c = self.consumer({"generic": 0.15, "niche": 0.10}, {"generic", "niche"})
-        assert maybe_switch(c, BehaviorParams(), ["generic", "niche"]) is None
+        estimates = {"generic": 0.15, "niche": 0.10}
+        assert switch_row(estimates, {"generic", "niche"}, "generic", TWO) is None
 
     def test_two_recommender_decision_table(self):
         # Exhaustive oracle over the documented rule for the 2-recommender case.
@@ -187,21 +194,35 @@ class TestMaybeSwitch:
                 estimates = {"generic": cur} | (
                     {} if other is None else {"niche": other}
                 )
-                c = self.consumer(estimates, tried)
                 expect_switch = cur < tau and (other is None or other >= cur)
-                got = maybe_switch(c, BehaviorParams(), ["generic", "niche"])
+                got = switch_row(estimates, tried, "generic", TWO)
                 assert (got is not None) == expect_switch, (cur, other)
 
     def test_ties_break_by_recommender_id(self):
-        c = self.consumer({"a": 0.1, "b": 0.15, "c": 0.15}, {"a", "b", "c"}, current="a")
-        assert maybe_switch(c, BehaviorParams(), ["a", "b", "c"]) == "b"
+        estimates = {"a": 0.1, "b": 0.15, "c": 0.15}
+        assert switch_row(estimates, {"a", "b", "c"}, "a", ["a", "b", "c"]) == "b"
 
     def test_untried_outranks_high_estimates(self):
-        c = self.consumer({"a": 0.1, "b": 0.9}, {"a", "b"}, current="a")
-        assert maybe_switch(c, BehaviorParams(), ["a", "b", "z"]) == "z"
+        assert switch_row({"a": 0.1, "b": 0.9}, {"a", "b"}, "a", ["a", "b", "z"]) == "z"
+
+    def test_tried_without_an_estimate_counts_as_zero(self):
+        assert switch_row({"a": 0.0}, {"a", "b"}, "a", ["a", "b"]) == "b"
+        assert switch_row({"a": 0.1}, {"a", "b"}, "a", ["a", "b"]) is None
 
     def test_never_switches_when_satisfied_property(self):
-        params = BehaviorParams()
         for cur in np.linspace(0.2, 1.0, 20):
-            c = self.consumer({"generic": float(cur)}, {"generic"})
-            assert maybe_switch(c, params, ["generic", "niche"]) is None
+            assert switch_row({"generic": float(cur)}, {"generic"}, "generic", TWO) is None
+
+    @given(data=st.data())
+    def test_row_rule_agrees_with_the_oracle_by_id(self, data):
+        # Estimates are set only where tried, and the current column is tried and set
+        n = data.draw(st.integers(2, 4))
+        ids = st.text(alphabet="abnz", min_size=1, max_size=2)
+        active = data.draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+        current = data.draw(st.sampled_from(active))
+        tried = {current} | {r for r in active if data.draw(st.booleans())}
+        estimates = {r: data.draw(ESTIMATES) for r in sorted(tried) if data.draw(st.booleans())}
+        estimates[current] = data.draw(ESTIMATES)
+        params = BehaviorParams(satisfaction_threshold=data.draw(ESTIMATES))
+        expected = maybe_switch_by_id(current, estimates, tried, params, active)
+        assert switch_row(estimates, tried, current, active, params) == expected

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_preferences_per_record, catalog_tables
+from helpers import build_preferences_per_record, catalog_tables, consumer_rows
 from recmarket import dataset
 from recmarket.dataset import (
     GENERIC,
     NICHE,
+    Consumers,
     InteractionLog,
     RatingRecord,
     SyntheticSpec,
@@ -113,7 +114,7 @@ class TestBuildPreferences:
     def test_single_genre_rater_is_one_hot_niche(self):
         cat = catalog3({1: (["Horror"], "p0"), 2: (["Horror"], "p0")})
         log = InteractionLog((RatingRecord(1, 1, 5.0, 0), RatingRecord(1, 2, 4.0, 1)))
-        (seed,) = build_preferences(log, cat, "Horror")
+        (seed,) = consumer_rows(build_preferences(log, cat, "Horror"))
         assert seed.preference_vector == (0.0, 1.0, 0.0)
         assert seed.type_label == NICHE
         assert seed.initial_history == (1, 2)
@@ -134,7 +135,7 @@ class TestBuildPreferences:
             (30, 3, 1.0, 4),
         ]
         log = InteractionLog(tuple(RatingRecord(*r) for r in rows))
-        seeds = {s.consumer_id: s for s in build_preferences(log, cat, "Horror")}
+        seeds = {s.consumer_id: s for s in consumer_rows(build_preferences(log, cat, "Horror"))}
 
         # Independent spreadsheet-style recomputation.
         genre_of = {1: ["Drama"], 2: ["Horror", "Romance"], 3: ["Drama", "Horror", "Romance"]}
@@ -153,7 +154,7 @@ class TestBuildPreferences:
         data = generate_synthetic(
             SyntheticSpec(consumers=40, items=60, providers=5, niche_fraction=0.1, seed=5)
         )
-        seeds = build_preferences(data[0], data[1], "Horror")
+        seeds = consumer_rows(build_preferences(data[0], data[1], "Horror"))
         for s in seeds:
             vec = np.array(s.preference_vector)
             assert (vec >= 0).all()
@@ -163,7 +164,7 @@ class TestBuildPreferences:
         data = generate_synthetic(
             SyntheticSpec(consumers=40, items=60, providers=5, niche_fraction=0.1, seed=6)
         )
-        seeds = build_preferences(data[0], data[1], "Horror")
+        seeds = consumer_rows(build_preferences(data[0], data[1], "Horror"))
         h = data[1].genres.index("Horror")
         for s in seeds:
             top = max(s.preference_vector)
@@ -174,7 +175,7 @@ class TestBuildPreferences:
     def test_tie_at_niche_genre_is_generic(self):
         cat = catalog3({1: (["Drama"], "p0"), 2: (["Horror"], "p0")})
         log = InteractionLog((RatingRecord(1, 1, 3.0, 0), RatingRecord(1, 2, 3.0, 1)))
-        (seed,) = build_preferences(log, cat, "Horror")
+        (seed,) = consumer_rows(build_preferences(log, cat, "Horror"))
         assert seed.preference_vector[0] == seed.preference_vector[1]
         assert seed.type_label == GENERIC
 
@@ -187,17 +188,38 @@ class TestBuildPreferences:
     def test_history_threshold_configurable(self):
         cat = catalog3({1: (["Drama"], "p0"), 2: (["Drama"], "p0")})
         log = InteractionLog((RatingRecord(1, 1, 3.0, 0), RatingRecord(1, 2, 4.0, 1)))
-        (seed,) = build_preferences(log, cat, "Horror")
+        (seed,) = consumer_rows(build_preferences(log, cat, "Horror"))
         assert seed.initial_history == (2,)
-        (seed_low,) = build_preferences(log, cat, "Horror", history_threshold=3.0)
+        (seed_low,) = consumer_rows(build_preferences(log, cat, "Horror", history_threshold=3.0))
         assert seed_low.initial_history == (1, 2)
 
     def test_niche_genre_outside_the_taxonomy_labels_generic(self):
         # File data may name a niche genre that its catalog does not use
         cat = catalog3({1: (["Horror"], "p0"), 2: (["Drama"], "p1")})
         log = InteractionLog((RatingRecord(1, 1, 5.0, 0), RatingRecord(2, 2, 5.0, 1)))
-        assert {s.type_label for s in build_preferences(log, cat, "Jazz")} == {GENERIC}
+        assert set(build_preferences(log, cat, "Jazz").type_labels) == {GENERIC}
         assert classify_providers(cat, "Jazz") == {"p0": GENERIC, "p1": GENERIC}
+
+    @pytest.mark.parametrize("column", ["consumer_ids", "preferences"])
+    def test_columns_are_read_only(self, column):
+        # One consumer table is shared by every branch of a suite
+        cat = catalog3({1: (["Horror"], "p0"), 2: (["Drama"], "p1")})
+        log = InteractionLog((RatingRecord(1, 1, 5.0, 0), RatingRecord(2, 2, 5.0, 1)))
+        array = getattr(build_preferences(log, cat, "Horror"), column)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+    def test_rows_are_consumers_in_id_order(self):
+        cat = catalog3({1: (["Horror"], "p0"), 2: (["Drama"], "p1")})
+        log = InteractionLog((RatingRecord(9, 2, 5.0, 0), RatingRecord(3, 1, 4.0, 1),
+                              RatingRecord(5, 2, 3.0, 2)))
+        consumers = build_preferences(log, cat, "Horror")
+        assert consumers.consumer_ids.tolist() == [3, 5, 9]
+        assert consumers.consumer_ids.dtype == np.int64
+        assert consumers.preferences.dtype == np.float64
+        assert consumers.type_labels == (NICHE, GENERIC, GENERIC)
+        assert consumers.histories == ((1,), (), (2,))
+        assert len(consumers) == 3
 
 
 class TestClassifyProviders:
@@ -240,6 +262,10 @@ class TestBuildCatalog:
         assert cat.provider_ids == ("p0", "p1")
         assert cat.items_with_genre("Horror") == [2]
 
+    def test_genre_outside_the_taxonomy_names_the_item(self):
+        with pytest.raises(DataError, match="item 1: genre 'Jazz' is not in the taxonomy"):
+            build_catalog([(1, ["Jazz"], "p0")], ("Drama",))
+
     def test_repeated_item_id_errors(self):
         rows = [(1, ["Horror"], "p0"), (2, ["Drama"], "p0"), (1, ["Drama"], "p1")]
         with pytest.raises(DataError, match="item 1 appears in more than one catalog row"):
@@ -275,8 +301,7 @@ class TestGenerateSynthetic:
         consumers, items, providers = size
         spec = SyntheticSpec(consumers, items, providers, niche_fraction=0.1, seed=seed)
         log, cat = generate_synthetic(spec)
-        seeds = build_preferences(log, cat, "Horror")
-        niche = sum(1 for s in seeds if s.type_label == NICHE)
+        niche = build_preferences(log, cat, "Horror").type_labels.count(NICHE)
         assert abs(niche - consumers // 10) <= 1
 
     def test_drift_is_redrawn_a_bounded_number_of_times(self, monkeypatch):
@@ -284,7 +309,7 @@ class TestGenerateSynthetic:
 
         def no_niche_consumers(log, catalog, niche_genre):
             calls.append(log)
-            return []
+            return Consumers(np.array([0]), np.ones((1, len(catalog.genres))), (GENERIC,), ((),))
 
         monkeypatch.setattr(dataset, "build_preferences", no_niche_consumers)
         spec = SyntheticSpec(consumers=30, items=50, providers=5, niche_fraction=0.2, seed=7)
@@ -477,15 +502,19 @@ class TestFileMetamorphic:
         assert catalog_tables(shuffled) == catalog_tables(expected)
 
 
-def assert_same_seeds(seeds, expected):
+def assert_same_seeds(consumers, expected):
     """Equal consumers, labels and histories, preference vectors equal to
-    the bit, and every field of the same Python type."""
+    the bit, and every column of the same type, dtype and shape."""
+    seeds, expected_seeds = consumer_rows(consumers), consumer_rows(expected)
     assert [(s.consumer_id, s.type_label, s.initial_history) for s in seeds] == [
-        (s.consumer_id, s.type_label, s.initial_history) for s in expected
+        (s.consumer_id, s.type_label, s.initial_history) for s in expected_seeds
     ]
     vectors = np.array([s.preference_vector for s in seeds])
-    assert vectors.tobytes() == np.array([s.preference_vector for s in expected]).tobytes()
-    assert repr(seeds) == repr(expected)
+    assert vectors.tobytes() == np.array([s.preference_vector for s in expected_seeds]).tobytes()
+    assert repr(seeds) == repr(expected_seeds)
+    for column in ("consumer_ids", "preferences"):
+        got, want = getattr(consumers, column), getattr(expected, column)
+        assert (got.dtype, got.shape, got.flags.writeable) == (want.dtype, want.shape, False)
 
 
 def warned(build, *args, **kwargs):
@@ -546,7 +575,7 @@ class TestPreferencesMatchPerRecord:
         rows = [(1, 1, 3.0, 0), (1, 2, 3.0, 1), (2, 1, 2.0, 2), (2, 2, 1.0, 3), (2, 3, 1.0, 4)]
         log = InteractionLog(tuple(RatingRecord(*r) for r in rows))
         seeds = build_preferences(log, cat, "Horror")
-        assert [s.type_label for s in seeds] == [GENERIC, GENERIC]
+        assert seeds.type_labels == (GENERIC, GENERIC)
         assert_same_seeds(seeds, build_preferences_per_record(log, cat, "Horror"))
 
     def test_skipped_consumers_warn_alike(self):
@@ -556,7 +585,7 @@ class TestPreferencesMatchPerRecord:
         seeds, warnings_seen = warned(build_preferences, log, cat, "Horror")
         expected, expected_warnings = warned(build_preferences_per_record, log, cat, "Horror")
         assert_same_seeds(seeds, expected)
-        assert [s.consumer_id for s in seeds] == [2]
+        assert seeds.consumer_ids.tolist() == [2]
         assert warnings_seen == expected_warnings
         assert warnings_seen[0][0] == "excluded 3 consumers with no usable ratings"
 

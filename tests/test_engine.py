@@ -22,6 +22,7 @@ from helpers import (
     assert_engine_invariants,
     assert_matrices_index_lists,
     build_preferences_per_record,
+    consumer_rows,
     list_utility,
     recommend,
     run_from_scratch,
@@ -145,9 +146,8 @@ class TestRunDay:
         train_cycle(state)
         run_day(state)
         assert not state.metrics.provider_clicks
-        assert all(
-            c.current_recommender in c.utility_estimates for c in state.consumers
-        )
+        rows = np.arange(len(state.consumers))
+        assert not np.isnan(state.estimates[rows, state.current]).any()
 
     def test_provider_credit_increments_by_one_per_click(self):
         audit = AuditTrail()
@@ -183,9 +183,7 @@ class TestWarmupAndSwitching:
                 run_day(state)
             if cycle >= config.warmup_cycles:
                 engine.evaluate_switches(state)
-            assert all(
-                c.current_recommender in state.active for c in state.consumers
-            )
+            assert all(state.columns[c] in state.active for c in state.current.tolist())
 
     def test_switch_event_fields_consistent(self):
         report = run_scenario(small_config(), small_data())
@@ -286,9 +284,11 @@ class TestServeMirrorsRecommend:
                 view = portability.training_view(state.store, rid)
                 counts = Counter(
                     item
-                    for consumer in state.consumers
-                    if consumer.current_recommender == rid
-                    for item, _day in view.get(consumer.consumer_id, ())
+                    for cid, column in zip(
+                        state.consumers.consumer_ids.tolist(), state.current.tolist()
+                    )
+                    if state.columns[column] == rid
+                    for item, _day in view.get(cid, ())
                 )
                 counts_cache[key] = dict(counts)
             return counts_cache[key]
@@ -298,12 +298,12 @@ class TestServeMirrorsRecommend:
             # row, so no profile list may hold an item twice
             for rid in state.active:
                 view = portability.training_view(state.store, rid)
-                for k, consumer in enumerate(state.consumers):
+                for k, cid in enumerate(state.consumers.consumer_ids.tolist()):
                     got = {int(i) for i in state.catalog.item_ids[state.store.visible[rid][k]]}
-                    expected = portability.visible_items(state.store, rid, consumer.consumer_id)
-                    assert got == expected, (state.day, rid, consumer.consumer_id)
-                    listed = [item for item, _day in view.get(consumer.consumer_id, ())]
-                    assert len(listed) == len(expected), (state.day, rid, consumer.consumer_id)
+                    expected = portability.visible_items(state.store, rid, cid)
+                    assert got == expected, (state.day, rid, cid)
+                    listed = [item for item, _day in view.get(cid, ())]
+                    assert len(listed) == len(expected), (state.day, rid, cid)
 
         original_prepare = engine.prepare_state
         original_serve = engine._serve
@@ -318,9 +318,8 @@ class TestServeMirrorsRecommend:
             assert_visibility(state)
             return state
 
-        def serve(state, row, consumer):
-            rid = consumer.current_recommender
-            cid = consumer.consumer_id
+        def serve(state, row, rid):
+            cid = int(state.consumers.consumer_ids[row])
             rec_config = state.rec_configs[rid]
             model = state.models[rid].model
             if rec_config.specialization == ALL_GENRES:
@@ -342,27 +341,28 @@ class TestServeMirrorsRecommend:
                 model,
                 cands,
                 state.config.slate_size,
-                copy.deepcopy(state.consumer_rngs[cid]),
+                copy.deepcopy(state.consumer_rngs[row]),
                 ctx,
                 rid,
             )
-            tier, rows = original_serve(state, row, consumer)
+            tier, rows = original_serve(state, row, rid)
             got = Slate(rid, cid, tuple(int(i) for i in state.catalog.item_ids[rows]), tier)
             assert got == expected, (state.day, cid)
             tiers[tier] += 1
-            last.update(state=state, consumer=consumer, slate=expected)
+            preference = state.consumers.preferences[row].tolist()
+            last.update(state=state, preference=preference, slate=expected)
             return tier, rows
 
         def utility(sims):
             got = original_utility(sims)
-            expected = list_utility(last["consumer"], last["slate"], last["state"].catalog)
+            expected = list_utility(last["preference"], last["slate"], last["state"].catalog)
             assert got == pytest.approx(expected, abs=1e-12)
             return got
 
         def choose(sims, threshold, rng):
             state, slate = last["state"], last["slate"]
             expected = select_item(
-                last["consumer"], slate, state.catalog, state.config.behavior, copy.deepcopy(rng)
+                last["preference"], slate, state.catalog, state.config.behavior, copy.deepcopy(rng)
             )
             got = original_choose(sims, threshold, rng)
             assert (None if got is None else slate.item_ids[got]) == expected
@@ -372,9 +372,9 @@ class TestServeMirrorsRecommend:
             original_run_day(state)
             assert_visibility(state)
 
-        def apply_switch(state, consumer, day_in_cycle):
+        def apply_switch(state, row, day_in_cycle):
             before = len(state.metrics.switch_events)
-            original_switch(state, consumer, day_in_cycle)
+            original_switch(state, row, day_in_cycle)
             if len(state.metrics.switch_events) > before:
                 assert_visibility(state)
 
@@ -418,8 +418,8 @@ class TestServeMirrorsRecommend:
         data = small_data()
         state = prepare_state(config, data)
         train_cycle(state)
-        consumer = state.consumers[0]
-        rid = consumer.current_recommender
+        cid = int(state.consumers.consumer_ids[0])
+        rid = state.columns[state.current[0]]
         # force the fallback tier by blanking the model and store
         empty = recommender.TrainedModel.empty(2)
         state.models[rid] = recommender.CatalogModel.align(empty, state.catalog.item_ids)
@@ -427,15 +427,13 @@ class TestServeMirrorsRecommend:
         state.store.per_recommender.get(rid, {}).clear()
         state.store.visible[rid][:] = False  # the lists' index, blanked with them
         state._fallback_counts = {}
-        seed_rng = derive_rng(config.seed, "consumer", consumer.consumer_id)
-        state.consumer_rngs[consumer.consumer_id] = derive_rng(
-            config.seed, "consumer", consumer.consumer_id
-        )
-        tier, rows = engine._serve(state, 0, consumer)
+        seed_rng = derive_rng(config.seed, "consumer", cid)
+        state.consumer_rngs[0] = derive_rng(config.seed, "consumer", cid)
+        tier, rows = engine._serve(state, 0, rid)
         items = tuple(int(i) for i in state.catalog.item_ids[rows])
         popular = recommender.popular_list(data[0], state.rec_configs[rid].popular_list_size)
         expected = recommend(
-            consumer.consumer_id,
+            cid,
             empty,
             state.catalog.item_ids.tolist(),
             config.slate_size,
@@ -443,7 +441,7 @@ class TestServeMirrorsRecommend:
             ServingContext(subscriber_counts={}, global_popular=popular),
             rid,
         )
-        assert Slate(rid, consumer.consumer_id, items, tier) == expected
+        assert Slate(rid, cid, items, tier) == expected
         assert tier is Provenance.GLOBAL_POPULAR_FALLBACK
 
 
@@ -474,11 +472,12 @@ class TestEngineInvariants:
             assert_engine_invariants(state)
             days.append(state.day)
 
-        def apply_switch(state, consumer, day_in_cycle):
-            source = consumer.current_recommender
-            original_switch(state, consumer, day_in_cycle)
-            moved = consumer.current_recommender != source
-            assert_engine_invariants(state, (consumer.consumer_id, source) if moved else None)
+        def apply_switch(state, row, day_in_cycle):
+            source = state.columns[state.current[row]]
+            original_switch(state, row, day_in_cycle)
+            moved = state.columns[state.current[row]] != source
+            cid = int(state.consumers.consumer_ids[row])
+            assert_engine_invariants(state, (cid, source) if moved else None)
             switches[state.config.scenario_name] += moved
 
         monkeypatch.setattr(engine, "run_day", run_day)
@@ -532,7 +531,7 @@ class TestSeedingMatchesPerClick:
         log, catalog = small_data(seed=4)
         state = prepare_state(config, (log, catalog), audit=AuditTrail() if audited else None)
 
-        seeds = build_preferences_per_record(log, state.catalog, "Horror")
+        seeds = consumer_rows(build_preferences_per_record(log, state.catalog, "Horror"))
         reference = ProfileStore.create(
             config.store_policy,
             state.active,
@@ -837,7 +836,7 @@ class TestSuiteFork:
 
     def test_fork_draws_like_a_deep_copy(self):
         prefix = prepare_state(small_config(), small_data())
-        rngs = list(prefix.consumer_rngs.values())
+        rngs = prefix.consumer_rngs
         for rng in rngs[::2]:
             rng.random(3)
         for rng in rngs[::3]:  # leaves half a 64-bit draw buffered
@@ -848,11 +847,27 @@ class TestSuiteFork:
             return rng.integers(0, 10, 3, dtype=np.uint32).tolist(), rng.random(3).tolist()
 
         branch = engine._fork(prefix)
-        for cid, rng in branch.consumer_rngs.items():
-            assert rng is not prefix.consumer_rngs[cid]
-            assert draws(rng) == draws(copied[cid])
+        assert len(branch.consumer_rngs) == len(rngs)
+        for row, rng in enumerate(branch.consumer_rngs):
+            assert rng is not prefix.consumer_rngs[row]
+            assert draws(rng) == draws(copied[row])
             # drawing from the branch left the prefix's generator where it was
-            assert draws(prefix.consumer_rngs[cid]) == draws(untouched[cid])
+            assert draws(prefix.consumer_rngs[row]) == draws(untouched[row])
+
+    def test_fork_shares_the_consumer_table_and_copies_its_state(self):
+        prefix = prepare_state(small_config(), small_data())
+        branch = engine._fork(prefix)
+        assert branch.consumers is prefix.consumers
+        for name in ("current", "estimates", "tried"):
+            mine, theirs = getattr(branch, name), getattr(prefix, name)
+            assert not np.shares_memory(mine, theirs), name
+            assert mine.tobytes() == theirs.tobytes(), name
+        branch.current[0] = 1
+        branch.estimates[0, 1] = 0.5
+        branch.tried[0, 1] = True
+        assert prefix.current[0] == 0
+        assert np.isnan(prefix.estimates[0, 1])
+        assert not prefix.tried[0, 1]
 
     def test_branches_run_one_at_a_time(self, monkeypatch):
         # At most the prefix and one branch exist at a time: every forked
