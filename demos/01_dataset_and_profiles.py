@@ -16,7 +16,8 @@ from recmarket.dataset import (
 
 spec = SyntheticSpec(consumers=200, items=150, providers=10, niche_fraction=0.1, seed=7)
 log, catalog = generate_synthetic(spec)
-print(f"interactions: {len(log.records)}")
+# The log is four columns, one row per (consumer, item) pair in that order
+print(f"interactions: {len(log)}")
 print(f"items: {len(catalog.item_ids)}  genres: {catalog.genres}")
 
 # One row per consumer, in id order: preference vectors, labels and histories

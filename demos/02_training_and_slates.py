@@ -8,7 +8,7 @@ Serving works on catalog rows: row r is the r-th smallest catalog item id.
 
 import numpy as np
 
-from recmarket.dataset import InteractionLog, RatingRecord
+from recmarket.dataset import build_log
 from recmarket.recommender import (
     CatalogModel,
     RecommenderConfig,
@@ -49,14 +49,11 @@ print(f"new consumer:     {item_ids[rows].tolist()} via {tier.value}")
 
 cold = CatalogModel.align(TrainedModel.empty(8), item_ids)
 # The fallback ranks items by their ratings in the input log: here, one
-# rating per click above.
-log = InteractionLog(
-    tuple(
-        RatingRecord(consumer, item, 1.0, day)
-        for consumer, entries in snapshot.items()
-        for item, day in entries
-    )
+# rating per click above. The log is columns: consumers, items, ratings, days.
+consumers, items, days = zip(
+    *((consumer, item, day) for consumer, entries in snapshot.items() for item, day in entries)
 )
+log = build_log(consumers, items, [1.0] * len(items), days)
 popular = np.searchsorted(item_ids, popular_list(log, 100))
 tier, rows = serve(cold, 99, np.arange(5), 2, rng, lambda: no_counts, popular)
 print(f"cold recommender: {item_ids[rows].tolist()} via {tier.value}")

@@ -391,7 +391,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     log, catalog = dataset.generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ratings = [f"{r.consumer_id},{r.item_id},{r.rating!r},{r.timestamp}" for r in log.records]
+    columns = (log.consumer_ids, log.item_ids, log.ratings, log.timestamps)
+    ratings = [f"{u},{i},{r!r},{t}" for u, i, r, t in zip(*(c.tolist() for c in columns))]
     items, providers = [], []
     for item_id, bits, provider_id in zip(
         catalog.item_ids.tolist(), catalog.genre_matrix.tolist(), catalog.provider_ids

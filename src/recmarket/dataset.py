@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,22 +42,29 @@ DEFAULT_GENRES = (
 )
 
 
-class RatingRecord(NamedTuple):
-    consumer_id: int
-    item_id: int
-    rating: float
-    timestamp: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionLog:
-    """Deduplicated rating events; at most one record per (consumer, item)."""
+    """Rating events as columns, one row per (consumer, item) pair.
 
-    records: tuple[RatingRecord, ...]
+    Rows ascend strictly by (consumer, item). ``build_log`` makes the
+    columns in that order, and its arrays are read-only, so one log can be
+    shared.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.records:
-            raise DataError("no interactions")
+    consumer_ids: np.ndarray  # int64
+    item_ids: np.ndarray  # int64
+    ratings: np.ndarray  # float64
+    timestamps: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return len(self.consumer_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InteractionLog):
+            return NotImplemented
+        mine = (self.consumer_ids, self.item_ids, self.ratings, self.timestamps)
+        theirs = (other.consumer_ids, other.item_ids, other.ratings, other.timestamps)
+        return all(map(np.array_equal, mine, theirs))
 
 
 @dataclass(frozen=True)
@@ -127,24 +134,59 @@ def load_ratings(path: str | Path, fmt: str = "movielens-dat") -> InteractionLog
     else:
         raise DataError(f"unknown ratings format: {fmt!r}")
 
-    latest: dict[tuple[int, int], RatingRecord] = {}
+    latest: dict[tuple[int, int], tuple[int, float]] = {}  # pair -> (timestamp, rating)
     for where, fields in rows:
         try:
-            rec = RatingRecord(int(fields[0]), int(fields[1]), float(fields[2]), int(fields[3]))
+            key = int(fields[0]), int(fields[1])
+            rating, timestamp = float(fields[2]), int(fields[3])
         except ValueError as exc:
             raise DataError(f"{where}: {exc}") from exc
-        if fmt == "csv" and not (math.isfinite(rec.rating) and rec.rating > 0.0):
+        if fmt == "csv" and not (math.isfinite(rating) and rating > 0.0):
             raise DataError(f"{where}: rating must be finite and positive")
-        if fmt != "csv" and not 1.0 <= rec.rating <= 5.0:
-            raise DataError(f"{where}: rating {rec.rating} outside the 1-5 scale")
-        key = (rec.consumer_id, rec.item_id)
+        if fmt != "csv" and not 1.0 <= rating <= 5.0:
+            raise DataError(f"{where}: rating {rating} outside the 1-5 scale")
         prior = latest.get(key)
-        if prior is None or (rec.timestamp, rec.rating) > (prior.timestamp, prior.rating):
-            latest[key] = rec
+        if prior is None or (timestamp, rating) > prior:
+            latest[key] = timestamp, rating
     if not latest:
         raise DataError(f"no interactions in {path}")
-    records = tuple(latest[k] for k in sorted(latest))
-    return InteractionLog(records)
+    # Object arrays keep the parsed ints exact until build_log converts them
+    pairs = np.array(list(latest), dtype=object)
+    kept = np.array(list(latest.values()), dtype=object)
+    return build_log(pairs[:, 0], pairs[:, 1], kept[:, 1], kept[:, 0])
+
+
+def build_log(
+    consumer_ids: Sequence[int] | np.ndarray,
+    item_ids: Sequence[int] | np.ndarray,
+    ratings: Sequence[float] | np.ndarray,
+    timestamps: Sequence[int] | np.ndarray,
+) -> InteractionLog:
+    """Assemble an InteractionLog from four equal-length columns of rating
+    events in any order. Each (consumer, item) pair has one event."""
+    try:
+        columns = [
+            np.asarray(column, dtype)
+            for column, dtype in zip(
+                (consumer_ids, item_ids, ratings, timestamps),
+                (np.int64, np.int64, np.float64, np.int64),
+            )
+        ]
+    except OverflowError as exc:
+        raise DataError(f"interaction value out of range: {exc}") from exc
+    if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
+        raise DataError("interaction columns must be 1-D and of equal length")
+    if not columns[0].size:
+        raise DataError("no interactions")
+    order = np.lexsort((columns[1], columns[0]))
+    consumer, item, rating, timestamp = (c[order] for c in columns)  # copies: the log owns them
+    repeated = np.flatnonzero((consumer[1:] == consumer[:-1]) & (item[1:] == item[:-1]))
+    if repeated.size:
+        k = repeated[0]
+        raise DataError(f"consumer {consumer[k]} rates item {item[k]} more than once")
+    for column in (consumer, item, rating, timestamp):
+        column.flags.writeable = False
+    return InteractionLog(consumer, item, rating, timestamp)
 
 
 def _read_text(path: Path) -> str:
@@ -269,11 +311,7 @@ def build_preferences(
     One array pass: each (consumer, genre) sum adds its shares in record
     order, as a per-record loop does. Rows ascend by consumer id.
     """
-    # Not zip(*records): it makes an iterator per record, each tracked by the GC
-    consumer, item, rating = (
-        np.fromiter(map(itemgetter(k), log.records), dtype, len(log.records))
-        for k, dtype in enumerate((np.int64, np.int64, float))
-    )
+    consumer, item, rating = log.consumer_ids, log.item_ids, log.ratings
     unknown = np.flatnonzero(~np.isin(item, catalog.item_ids))
     if unknown.size:
         raise DataError(f"rated item {item[unknown[0]]} not in catalog")
@@ -290,8 +328,7 @@ def build_preferences(
     niche_idx = catalog.genre_index(niche_genre)
     niche = (winners.sum(axis=1) == 1) & (niche_idx is not None and winners[:, niche_idx])
 
-    liked = np.flatnonzero(rating >= history_threshold)
-    liked = liked[np.lexsort((item[liked], rows[liked]))]  # by consumer, then item
+    liked = np.flatnonzero(rating >= history_threshold)  # by consumer, then item
     kept = np.flatnonzero(usable)
     starts, ends = (np.searchsorted(rows[liked], kept, s).tolist() for s in ("left", "right"))
     history = item[liked].tolist()
@@ -415,7 +452,7 @@ def _generate_labelled(
 ) -> tuple[InteractionLog, Catalog, set[int]]:
     """One draw of the log, the catalog and the designated niche consumers."""
     genres = DEFAULT_GENRES
-    other_idx = [g for g in range(len(genres)) if g != niche_idx]
+    other_idx = np.array([g for g in range(len(genres)) if g != niche_idx])
     # Mildly skewed popularity over the non-niche genres drives both item
     # genre assignment and mainstream tastes; crossover items pair the niche
     # genre with tail genres so they stay unattractive to the mainstream.
@@ -434,12 +471,12 @@ def _generate_labelled(
         if i < n_pure:
             item_genres.append([niche_idx])
         elif i < n_pure + n_cross:
-            extra = int(rng.choice(other_idx, p=tail_weight))
+            (extra,) = _choice_without_replacement(rng, other_idx, 1, tail_weight).tolist()
             item_genres.append(sorted([niche_idx, extra]))
         else:
             k = min(1 + int(rng.random() < 0.65), len(other_idx))
-            picks = rng.choice(other_idx, size=k, replace=False, p=genre_weight)
-            item_genres.append(sorted(int(g) for g in picks))
+            picks = _choice_without_replacement(rng, other_idx, k, genre_weight)
+            item_genres.append(sorted(picks.tolist()))
 
     provider_ids = [f"p{k:03d}" for k in range(spec.providers)]
     n_niche_prov = min(NICHE_PROVIDER_COUNT, spec.providers - 1, n_pure)
@@ -459,7 +496,7 @@ def _generate_labelled(
 
     n_niche_consumers = round(spec.consumers * spec.niche_fraction)
     order = rng.permutation(spec.consumers)
-    niche_consumers = set(int(c) for c in order[:n_niche_consumers])
+    niche_consumers = set(order[:n_niche_consumers].tolist())
 
     pure_ids = np.arange(n_pure)
     canon = pure_ids[: min(CANON_SIZE, n_pure)]
@@ -477,8 +514,16 @@ def _generate_labelled(
         generic_pop = 1.0 / (1.0 + np.arange(len(generic_ids)) * 0.05)
         generic_pop /= generic_pop.sum()
 
-    records: list[RatingRecord] = []
-    ts = 0
+    def rolled(picks: np.ndarray, threshold: float, high: float, low: float) -> Iterable:
+        """(item, rating) per pick: ``high`` where its uniform falls below
+        ``threshold``. One draw for the list takes the uniforms that one
+        scalar draw per pick would, in pick order."""
+        rolls = rng.random(len(picks))
+        return zip(picks.tolist(), np.where(rolls < threshold, high, low).tolist())
+
+    counts: list[int] = []  # ratings per consumer
+    item_col: list[int] = []
+    rating_col: list[float] = []
     for consumer in range(spec.consumers):
         per = RATINGS_PER_CONSUMER
         rated: dict[int, float] = {}
@@ -486,54 +531,76 @@ def _generate_labelled(
             # Everyone in the niche audience knows the genre canon; those
             # shared ratings are what keeps canon items inside the global
             # popular list that cold recommenders fall back on.
-            picks = list(canon[:n_canon])
+            picks = canon[:n_canon]
             extra = min(n_tag - n_canon, len(tag_pool))
             if extra > 0:
-                picks += list(rng.choice(tag_pool, size=extra, replace=False))
-            for i in picks:
-                # Concentrated but mid-level ratings: only some cross the
-                # implicit-history threshold.
-                rated[int(i)] = 4.0 if rng.random() < 0.35 else 3.0
+                picks = np.concatenate([picks, rng.choice(tag_pool, size=extra, replace=False)])
+            # Concentrated but mid-level ratings: only some cross the
+            # implicit-history threshold.
+            rated.update(rolled(picks, 0.35, 4.0, 3.0))
             n_gen = per - len(rated)
             if len(generic_ids) and n_gen > 0:
                 n_gen = min(n_gen, len(generic_ids))
-                for i in rng.choice(generic_ids, size=n_gen, replace=False, p=generic_pop):
-                    rated[int(i)] = 5.0 if rng.random() < 0.3 else 4.0
+                picks = _choice_without_replacement(rng, generic_ids, n_gen, generic_pop)
+                rated.update(rolled(picks, 0.3, 5.0, 4.0))
         else:
             # Diffuse mainstream taste: a mild personal boost on one or two
             # genres over a broad popularity-driven diet, so most of the
             # catalog stays moderately attractive even late in a run.
             n_like = min(1 + int(rng.random() < 0.5), len(other_idx))
-            liked = {
-                int(g)
-                for g in rng.choice(other_idx, size=n_like, replace=False, p=genre_weight)
-            }
-            match = generic_ids[generic_genres[:, sorted(liked)].any(axis=1)]
+            liked = _choice_without_replacement(rng, other_idx, n_like, genre_weight)
+            match = generic_ids[generic_genres[:, liked].any(axis=1)]
             n_match = min(len(match), max(1, round(per * 0.25)))
             taken = np.zeros(len(generic_ids), dtype=bool)
             if n_match > 0:
-                for i in rng.choice(match, size=n_match, replace=False):
-                    rated[int(i)] = 5.0
-                    taken[int(i) - n_pure - n_cross] = True
+                picks = rng.choice(match, size=n_match, replace=False)
+                rated.update(dict.fromkeys(picks.tolist(), 5.0))
+                taken[picks - (n_pure + n_cross)] = True
             fill_pool = generic_ids[~taken]
             n_fill = min(per - len(rated), len(fill_pool))
             if n_fill > 0:
                 fill_pop = 1.0 / (1.0 + np.arange(len(fill_pool)) * 0.05)
                 fill_pop /= fill_pop.sum()
-                for i in rng.choice(fill_pool, size=n_fill, replace=False, p=fill_pop):
-                    rated[int(i)] = 5.0 if rng.random() < 0.3 else 4.0
+                picks = _choice_without_replacement(rng, fill_pool, n_fill, fill_pop)
+                rated.update(rolled(picks, 0.3, 5.0, 4.0))
             # A niche-curious minority genuinely enjoys the genre canon; the
             # rest occasionally brush against it and bounce off.
             roll = rng.random()
             if roll < 0.15 and len(canon):
                 k = min(len(canon), int(rng.integers(3, 6)))
-                for i in rng.choice(canon, size=k, replace=False):
-                    rated[int(i)] = 4.0
+                rated.update(dict.fromkeys(rng.choice(canon, size=k, replace=False).tolist(), 4.0))
             elif roll < 0.35 and len(canon):
-                i = int(rng.choice(canon))
-                rated.setdefault(i, 2.0)
-        for item_id in sorted(rated):
-            records.append(RatingRecord(consumer, item_id, rated[item_id], ts))
-            ts += 1
+                rated.setdefault(int(rng.choice(canon)), 2.0)
+        items = sorted(rated)
+        counts.append(len(items))
+        item_col += items
+        rating_col += map(rated.__getitem__, items)
 
-    return InteractionLog(tuple(records)), catalog, niche_consumers
+    consumer_col = np.repeat(np.arange(spec.consumers), counts)
+    log = build_log(consumer_col, item_col, rating_col, np.arange(len(item_col)))
+    return log, catalog, niche_consumers
+
+
+def _choice_without_replacement(
+    rng: np.random.Generator, a: np.ndarray, size: int, p: np.ndarray
+) -> np.ndarray:
+    """``rng.choice(a, size, replace=False, p=p)``'s own draw, without its
+    per-call argument checks: the same picks from the same uniforms, and
+    ``rng`` left in the same state. ``p`` sums to 1. One pick is also the
+    pick of ``rng.choice(a, p=p)``, which draws one uniform the same way.
+
+    Each round draws one uniform per missing pick and keeps the new items
+    in the order of their first draw; the next round zeroes the weights of
+    the items picked so far.
+    """
+    p = np.array(p, dtype=np.float64)
+    if np.count_nonzero(p > 0) < size:
+        raise ValueError("fewer non-zero weights than picks")
+    found: list[int] = []
+    while len(found) < size:
+        x = rng.random(size - len(found))
+        p[found] = 0.0
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        found += dict.fromkeys(cdf.searchsorted(x, side="right").tolist())
+    return a[found]

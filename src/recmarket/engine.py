@@ -35,6 +35,8 @@ from .portability import AuditTrail, PortabilityPolicy, ProfileStore
 from .recommender import ALL_GENRES, CatalogModel, Provenance, RecommenderConfig, TrainedModel
 
 logger = logging.getLogger(__name__)
+# One line per cycle of each scenario: a logger of its own, so it can be muted alone
+cycle_logger = logging.getLogger(f"{__name__}.cycles")
 
 GENERIC_RECOMMENDER = "generic"
 NICHE_RECOMMENDER = "niche"
@@ -271,6 +273,7 @@ class _MetricsAccumulator:
     rows: list[CycleUtilityRow] = field(default_factory=list)
     day_rows: list[DayUtilityRow] = field(default_factory=list)
     provider_clicks: Counter = field(default_factory=Counter)
+    clicks_before_cycle: Counter = field(default_factory=Counter)  # at the cycle's start
     provenance: Counter = field(default_factory=Counter)
     switch_events: list[SwitchEvent] = field(default_factory=list)
 
@@ -558,17 +561,39 @@ def run_scenario(
     return run_experiment_suite([config], data, audits, collect_day_rows).reports[0]
 
 
-def _run_cycles(state: EcosystemState, cycles: range, memo: _ForkModels | None = None) -> None:
-    """Run ``cycles``; the first one trains through ``memo``."""
+def _run_cycles(
+    state: EcosystemState, cycles: range, scenario: str, memo: _ForkModels | None = None
+) -> None:
+    """Run ``cycles``, logged under ``scenario``; the first one trains through ``memo``."""
     cfg = state.config
     for cycle in cycles:
         state.cycle = cycle
+        state.metrics.clicks_before_cycle = state.metrics.provider_clicks.copy()
         train_cycle(state, memo if cycle == cycles.start else None)
         for _day in range(cfg.days_per_cycle):
             run_day(state)
         if cfg.switch_timing is SwitchTiming.END_OF_CYCLE and not cfg.is_baseline:
             evaluate_switches(state)
         _finish_cycle(state)
+        _log_cycle(state, scenario)
+
+
+def _log_cycle(state: EcosystemState, scenario: str) -> None:
+    """Log where the market stands after the current cycle: subscribers per
+    recommender, the cycle's clicks by provider type and its switches."""
+    if not cycle_logger.isEnabledFor(logging.INFO):
+        return
+    metrics = state.metrics
+    subscribers = np.bincount(state.current, minlength=len(state.columns)).tolist()
+    clicks = metrics.provider_clicks - metrics.clicks_before_cycle
+    cycle_logger.info(
+        "%s cycle %d: subscribers %s; clicks %s; switches %d",
+        scenario,
+        state.cycle,
+        " ".join(f"{rid}={n}" for rid, n in zip(state.columns, subscribers)),
+        " ".join(f"{label}={clicks[label]}" for label in (GENERIC, NICHE)),
+        sum(event.cycle == state.cycle for event in metrics.switch_events),
+    )
 
 
 def _build_report(state: EcosystemState) -> MetricsReport:
@@ -647,7 +672,7 @@ def run_experiment_suite(
     prefix = prepare_state(universal, data, trail, collect_day_rows)
     prefix.config = replace(widest, policy=None, recommenders=(widest.home,))
     fork = widest.warmup_cycles + (widest.switch_timing is SwitchTiming.END_OF_CYCLE)
-    _run_cycles(prefix, range(fork))
+    _run_cycles(prefix, range(fork), "prefix")
 
     # At most the prefix and one branch exist: the last scenario runs on the prefix itself.
     # At the fork cycle branches often repeat a training (README), so each is fitted once.
@@ -695,7 +720,9 @@ def _run_branch(
     )
     if config.switch_timing is SwitchTiming.END_OF_CYCLE and not config.is_baseline:
         evaluate_switches(state)
-    _run_cycles(state, range(state.day // config.days_per_cycle, config.cycles), memo)
+        _log_cycle(state, config.scenario_name)  # the prefix's last cycle, with its switches
+    cycles = range(state.day // config.days_per_cycle, config.cycles)
+    _run_cycles(state, cycles, config.scenario_name, memo)
     return _build_report(state)
 
 

@@ -208,7 +208,7 @@ def _solve_side(
 
 def popular_list(log: InteractionLog, k: int) -> list[int]:
     """Items by descending rating count, ties by ascending id, cut to k."""
-    items, counts = np.unique([rec.item_id for rec in log.records], return_counts=True)
+    items, counts = np.unique(log.item_ids, return_counts=True)
     # unique lists the items ascending, so a stable sort breaks ties by id
     return items[np.argsort(-counts, kind="stable")[: max(k, 0)]].tolist()
 

@@ -38,7 +38,7 @@ from recmarket.dataset import (
     Catalog,
     Consumers,
     InteractionLog,
-    RatingRecord,
+    build_log,
 )
 from recmarket.errors import DataError, TrainingError
 from recmarket.portability import (
@@ -530,6 +530,18 @@ def run_from_scratch(
 # ---------------------------------------------------------------------------
 
 
+def log_rows(log: InteractionLog) -> list[tuple[int, int, float, int]]:
+    """The log's rows as ``(consumer_id, item_id, rating, timestamp)`` tuples
+    of Python numbers, in the log's (consumer, item) order."""
+    columns = (log.consumer_ids, log.item_ids, log.ratings, log.timestamps)
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def rating_log(rows: Sequence[tuple[int, int, float, int]]) -> InteractionLog:
+    """``build_log`` of ``(consumer_id, item_id, rating, timestamp)`` rows."""
+    return build_log(*zip(*rows))
+
+
 def build_preferences_per_record(
     log: InteractionLog,
     catalog: Catalog,
@@ -541,25 +553,25 @@ def build_preferences_per_record(
     niche_idx = catalog.genre_index(niche_genre)
 
     row_of = {item_id: row for row, item_id in enumerate(catalog.item_ids.tolist())}
-    by_consumer: dict[int, list[RatingRecord]] = {}
-    for rec in log.records:
-        if rec.item_id not in row_of:
-            raise DataError(f"rated item {rec.item_id} not in catalog")
-        by_consumer.setdefault(rec.consumer_id, []).append(rec)
+    by_consumer: dict[int, list[tuple[int, float]]] = {}
+    for consumer_id, item_id, rating, _timestamp in log_rows(log):
+        if item_id not in row_of:
+            raise DataError(f"rated item {item_id} not in catalog")
+        by_consumer.setdefault(consumer_id, []).append((item_id, rating))
 
     rows: list[tuple] = []
     skipped = 0
     for consumer_id in sorted(by_consumer):
         mass = np.zeros(n_genres)
         history: list[int] = []
-        for rec in by_consumer[consumer_id]:
-            genres = catalog.genre_matrix[row_of[rec.item_id]].tolist()
-            share = rec.rating / sum(genres)
+        for item_id, rating in by_consumer[consumer_id]:
+            genres = catalog.genre_matrix[row_of[item_id]].tolist()
+            share = rating / sum(genres)
             for g, bit in enumerate(genres):
                 if bit:
                     mass[g] += share
-            if rec.rating >= history_threshold:
-                history.append(rec.item_id)
+            if rating >= history_threshold:
+                history.append(item_id)
         total = float(mass.sum())
         if total <= 0.0:
             skipped += 1

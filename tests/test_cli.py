@@ -462,7 +462,7 @@ class TestCompare:
 
 
 class TestMainEntry:
-    def test_verbose_logs_the_fork_and_changes_no_output(self, tmp_path):
+    def test_verbose_logs_the_fork_and_each_cycle_and_changes_no_output(self, tmp_path):
         # In a fresh process, where `-v` sets up logging as a user's shell has it
         config = write(tmp_path, SMALL_RUN)
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -483,6 +483,30 @@ class TestMainEntry:
         assert all(line.startswith("recmarket.") for line in lines)
         (fork,) = [line for line in lines if line.startswith("recmarket.engine:")]
         assert re.fullmatch(r"recmarket\.engine: fork cycle 2: \d+ fits trained, \d+ reused", fork)
+
+        # One line per cycle: the shared prefix runs cycles 0-1, and each
+        # scenario logs the cycles it runs, from the fork's switches on
+        cycle_line = re.compile(
+            r"recmarket\.engine\.cycles: (\w+) cycle (\d+): subscribers generic=(\d+) "
+            r"niche=(\d+); clicks Generic=(\d+) Niche=(\d+); switches (\d+)"
+        )
+        logged: dict[str, dict[int, tuple[int, ...]]] = {}
+        for line in lines:
+            if line.startswith("recmarket.engine.cycles:"):
+                scenario, cycle, *counts = cycle_line.fullmatch(line).groups()
+                logged.setdefault(scenario, {})[int(cycle)] = tuple(map(int, counts))
+        prefix = logged.pop("prefix")
+        assert list(prefix) == [0, 1]
+        assert {s: list(c) for s, c in logged.items()} == {
+            s: [2] if s == "baseline" else [1, 2] for s in cli.POLICY_NAMES
+        }
+        for scenario, cycles in logged.items():
+            report = json.loads(verbose_files[f"report_{scenario}.json"])
+            rows = {**prefix, **cycles}.values()
+            assert all(generic + niche == 25 for generic, niche, *_rest in rows)
+            clicks = [sum(row[k] for row in rows) for k in (2, 3)]
+            assert clicks == [report["provider_clicks"][t] for t in ("Generic", "Niche")]
+            assert sum(row[4] for row in rows) == sum(report["switch_totals"].values())
 
     def test_exit_code_validation_error(self, tmp_path, capsys):
         no_genre = "[scenario]\nseed = 1\n"

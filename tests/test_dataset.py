@@ -9,16 +9,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_preferences_per_record, catalog_tables, consumer_rows
+from helpers import (
+    build_preferences_per_record,
+    catalog_tables,
+    consumer_rows,
+    log_rows,
+    rating_log,
+)
 from recmarket import dataset
 from recmarket.dataset import (
     GENERIC,
     NICHE,
     Consumers,
-    InteractionLog,
-    RatingRecord,
     SyntheticSpec,
     build_catalog,
+    build_log,
     build_preferences,
     classify_providers,
     generate_synthetic,
@@ -40,7 +45,7 @@ class TestLoadRatings:
         p = tmp_path / "r.dat"
         p.write_text("1::1193::5::978300760\n")
         log = load_ratings(p, fmt="movielens-dat")
-        assert log.records == (RatingRecord(1, 1193, 5.0, 978300760),)
+        assert log_rows(log) == [(1, 1193, 5.0, 978300760)]
 
     def test_empty_file_errors(self, tmp_path):
         p = tmp_path / "r.dat"
@@ -63,20 +68,20 @@ class TestLoadRatings:
             for u, i, r, t in rows:
                 if (u, i) not in best or t >= best[(u, i)][3]:
                     best[(u, i)] = (u, i, r, t)
-            return {k: RatingRecord(*v) for k, v in best.items()}
+            return best
 
         for ordering in (rows, rows[::-1]):
             p = tmp_path / "r.dat"
             p.write_text("".join(f"{u}::{i}::{r}::{t}\n" for u, i, r, t in ordering))
             log = load_ratings(p, fmt="movielens-dat")
-            assert set(log.records) == set(oracle(rows).values())
-        assert oracle(rows)[(1, 7)].rating == 5.0
+            assert set(log_rows(log)) == set(oracle(rows).values())
+        assert oracle(rows)[(1, 7)][2] == 5.0
 
     def test_csv_format_and_header_check(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("user,item,rating,timestamp\n3,9,4.5,100\n")
         log = load_ratings(p, fmt="csv")
-        assert log.records == (RatingRecord(3, 9, 4.5, 100),)
+        assert log_rows(log) == [(3, 9, 4.5, 100)]
         p.write_text("usr,item,rating,ts\n3,9,4.5,100\n")
         with pytest.raises(DataError, match="header"):
             load_ratings(p, fmt="csv")
@@ -93,7 +98,7 @@ class TestLoadRatings:
         for ordering in (rows, rows[::-1]):
             p = tmp_path / "r.dat"
             p.write_text("".join(ordering))
-            assert load_ratings(p).records == (RatingRecord(1, 7, 5.0, 10),)
+            assert log_rows(load_ratings(p)) == [(1, 7, 5.0, 10)]
 
     def test_csv_without_rows(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -113,7 +118,7 @@ class TestLoadRatings:
 class TestBuildPreferences:
     def test_single_genre_rater_is_one_hot_niche(self):
         cat = catalog3({1: (["Horror"], "p0"), 2: (["Horror"], "p0")})
-        log = InteractionLog((RatingRecord(1, 1, 5.0, 0), RatingRecord(1, 2, 4.0, 1)))
+        log = rating_log([(1, 1, 5.0, 0), (1, 2, 4.0, 1)])
         (seed,) = consumer_rows(build_preferences(log, cat, "Horror"))
         assert seed.preference_vector == (0.0, 1.0, 0.0)
         assert seed.type_label == NICHE
@@ -134,7 +139,7 @@ class TestBuildPreferences:
             (20, 3, 3.0, 3),
             (30, 3, 1.0, 4),
         ]
-        log = InteractionLog(tuple(RatingRecord(*r) for r in rows))
+        log = rating_log(rows)
         seeds = {s.consumer_id: s for s in consumer_rows(build_preferences(log, cat, "Horror"))}
 
         # Independent spreadsheet-style recomputation.
@@ -174,20 +179,20 @@ class TestBuildPreferences:
 
     def test_tie_at_niche_genre_is_generic(self):
         cat = catalog3({1: (["Drama"], "p0"), 2: (["Horror"], "p0")})
-        log = InteractionLog((RatingRecord(1, 1, 3.0, 0), RatingRecord(1, 2, 3.0, 1)))
+        log = rating_log([(1, 1, 3.0, 0), (1, 2, 3.0, 1)])
         (seed,) = consumer_rows(build_preferences(log, cat, "Horror"))
         assert seed.preference_vector[0] == seed.preference_vector[1]
         assert seed.type_label == GENERIC
 
     def test_unknown_item_errors(self):
         cat = catalog3({1: (["Drama"], "p0")})
-        log = InteractionLog((RatingRecord(1, 99, 3.0, 0),))
+        log = rating_log([(1, 99, 3.0, 0)])
         with pytest.raises(DataError, match="99"):
             build_preferences(log, cat, "Horror")
 
     def test_history_threshold_configurable(self):
         cat = catalog3({1: (["Drama"], "p0"), 2: (["Drama"], "p0")})
-        log = InteractionLog((RatingRecord(1, 1, 3.0, 0), RatingRecord(1, 2, 4.0, 1)))
+        log = rating_log([(1, 1, 3.0, 0), (1, 2, 4.0, 1)])
         (seed,) = consumer_rows(build_preferences(log, cat, "Horror"))
         assert seed.initial_history == (2,)
         (seed_low,) = consumer_rows(build_preferences(log, cat, "Horror", history_threshold=3.0))
@@ -196,7 +201,7 @@ class TestBuildPreferences:
     def test_niche_genre_outside_the_taxonomy_labels_generic(self):
         # File data may name a niche genre that its catalog does not use
         cat = catalog3({1: (["Horror"], "p0"), 2: (["Drama"], "p1")})
-        log = InteractionLog((RatingRecord(1, 1, 5.0, 0), RatingRecord(2, 2, 5.0, 1)))
+        log = rating_log([(1, 1, 5.0, 0), (2, 2, 5.0, 1)])
         assert set(build_preferences(log, cat, "Jazz").type_labels) == {GENERIC}
         assert classify_providers(cat, "Jazz") == {"p0": GENERIC, "p1": GENERIC}
 
@@ -204,15 +209,14 @@ class TestBuildPreferences:
     def test_columns_are_read_only(self, column):
         # One consumer table is shared by every branch of a suite
         cat = catalog3({1: (["Horror"], "p0"), 2: (["Drama"], "p1")})
-        log = InteractionLog((RatingRecord(1, 1, 5.0, 0), RatingRecord(2, 2, 5.0, 1)))
+        log = rating_log([(1, 1, 5.0, 0), (2, 2, 5.0, 1)])
         array = getattr(build_preferences(log, cat, "Horror"), column)
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
     def test_rows_are_consumers_in_id_order(self):
         cat = catalog3({1: (["Horror"], "p0"), 2: (["Drama"], "p1")})
-        log = InteractionLog((RatingRecord(9, 2, 5.0, 0), RatingRecord(3, 1, 4.0, 1),
-                              RatingRecord(5, 2, 3.0, 2)))
+        log = rating_log([(9, 2, 5.0, 0), (3, 1, 4.0, 1), (5, 2, 3.0, 2)])
         consumers = build_preferences(log, cat, "Horror")
         assert consumers.consumer_ids.tolist() == [3, 5, 9]
         assert consumers.consumer_ids.dtype == np.int64
@@ -308,7 +312,7 @@ class TestGenerateSynthetic:
         calls = []
 
         def no_niche_consumers(log, catalog, niche_genre):
-            calls.append(log)
+            calls.append(tuple(log_rows(log)))
             return Consumers(np.array([0]), np.ones((1, len(catalog.genres))), (GENERIC,), ((),))
 
         monkeypatch.setattr(dataset, "build_preferences", no_niche_consumers)
@@ -349,9 +353,10 @@ class TestGenerateSynthetic:
 
 
 def synthetic_digests(consumers, items, providers, seed):
-    """sha256 of the generated log's records and of its catalog's tables."""
+    """sha256 of the generated log's rows, as tuples of Python numbers, and
+    of its catalog's tables."""
     log, cat = generate_synthetic(SyntheticSpec(consumers, items, providers, seed=seed))
-    records = [tuple(r) for r in log.records]
+    records = log_rows(log)
     tables = catalog_tables(cat)
     return tuple(hashlib.sha256(repr(x).encode()).hexdigest() for x in (records, tables))
 
@@ -559,9 +564,8 @@ class TestPreferencesMatchPerRecord:
     @FILES
     @given(rows=WIDE_LOG_ROWS, item_genres=WIDE_ITEM_GENRES, data=st.data())
     def test_file_logs_in_any_record_order(self, tmp_path, rows, item_genres, data):
+        # Sums follow record order, which the log fixes as (consumer, item)
         log = written_log(tmp_path / "r.csv", data.draw(st.permutations(rows)), "csv")
-        # The loader sorts records; sums follow record order, so shuffle them
-        log = InteractionLog(tuple(data.draw(st.permutations(log.records))))
         cat = build_catalog([(i, gs, "p0") for i, gs in enumerate(item_genres)], WIDE)
         niche = data.draw(st.sampled_from(WIDE + ("Jazz",)))
         threshold = data.draw(st.sampled_from([1.0, 3.0, 3.5, 5.0]))
@@ -573,7 +577,7 @@ class TestPreferencesMatchPerRecord:
     def test_niche_tie_stays_generic(self):
         cat = catalog3({1: (["Drama"], "p0"), 2: (["Horror"], "p0"), 3: (["Horror"], "p0")})
         rows = [(1, 1, 3.0, 0), (1, 2, 3.0, 1), (2, 1, 2.0, 2), (2, 2, 1.0, 3), (2, 3, 1.0, 4)]
-        log = InteractionLog(tuple(RatingRecord(*r) for r in rows))
+        log = rating_log(rows)
         seeds = build_preferences(log, cat, "Horror")
         assert seeds.type_labels == (GENERIC, GENERIC)
         assert_same_seeds(seeds, build_preferences_per_record(log, cat, "Horror"))
@@ -581,7 +585,7 @@ class TestPreferencesMatchPerRecord:
     def test_skipped_consumers_warn_alike(self):
         cat = catalog3({1: (["Drama"], "p0"), 2: (["Horror", "Drama"], "p0")})
         rows = [(1, 1, 0.0, 0), (2, 2, 4.0, 1), (3, 2, 0.0, 2), (3, 1, 0.0, 3), (4, 1, -1.0, 4)]
-        log = InteractionLog(tuple(RatingRecord(*r) for r in rows))
+        log = rating_log(rows)
         seeds, warnings_seen = warned(build_preferences, log, cat, "Horror")
         expected, expected_warnings = warned(build_preferences_per_record, log, cat, "Horror")
         assert_same_seeds(seeds, expected)
@@ -591,8 +595,9 @@ class TestPreferencesMatchPerRecord:
 
     def test_first_unknown_item_in_record_order_is_named(self):
         cat = catalog3({1: (["Drama"], "p0")})
-        rows = [(2, 1, 3.0, 0), (2, 98, 3.0, 1), (1, 97, 3.0, 2)]
-        log = InteractionLog(tuple(RatingRecord(*r) for r in rows))
+        # Records follow (consumer, item) order, so 98 comes before the smaller 97
+        rows = [(2, 97, 3.0, 0), (1, 1, 3.0, 1), (1, 98, 3.0, 2)]
+        log = rating_log(rows)
         for build in (build_preferences, build_preferences_per_record):
             with pytest.raises(DataError, match="rated item 98 not in catalog"):
                 build(log, cat, "Horror")
@@ -619,3 +624,127 @@ class TestByteOrderMark:
         files[marked] = with_bom(files[marked])
         loaded = load_catalog(files["items.csv"], files["providers.csv"])
         assert catalog_tables(loaded) == catalog_tables(catalog)
+
+
+def assert_log_columns(log):
+    """Four read-only 1-D columns of one length, with their dtypes, whose
+    (consumer, item) pairs ascend strictly."""
+    columns = {
+        "consumer_ids": np.int64,
+        "item_ids": np.int64,
+        "ratings": np.float64,
+        "timestamps": np.int64,
+    }
+    for name, dtype in columns.items():
+        column = getattr(log, name)
+        assert (column.dtype, column.shape, column.flags.writeable) == (dtype, (len(log),), False)
+    pairs = list(zip(log.consumer_ids.tolist(), log.item_ids.tolist()))
+    assert all(a < b for a, b in zip(pairs, pairs[1:]))
+
+
+class TestLogColumns:
+    def test_synthetic_log(self):
+        log, _cat = generate_synthetic(SyntheticSpec(60, 40, 4, seed=3))
+        assert_log_columns(log)
+        assert len(log) > 60
+
+    @pytest.mark.parametrize("fmt, name", [("csv", "r.csv"), ("movielens-dat", "r.dat")])
+    def test_file_log(self, tmp_path, fmt, name):
+        rows = [(2, 7, 4, 30), (1, 9, 5, 10), (2, 3, 1, 20), (1, 9, 3, 40), (1, 2, 2, 5)]
+        log = written_log(tmp_path / name, rows, fmt)
+        assert_log_columns(log)
+        assert log_rows(log) == [(1, 2, 2.0, 5), (1, 9, 3.0, 40), (2, 3, 1.0, 20), (2, 7, 4.0, 30)]
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_shuffled_columns_build_an_equal_log(self, data):
+        log, _cat = generate_synthetic(SyntheticSpec(20, 30, 3, seed=data.draw(st.integers(0, 9))))
+        order = np.array(data.draw(st.permutations(range(len(log)))))
+        columns = (log.consumer_ids, log.item_ids, log.ratings, log.timestamps)
+        shuffled = build_log(*(column[order] for column in columns))
+        assert_log_columns(shuffled)
+        assert shuffled == log
+
+    def test_a_repeated_pair_names_it(self):
+        # Consumer 0 rates item 4 once; a second rating of the pair would
+        # seed it twice into consumer 0's list against one matrix cell
+        log, _cat = generate_synthetic(SyntheticSpec(30, 40, 4, seed=3))
+        rows = log_rows(log)
+        assert (0, 4) in [(u, i) for u, i, _r, _t in rows]
+        with pytest.raises(DataError, match="consumer 0 rates item 4 more than once"):
+            rating_log(rows + [(0, 4, 1.0, len(rows))])
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([], [], [], []), "no interactions"),
+            (([1, 2], [1, 2], [5.0], [0, 1]), "1-D and of equal length"),
+            (([[1]], [[1]], [[5.0]], [[0]]), "1-D and of equal length"),
+            (([2**63], [1], [5.0], [0]), "out of range"),
+        ],
+    )
+    def test_malformed_columns(self, columns, message):
+        with pytest.raises(DataError, match=message):
+            build_log(*columns)
+
+
+# Weights with zeros and a heavy skew, so that a pick repeats within a round
+# and the replica draws again
+WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.integers(-6, 6).map(lambda k: 10.0**k)), min_size=2, max_size=40
+).filter(lambda w: any(w))
+
+replica = dataset._choice_without_replacement
+
+
+class TestChoiceReplica:
+    """``dataset._choice_without_replacement`` is ``Generator.choice(a,
+    size, replace=False, p=p)`` without its argument checks; one pick is
+    also ``Generator.choice(a, p=p)``'s."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), weights=WEIGHTS, data=st.data())
+    def test_same_picks_and_state_as_choice(self, seed, weights, data):
+        p = np.array(weights) / sum(weights)
+        size = data.draw(st.integers(0, np.count_nonzero(p)))
+        a = np.arange(len(p)) * 7 + 3
+        expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = expected_rng.choice(a, size, replace=False, p=p)
+        picks = replica(rng, a, size, p)
+        assert (picks.dtype, picks.tolist()) == (expected.dtype, expected.tolist())
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @given(seed=st.integers(0, 2**32 - 1), weights=WEIGHTS)
+    def test_one_pick_is_a_pick_with_replacement(self, seed, weights):
+        p = np.array(weights) / sum(weights)
+        expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = expected_rng.choice(len(p), p=p)
+        assert replica(rng, np.arange(len(p)), 1, p).tolist() == [expected]
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_a_repeated_pick_is_drawn_again(self):
+        p = np.array([1e6, 1.0, 1.0, 1.0, 0.0])
+        p /= p.sum()
+        rng, expected_rng = np.random.default_rng(1), np.random.default_rng(1)
+        picks = replica(rng, np.arange(5), 3, p)
+        assert picks.tolist() == expected_rng.choice(5, 3, replace=False, p=p).tolist()
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+        one_round = np.random.default_rng(1)
+        one_round.random(3)
+        assert rng.bit_generator.state != one_round.bit_generator.state  # it drew again
+
+    def test_weights_are_not_written(self):
+        p = np.array([0.5, 0.25, 0.25])
+        replica(np.random.default_rng(0), np.arange(3), 3, p)
+        assert p.tolist() == [0.5, 0.25, 0.25]
+
+    def test_too_few_non_zero_weights(self):
+        with pytest.raises(ValueError, match="fewer non-zero weights"):
+            replica(np.random.default_rng(0), np.arange(3), 2, np.array([1.0, 0.0, 0.0]))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 50))
+    def test_one_vector_draw_is_n_scalar_draws(self, seed, n):
+        scalar, vector = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = [scalar.random() for _ in range(n)]
+        assert vector.random(n).tolist() == draws
+        assert vector.bit_generator.state == scalar.bit_generator.state

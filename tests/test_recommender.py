@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import ServingContext, recommend, score, serve_ids, train_per_row
+from helpers import ServingContext, rating_log, recommend, score, serve_ids, train_per_row
 from recmarket import recommender
-from recmarket.dataset import InteractionLog, RatingRecord
 from recmarket.errors import ConfigError, TrainingError
 from recmarket.recommender import (
     CatalogModel,
@@ -164,16 +163,12 @@ class TestTrainMatchesPerRowOracle:
 
 class TestPopularList:
     def test_count_sort_with_id_tiebreak(self):
-        log = InteractionLog(
-            tuple(
-                RatingRecord(u, i, 1.0, t)
-                for t, (u, i) in enumerate([(1, 1), (2, 1), (3, 1), (1, 2), (1, 3), (2, 3), (3, 3)])
-            )
-        )
+        pairs = [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3), (2, 3), (3, 3)]
+        log = rating_log([(u, i, 1.0, t) for t, (u, i) in enumerate(pairs)])
         assert popular_list(log, 2) == [1, 3]
 
     def test_truncation_noop_when_k_large(self):
-        log = InteractionLog((RatingRecord(1, 5, 1.0, 0), RatingRecord(2, 9, 1.0, 1)))
+        log = rating_log([(1, 5, 1.0, 0), (2, 9, 1.0, 1)])
         assert popular_list(log, 10) == [5, 9]
 
     def test_counting_oracle_on_random_log(self):
@@ -182,23 +177,25 @@ class TestPopularList:
         t = 0
         for u in range(30):
             for i in rng.sample(range(40), k=rng.randint(1, 12)):
-                rows.append(RatingRecord(u, i, 1.0, t))
+                rows.append((u, i, 1.0, t))
                 t += 1
-        log = InteractionLog(tuple(rows))
+        log = rating_log(rows)
         from collections import Counter
 
-        counts = Counter(r.item_id for r in rows)
+        counts = Counter(i for _u, i, _r, _t in rows)
         expected = sorted(counts, key=lambda i: (-counts[i], i))[:15]
         assert popular_list(log, 15) == expected
 
     @given(
-        pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(-3, 12)), min_size=1, max_size=80),
+        pairs=st.lists(
+            st.tuples(st.integers(0, 9), st.integers(-3, 12)), min_size=1, max_size=80, unique=True
+        ),
         k=st.integers(-1, 40),
         extra=st.integers(0, 40),
     )
     def test_each_ranking_is_a_prefix_of_a_longer_one(self, pairs, k, extra):
-        # Few items and many repeats, so that counts tie often
-        log = InteractionLog(tuple(RatingRecord(u, i, 1.0, t) for t, (u, i) in enumerate(pairs)))
+        # Few items, each rated by many consumers, so that counts tie often
+        log = rating_log([(u, i, 1.0, t) for t, (u, i) in enumerate(pairs)])
         ranking = popular_list(log, k + extra)
         assert popular_list(log, k) == ranking[: max(k, 0)]
         assert all(type(item) is int for item in ranking)
