@@ -18,9 +18,17 @@ set-up there.
 For each seed and each end-to-end metric of ``BENCHMARK.json`` it prints the
 median of both sides, the interquartile range of the parent's runs, the
 ratio change/parent and the pairs the change won (ties count for neither),
-and ``gain`` when the change won at least nine tenths of the pairs by more
-than the parent's interquartile range in the median. It also prints the
-scenarios each side ``failed`` over all its runs.
+and these labels:
+
+- ``gain`` when the change won at least nine tenths of the pairs by more
+  than the parent's interquartile range in the median;
+- ``worse`` when the change's median is worse than the parent's by more
+  than the metric's ``bound``, relative to the parent's median;
+- ``unresolved`` when the parent's interquartile range, relative to its
+  median, is wider than the ``bound``, unless every change run beats every
+  parent run: such a spread hides a regression of the bound's size.
+
+It also prints the scenarios each side ``failed`` over all its runs.
 """
 
 from __future__ import annotations
@@ -92,10 +100,20 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         spread = quartile_spread(parent)
         won = sum((c > p) if higher else (c < p) for p, c in complete)
         pairs = len(complete)
-        gain = won >= 0.9 * pairs and (med_c - med_p if higher else med_p - med_c) > spread
+        better = med_c - med_p if higher else med_p - med_c
+        labels = []
+        if won >= 0.9 * pairs and better > spread:
+            labels.append("gain")
+        bound = metric.get("bound")
+        if bound is not None:
+            if -better > bound * abs(med_p):
+                labels.append("worse")
+            beats_all = min(change) > max(parent) if higher else max(change) < min(parent)
+            if spread > bound * abs(med_p) and not beats_all:
+                labels.append("unresolved")
         lines.append(
             f"{name:<22}{med_p:>12.4g}{med_c:>12.4g}{spread:>12.3g}"
-            f"{med_c / med_p:>8.3f}{won:>5}/{pairs:<2}{'  gain' if gain else ''}"
+            f"{med_c / med_p:>8.3f}{won:>5}/{pairs:<2}{''.join(f'  {x}' for x in labels)}"
         )
     failed = {side: sum(r["failed"] for r in side_runs) for side, side_runs in runs.items()}
     attempted = {side: sum(r["attempted"] for r in side_runs) for side, side_runs in runs.items()}

@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from collections import defaultdict
-from dataclasses import MISSING, dataclass, replace
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -168,12 +168,10 @@ def parse_config(path: str | Path, seed: int | None = None) -> ExperimentSpec:
     scenario = given[ScenarioConfig]
     if seed is not None:
         scenario["seed"] = seed
-    recommenders = tuple(
-        replace(r, **given[RecommenderConfig])
-        for r in engine.default_recommenders(scenario["niche_genre"])
-    )
     suite = engine.standard_suite(
-        recommenders=recommenders, behavior=BehaviorParams(**given[BehaviorParams]), **scenario
+        recommender=RecommenderConfig(engine.GENERIC_RECOMMENDER, **given[RecommenderConfig]),
+        behavior=BehaviorParams(**given[BehaviorParams]),
+        **scenario,
     )
     by_name = {c.scenario_name: c for c in suite}
     scenarios = tuple(by_name[name] for name in given[None].get("policies", by_name))
@@ -195,7 +193,7 @@ def serialize_config(spec: ExperimentSpec) -> str:
     owners = {
         ScenarioConfig: cfg,
         BehaviorParams: cfg.behavior,
-        RecommenderConfig: cfg.recommenders[0],
+        RecommenderConfig: cfg.recommender,
         type(src): src,
     }
     choices = {
@@ -225,12 +223,7 @@ def cmd_run(
     config: Path, out: Path, seed: int | None = None, emit: Sequence[str] = ()
 ) -> int:
     spec = parse_config(config, seed)
-    _log, catalog = data = load_data(spec.source)
-    niche = spec.scenarios[0].niche_genre
-    if catalog.genre_index(niche) is None and not all(c.is_baseline for c in spec.scenarios):
-        genres = ", ".join(catalog.genres)
-        raise ConfigError(f"[scenario] niche_genre {niche!r} is not an item genre: {genres}")
-
+    data = load_data(spec.source)
     audits: dict[str, AuditTrail] = {}
     if "audit-log" in emit:
         audits = {c.scenario_name: AuditTrail() for c in spec.scenarios}

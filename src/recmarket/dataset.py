@@ -15,7 +15,7 @@ import logging
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
@@ -42,8 +42,23 @@ DEFAULT_GENRES = (
 )
 
 
+class _Table:
+    """Equality over a table's fields, arrays compared by value: the
+    dataclass-generated ``__eq__`` cannot compare array fields."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in (
+                (getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+            )
+        )
+
+
 @dataclass(frozen=True, eq=False)
-class InteractionLog:
+class InteractionLog(_Table):
     """Rating events as columns, one row per (consumer, item) pair.
 
     Rows ascend strictly by (consumer, item). ``build_log`` makes the
@@ -59,16 +74,9 @@ class InteractionLog:
     def __len__(self) -> int:
         return len(self.consumer_ids)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InteractionLog):
-            return NotImplemented
-        mine = (self.consumer_ids, self.item_ids, self.ratings, self.timestamps)
-        theirs = (other.consumer_ids, other.item_ids, other.ratings, other.timestamps)
-        return all(map(np.array_equal, mine, theirs))
 
-
-@dataclass(frozen=True)
-class Catalog:
+@dataclass(frozen=True, eq=False)
+class Catalog(_Table):
     """The item table as columns over a fixed, ordered genre taxonomy.
 
     Row ``r`` is the item with the ``r``-th smallest id; every layer that
@@ -94,8 +102,8 @@ class Catalog:
         return self.item_ids[self.genre_matrix[:, g]].tolist()
 
 
-@dataclass(frozen=True)
-class Consumers:
+@dataclass(frozen=True, eq=False)
+class Consumers(_Table):
     """The consumer table as columns in consumer-row order.
 
     Row ``r`` is the usable consumer with the ``r``-th smallest id; every
@@ -164,16 +172,14 @@ def build_log(
 ) -> InteractionLog:
     """Assemble an InteractionLog from four equal-length columns of rating
     events in any order. Each (consumer, item) pair has one event."""
-    try:
-        columns = [
-            np.asarray(column, dtype)
-            for column, dtype in zip(
-                (consumer_ids, item_ids, ratings, timestamps),
-                (np.int64, np.int64, np.float64, np.int64),
-            )
-        ]
-    except OverflowError as exc:
-        raise DataError(f"interaction value out of range: {exc}") from exc
+    columns = [
+        _column(values, dtype, name)
+        for values, dtype, name in zip(
+            (consumer_ids, item_ids, ratings, timestamps),
+            (np.int64, np.int64, np.float64, np.int64),
+            ("consumer", "item", "rating", "timestamp"),
+        )
+    ]
     if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
         raise DataError("interaction columns must be 1-D and of equal length")
     if not columns[0].size:
@@ -187,6 +193,20 @@ def build_log(
     for column in (consumer, item, rating, timestamp):
         column.flags.writeable = False
     return InteractionLog(consumer, item, rating, timestamp)
+
+
+def _column(values: Sequence | np.ndarray, dtype: type, name: str) -> np.ndarray:
+    """``values`` as a ``dtype`` array; a value outside that type's range is a
+    DataError naming it."""
+    try:
+        return np.asarray(values, dtype)
+    except OverflowError:
+        for value in values:
+            try:
+                np.asarray(value, dtype)
+            except OverflowError:
+                raise DataError(f"{name} {value} out of range for {np.dtype(dtype)}") from None
+        raise
 
 
 def _read_text(path: Path) -> str:
@@ -271,7 +291,7 @@ def build_catalog(
     taxonomy = tuple(genres)
     index = {g: k for k, g in enumerate(taxonomy)}
     rows = sorted(item_rows, key=itemgetter(0))
-    item_ids = np.array([row[0] for row in rows], dtype=np.int64)
+    item_ids = _column([row[0] for row in rows], np.int64, "item")
     repeated = item_ids[1:][item_ids[1:] == item_ids[:-1]]
     if repeated.size:
         raise DataError(f"item {repeated[0]} appears in more than one catalog row")

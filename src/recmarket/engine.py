@@ -47,26 +47,20 @@ class SwitchTiming(enum.Enum):
     PER_DAY = "per_day"
 
 
-def default_recommenders(niche_genre: str) -> tuple[RecommenderConfig, RecommenderConfig]:
-    return (
-        RecommenderConfig(GENERIC_RECOMMENDER, specialization=ALL_GENRES),
-        RecommenderConfig(NICHE_RECOMMENDER, specialization=niche_genre),
-    )
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """All constants of one scenario run.
 
-    ``policy=None`` marks the non-switching baseline with a single
-    recommender; any other value enables switching under that portability
-    policy.
+    ``policy=None`` marks the non-switching baseline; any other value
+    enables switching under that portability policy. The policy also sets
+    the roster: ``recommenders``.
     """
 
     seed: int
     niche_genre: str
     policy: PortabilityPolicy | None
-    recommenders: tuple[RecommenderConfig, ...]
+    # The hyperparameters of every recommender; the roster sets ids and specializations
+    recommender: RecommenderConfig = RecommenderConfig(GENERIC_RECOMMENDER)
     cycles: int = 10
     days_per_cycle: int = 10
     slate_size: int = 10
@@ -84,9 +78,16 @@ class ScenarioConfig:
         return "baseline" if self.policy is None else self.policy.value
 
     @property
-    def home(self) -> RecommenderConfig:
-        """The all-genre recommender every consumer starts at."""
-        return next(r for r in self.recommenders if r.specialization == ALL_GENRES)
+    def recommenders(self) -> tuple[RecommenderConfig, ...]:
+        """The generic recommender over all genres, every consumer's home,
+        and under a policy the niche one over the niche genre."""
+        roster = [(GENERIC_RECOMMENDER, ALL_GENRES)]
+        if self.policy is not None:
+            roster.append((NICHE_RECOMMENDER, self.niche_genre))
+        return tuple(
+            replace(self.recommender, recommender_id=rid, specialization=genre)
+            for rid, genre in roster
+        )
 
     @property
     def store_policy(self) -> PortabilityPolicy:
@@ -101,50 +102,19 @@ class ScenarioConfig:
         if not math.isfinite(self.history_threshold):
             raise ConfigError("history_threshold must be finite")
         self.behavior.validate()
-        if not self.recommenders:
-            raise ConfigError("at least one recommender is required")
-        ids = [r.recommender_id for r in self.recommenders]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("recommender ids must be unique")
-        for rec in self.recommenders:
-            rec.validate()
-            if rec.popular_list_size < self.slate_size:
-                raise ConfigError(
-                    f"{rec.recommender_id}: popular_list_size must be >= slate_size"
-                )
-        if self.is_baseline and len(self.recommenders) != 1:
-            raise ConfigError("baseline scenario must have exactly one recommender")
-        if len(self.recommenders) == 2:
-            specialized = [r for r in self.recommenders if r.specialization != ALL_GENRES]
-            if len(specialized) != 1:
-                raise ConfigError(
-                    "two-recommender setup requires exactly one genre-specialized recommender"
-                )
-        if not any(r.specialization == ALL_GENRES for r in self.recommenders):
-            raise ConfigError("one recommender must serve all genres (the consumers' home)")
-
-
-def standard_suite(
-    seed: int,
-    niche_genre: str,
-    recommenders: tuple[RecommenderConfig, ...] | None = None,
-    **overrides,
-) -> list[ScenarioConfig]:
-    """Baseline plus the four portability policies with shared constants."""
-    recs = recommenders or default_recommenders(niche_genre)
-    home = tuple(r for r in recs if r.specialization == ALL_GENRES)
-    configs = [
-        ScenarioConfig(
-            seed=seed, niche_genre=niche_genre, policy=None, recommenders=home, **overrides
-        )
-    ]
-    for policy in PortabilityPolicy:
-        configs.append(
-            ScenarioConfig(
-                seed=seed, niche_genre=niche_genre, policy=policy, recommenders=recs, **overrides
+        self.recommender.validate()
+        if self.recommender.popular_list_size < self.slate_size:
+            raise ConfigError(
+                f"{self.recommender.recommender_id}: popular_list_size must be >= slate_size"
             )
-        )
-    return configs
+
+
+def standard_suite(seed: int, niche_genre: str, **overrides) -> list[ScenarioConfig]:
+    """Baseline plus the four portability policies with shared constants."""
+    return [
+        ScenarioConfig(seed=seed, niche_genre=niche_genre, policy=policy, **overrides)
+        for policy in (None, *PortabilityPolicy)
+    ]
 
 
 def derive_seed(root: int, *parts: object) -> int:
@@ -252,9 +222,9 @@ def _build_index(
         else:
             g = catalog.genre_index(rec.specialization)
             if g is None:
+                genres = ", ".join(catalog.genres)
                 raise ConfigError(
-                    f"{rec.recommender_id}: specialization genre "
-                    f"{rec.specialization!r} not in catalog taxonomy"
+                    f"niche_genre {rec.specialization!r} is not an item genre: {genres}"
                 )
             pools[rec.recommender_id] = np.flatnonzero(catalog.genre_matrix[:, g])
 
@@ -329,12 +299,12 @@ def prepare_state(
     if not len(consumers):
         raise ConfigError("no usable consumers in the interaction log")
 
-    home = config.home.recommender_id
     index = _build_index(catalog, labels, consumers.preferences, config.recommenders)
     columns = sorted(r.recommender_id for r in config.recommenders)
     consumer_ids = consumers.consumer_ids.tolist()
     store = ProfileStore.create(config.store_policy, columns, consumer_ids, catalog.item_ids, audit)
-    portability.seed_histories(store, home, dict(zip(consumer_ids, consumers.histories)))
+    histories = dict(zip(consumer_ids, consumers.histories))
+    portability.seed_histories(store, GENERIC_RECOMMENDER, histories)
 
     longest = max(r.popular_list_size for r in config.recommenders)
     popular = np.searchsorted(catalog.item_ids, recommender.popular_list(log, longest))
@@ -343,7 +313,7 @@ def prepare_state(
     }
     types = consumers.type_labels
     type_rows = {t: [k for k, c in enumerate(types) if c == t] for t in sorted(set(types))}
-    current = np.full(len(consumers), columns.index(home))
+    current = np.full(len(consumers), columns.index(GENERIC_RECOMMENDER))
     return EcosystemState(
         config=config,
         catalog=catalog,
@@ -645,33 +615,33 @@ def run_experiment_suite(
 ) -> ExperimentResult:
     """Run several scenarios over shared data and constants.
 
-    All configs must agree on everything except the policy and the roster it
-    implies. No consumer can switch during warm-up, so that prefix of the
-    market runs once and each scenario runs on a copy of it, one at a time.
+    All configs must agree on everything except the policy. No consumer can
+    switch during warm-up, so that prefix of the market runs once and each
+    scenario runs on a copy of it, one at a time.
     """
     if not configs:
         raise ConfigError("no scenarios to run")
     for config in configs:
         config.validate()
-    # Everything but the policy and its roster, so that no constant can be left out
-    keys = {replace(c, policy=None, recommenders=(c.home,)) for c in configs}
-    rosters = {c.recommenders for c in configs if not c.is_baseline}
-    if len(keys) != 1 or len(rosters) > 1:
+    # Everything but the policy, so that no constant can be left out
+    if len({replace(c, policy=None) for c in configs}) != 1:
         raise ConfigError("suite scenarios must share all constants except the policy")
     names = [c.scenario_name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique within a suite")
-    widest = max(configs, key=lambda c: len(c.recommenders))
+    baseline = replace(configs[0], policy=None)
 
     # The prefix is the suite's baseline up to the first possible switch: under
     # per-day switching that is cycle warmup_cycles' first day, else its end.
-    # The fork cycle after it is the first in which the branches train.
+    # The fork cycle after it is the first in which the branches train. It is
+    # prepared with every recommender of the suite, in the baseline's store.
     audits = audits or {}
-    universal = replace(widest, policy=PortabilityPolicy.UNIVERSAL)
+    switching = not all(c.is_baseline for c in configs)
+    widest = replace(baseline, policy=PortabilityPolicy.UNIVERSAL) if switching else baseline
     trail = AuditTrail() if any(audits.values()) else None
-    prefix = prepare_state(universal, data, trail, collect_day_rows)
-    prefix.config = replace(widest, policy=None, recommenders=(widest.home,))
-    fork = widest.warmup_cycles + (widest.switch_timing is SwitchTiming.END_OF_CYCLE)
+    prefix = prepare_state(widest, data, trail, collect_day_rows)
+    prefix.config = baseline
+    fork = baseline.warmup_cycles + (baseline.switch_timing is SwitchTiming.END_OF_CYCLE)
     _run_cycles(prefix, range(fork), "prefix")
 
     # At most the prefix and one branch exist: the last scenario runs on the prefix itself.
@@ -716,7 +686,7 @@ def _run_branch(
     ``memo``."""
     state.config = config
     state.store = state.store.branch(
-        config.store_policy, state.active, config.home.recommender_id, audit
+        config.store_policy, state.active, GENERIC_RECOMMENDER, audit
     )
     if config.switch_timing is SwitchTiming.END_OF_CYCLE and not config.is_baseline:
         evaluate_switches(state)

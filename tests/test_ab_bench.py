@@ -48,3 +48,39 @@ def test_differences_are_printed_before_the_first_pair(tmp_path, monkeypatch, ca
     with pytest.raises(SystemExit):
         ab_bench.main([str(parent), str(change), "--workload", "desk_suite", "--pairs", "1"])
     assert runs == ["differs: perfbench/golden.json\n"]
+
+
+def labels(better, bound, parent, change):
+    """The labels ``summarize`` gives one metric over runs with these values."""
+    metric = {"name": "m", "unit": "s", "better": better, "bound": bound}
+    runs = {
+        side: [{"metrics": {"m": {"value": v}}, "failed": 0, "attempted": 1} for v in values]
+        for side, values in (("parent", parent), ("change", change))
+    }
+    header, line, failed = ab_bench.summarize([metric], runs)
+    assert failed == "failed: parent 0/10, change 0/10"
+    return line.split()[6:]
+
+
+STEADY = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+WIDE = [1.0, 1.6, 1.0, 1.6, 1.0, 1.6, 1.0, 1.6, 1.0, 1.6]  # IQR 0.6 on a median of 1.3
+
+
+@pytest.mark.parametrize(
+    "better, bound, parent, change, expected",
+    [
+        ("lower", 0.25, STEADY, [v * 1.1 for v in STEADY], []),
+        ("lower", 0.25, STEADY, [v * 1.3 for v in STEADY], ["worse"]),
+        ("lower", 0.05, STEADY, [v * 1.1 for v in STEADY], ["worse"]),
+        ("higher", 0.25, STEADY, [v * 0.7 for v in STEADY], ["worse"]),
+        ("higher", 0.25, STEADY, [v * 1.3 for v in STEADY], ["gain"]),
+        ("lower", 0.25, STEADY, [v * 0.7 for v in STEADY], ["gain"]),
+        ("lower", 0.25, WIDE, WIDE[::-1], ["unresolved"]),
+        ("lower", 0.25, WIDE, [v * 1.5 for v in WIDE], ["worse", "unresolved"]),
+        # every change run beats every parent run: the spread hides nothing
+        ("lower", 0.25, WIDE, [v * 0.5 for v in STEADY], ["gain"]),
+        ("higher", 0.25, WIDE, [v * 2 for v in STEADY], ["gain"]),
+    ],
+)
+def test_summarize_labels(better, bound, parent, change, expected):
+    assert labels(better, bound, parent, change) == expected

@@ -104,8 +104,8 @@ class TestParseConfig:
         assert cfg.warmup_cycles == 2
         assert cfg.behavior.recency_bias == 2.0
         assert cfg.behavior.satisfaction_threshold == 0.2
-        assert cfg.recommenders[0].latent_factors == 32
-        assert cfg.recommenders[0].popular_list_size == 100
+        assert cfg.recommender.latent_factors == 32
+        assert cfg.recommender.popular_list_size == 100
 
     def test_unknown_key_is_an_error(self, tmp_path):
         bad = MINIMAL + "\n[scenario]\nmystery = 1\n"
@@ -202,13 +202,14 @@ class TestParseConfig:
 
     def test_every_config_field_is_a_key_or_derived(self):
         # A run holds only what a config can set: each field of a key's owner
-        # is a key or is derived from keys (the policy and its roster, the
-        # behaviour block, each recommender's identity, and the seed and
-        # niche genre the synthetic spec shares with the scenario).
+        # is a key or is derived from keys (the policy, the behaviour and
+        # recommender blocks, each recommender's identity, which the policy's
+        # roster sets, and the seed and niche genre the synthetic spec shares
+        # with the scenario).
         keyed = {(owner, name) for owner, name, _parse in cli._KEYS.values()}
         derived = {
             (ScenarioConfig, "policy"),
-            (ScenarioConfig, "recommenders"),
+            (ScenarioConfig, "recommender"),
             (ScenarioConfig, "behavior"),
             (RecommenderConfig, "recommender_id"),
             (RecommenderConfig, "specialization"),
@@ -565,6 +566,20 @@ class TestMainEntry:
         assert cli.main(["run", "--config", str(one_provider), "--out", str(tmp_path / "o")]) == 2
         assert "providers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_item_id_outside_64_bits_is_a_data_error(self, tmp_path, capsys):
+        big = 2**63
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "ratings.csv").write_text("user,item,rating,timestamp\n1,1,5.0,0\n")
+        (data / "items.csv").write_text(f"item,title,genres\n{big},t,Horror\n")
+        (data / "providers.csv").write_text(f"item,provider\n{big},p\n")
+        config = write(tmp_path, files_run(data))
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(big) in err[0], err
+        assert not out.exists()
 
     @pytest.mark.parametrize("policies", ["", "policies = baseline\n"])
     def test_synthetic_niche_genre_outside_the_genres_is_a_data_error(

@@ -275,6 +275,10 @@ class TestBuildCatalog:
         with pytest.raises(DataError, match="item 1 appears in more than one catalog row"):
             build_catalog(rows, G3)
 
+    def test_item_id_outside_64_bits_names_it(self):
+        with pytest.raises(DataError, match="item 9223372036854775808 out of range for int64"):
+            build_catalog([(2**63, ["Drama"], "p0")], G3)
+
     @pytest.mark.parametrize("column", ["item_ids", "genre_matrix"])
     def test_columns_are_read_only(self, column):
         # One catalog is shared by every branch of a suite
@@ -298,6 +302,20 @@ class TestGenerateSynthetic:
             SyntheticSpec(consumers=30, items=50, providers=5, niche_fraction=0.2, seed=8)
         )
         assert (a[0], catalog_tables(a[1])) != (b[0], catalog_tables(b[1]))
+
+    def test_tables_compare_by_value(self):
+        # Each table compares its array columns by value, not as a tuple of
+        # arrays, whose truth value is ambiguous
+        (log, cat), (same_log, same_cat) = (
+            generate_synthetic(SyntheticSpec(30, 40, 4, seed=3)) for _ in range(2)
+        )
+        other_log, other_cat = generate_synthetic(SyntheticSpec(30, 40, 4, seed=4))
+        consumers = build_preferences(log, cat, "Horror")
+        assert cat == same_cat and cat != other_cat
+        assert consumers == build_preferences(same_log, same_cat, "Horror")
+        assert consumers != build_preferences(other_log, other_cat, "Horror")
+        assert log == same_log and log != other_log
+        assert cat != log and consumers != cat
 
     # seed 2104's first draw realizes 27 niche consumers of 25 and is redrawn
     @pytest.mark.parametrize("size,seed", [((500, 300, 20), 1), ((250, 150, 10), 2104)])

@@ -33,9 +33,9 @@ from recmarket import behavior, engine, portability, recommender
 from recmarket.behavior import BehaviorParams
 from recmarket.dataset import GENERIC, NICHE, SyntheticSpec, generate_synthetic
 from recmarket.engine import (
+    GENERIC_RECOMMENDER,
     ScenarioConfig,
     SwitchTiming,
-    default_recommenders,
     derive_rng,
     prepare_state,
     run_day,
@@ -66,7 +66,6 @@ def small_config(policy=PortabilityPolicy.UNIVERSAL, **overrides):
         seed=1,
         niche_genre="Horror",
         policy=policy,
-        recommenders=default_recommenders("Horror"),
         cycles=4,
         days_per_cycle=3,
         slate_size=5,
@@ -77,8 +76,7 @@ def small_config(policy=PortabilityPolicy.UNIVERSAL, **overrides):
 
 
 def baseline_config(**overrides):
-    recs = (default_recommenders("Horror")[0],)
-    return small_config(policy=None, recommenders=recs, **overrides)
+    return small_config(policy=None, **overrides)
 
 
 class TestValidation:
@@ -86,24 +84,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="warmup"):
             small_config(warmup_cycles=4).validate()
 
-    def test_two_recommenders_need_one_specialist(self):
-        both_generic = (
-            RecommenderConfig("a", ALL_GENRES),
-            RecommenderConfig("b", ALL_GENRES),
-        )
-        with pytest.raises(ConfigError, match="specialized"):
-            small_config(recommenders=both_generic).validate()
-
-    def test_baseline_single_recommender_only(self):
-        with pytest.raises(ConfigError, match="baseline"):
-            small_config(policy=None).validate()
-
     def test_popular_list_must_cover_slate(self):
-        recs = tuple(
-            replace(r, popular_list_size=3) for r in default_recommenders("Horror")
-        )
+        short = RecommenderConfig(GENERIC_RECOMMENDER, popular_list_size=3)
         with pytest.raises(ConfigError, match="popular_list_size"):
-            small_config(recommenders=recs, slate_size=5).validate()
+            small_config(recommender=short, slate_size=5).validate()
 
     def test_behavior_params_checked(self):
         with pytest.raises(ConfigError, match="beta"):
@@ -114,12 +98,8 @@ class TestValidation:
             run_scenario(small_config(warmup_cycles=9), small_data())
 
     def test_unknown_specialization_genre_rejected(self):
-        recs = (
-            RecommenderConfig("generic", ALL_GENRES),
-            RecommenderConfig("niche", "NoSuchGenre"),
-        )
-        with pytest.raises(ConfigError, match="NoSuchGenre"):
-            prepare_state(small_config(recommenders=recs), small_data())
+        with pytest.raises(ConfigError, match="niche_genre 'NoSuchGenre' is not an item genre"):
+            prepare_state(small_config(niche_genre="NoSuchGenre"), small_data())
 
 
 class TestRunDay:
@@ -203,24 +183,32 @@ class TestDeterminismAndEquivalence:
         b = run_scenario(small_config(seed=2), small_data())
         assert a != b
 
-    def test_baseline_equals_universal_single_recommender(self):
-        # Universal-policy run with only the home recommender and an
-        # unreachable switching threshold is bit-identical to the baseline.
-        data = small_data()
-        recs = (default_recommenders("Horror")[0],)
-        base = baseline_config()
-        frozen = small_config(
-            policy=PortabilityPolicy.UNIVERSAL,
-            recommenders=recs,
+    @pytest.mark.parametrize("timing", list(SwitchTiming))
+    @pytest.mark.parametrize("policy", list(PortabilityPolicy))
+    def test_no_switching_threshold_equals_the_baseline(self, policy, timing):
+        # With a threshold of 0 no estimate falls below it, so nobody
+        # switches: a policy's scenario is the baseline, bit for bit, up to
+        # the scenario name and the baseline flag.
+        data = small_data(seed=5, consumers=60)
+        frozen = dict(
+            seed=5,
+            switch_timing=timing,
             behavior=BehaviorParams(satisfaction_threshold=0.0),
         )
-        frozen_report = run_scenario(frozen, data)
-        base_report = replace(run_scenario(base, data), scenario=frozen_report.scenario)
-        # identical up to the scenario name and the baseline metadata flag
-        assert replace(base_report, baseline=False) == frozen_report
-        for emit in (engine.cycle_csv_lines, engine.provider_csv_lines, engine.switch_csv_lines):
-            assert emit([base_report]) == emit([frozen_report])
-        assert engine.render_summary([base_report]) == engine.render_summary([frozen_report])
+        frozen_report = run_scenario(small_config(policy, **frozen), data, collect_day_rows=True)
+        base_report = run_scenario(baseline_config(**frozen), data, collect_day_rows=True)
+        base_report = replace(base_report, scenario=frozen_report.scenario, baseline=False)
+        assert frozen_report.switch_events == ()
+        assert base_report == frozen_report
+        emitters = (
+            engine.cycle_csv_lines,
+            engine.provider_csv_lines,
+            engine.switch_csv_lines,
+            engine.day_csv_lines,
+            engine.render_summary,
+        )
+        for emit in emitters:
+            assert emit([base_report]) == emit([frozen_report]), emit.__name__
 
     def test_blas_thread_count_leaves_reports_identical(self, tmp_path):
         # Slates rank by exact score bits, so the reports must not depend on
@@ -540,7 +528,7 @@ class TestSeedingMatchesPerClick:
             AuditTrail() if audited else None,
         )
         histories = {s.consumer_id: s.initial_history for s in seeds}
-        seed_per_click(reference, config.home.recommender_id, histories)
+        seed_per_click(reference, GENERIC_RECOMMENDER, histories)
 
         store = state.store
         assert portability.store_state(store) == portability.store_state(reference)
@@ -701,22 +689,18 @@ class TestSuiteFork:
         [
             small_config(
                 policy=PortabilityPolicy.COLD_START,
-                recommenders=tuple(replace(r, epochs=2) for r in default_recommenders("Horror")),
+                recommender=RecommenderConfig(GENERIC_RECOMMENDER, epochs=2),
             ),
             small_config(
                 policy=None,
-                recommenders=(replace(default_recommenders("Horror")[0], epochs=2),),
-            ),
-            small_config(
-                policy=PortabilityPolicy.COLD_START,
-                recommenders=(default_recommenders("Horror")[0], RecommenderConfig("b", "Drama")),
+                recommender=RecommenderConfig(GENERIC_RECOMMENDER, epochs=2),
             ),
         ],
-        ids=["epochs", "baseline_home", "niche"],
+        ids=["epochs", "baseline_home"],
     )
     def test_scenarios_with_other_recommenders_rejected(self, other):
         # A suite forks one market, so its recommenders may differ only as
-        # the policy implies: a baseline keeps the home recommender alone.
+        # the policy implies: the same hyperparameters in every scenario.
         with pytest.raises(ConfigError, match="share"):
             run_experiment_suite([small_config(), other], small_data())
 
