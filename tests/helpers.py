@@ -25,13 +25,14 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from recmarket import engine
-from recmarket.behavior import BehaviorParams
+from recmarket.behavior import BehaviorParams, update_utility
 from recmarket.dataset import (
     GENERIC,
     NICHE,
@@ -48,8 +49,10 @@ from recmarket.portability import (
     on_switch,
     record_click,
     store_state,
+    visible_items,
 )
 from recmarket.recommender import (
+    ALL_GENRES,
     CatalogModel,
     Provenance,
     RecommenderConfig,
@@ -379,25 +382,25 @@ def item_genres(catalog: Catalog, item_id: int) -> np.ndarray:
     return catalog.genre_matrix[row]
 
 
-def list_utility(preference: Sequence[float], slate: Slate, catalog: Catalog) -> float:
-    """Mean similarity of slate items to a preference row (0 if empty)."""
+def list_utility(slate: Slate, similarity: Callable[[int], float]) -> float:
+    """Mean similarity of the slate's items (0 if empty); ``similarity``
+    maps an item id to its similarity to the consumer. The sum is numpy's,
+    whose order the engine's sums keep."""
     if not slate.item_ids:
         return 0.0
-    sims = [genre_similarity(preference, item_genres(catalog, i)) for i in slate.item_ids]
-    return sum(sims) / len(sims)
+    return float(np.sum([similarity(i) for i in slate.item_ids])) / len(slate.item_ids)
 
 
 def select_item(
-    preference: Sequence[float],
     slate: Slate,
-    catalog: Catalog,
+    similarity: Callable[[int], float],
     params: BehaviorParams,
     rng: np.random.Generator,
 ) -> int | None:
     """Pick one slate item id with probability proportional to similarity."""
     if not slate.item_ids:
         return None
-    sims = np.array([genre_similarity(preference, item_genres(catalog, i)) for i in slate.item_ids])
+    sims = np.array([similarity(i) for i in slate.item_ids])
     mask = sims >= params.select_threshold
     if not mask.any():
         return None
@@ -523,6 +526,123 @@ def run_from_scratch(
             engine.evaluate_switches(state)
         engine._finish_cycle(state)
     return engine._build_report(state)
+
+
+def reference_run_day(state: engine.EcosystemState) -> None:
+    """``engine.run_day`` one consumer at a time, in id order, from the
+    per-item oracles: serve with ``recommend``, score with ``list_utility``,
+    pick with ``select_item`` and switch by ``maybe_switch_by_id``.
+
+    The similarities are the set-up's table, ``state.index.sims``: a cosine
+    from a matrix product and one from a single dot product can differ in
+    the last bit.
+    """
+    cfg, store, catalog = state.config, state.store, state.catalog
+    day_in_cycle = state.day - state.cycle * cfg.days_per_cycle
+    per_day_switching = (
+        cfg.switch_timing is engine.SwitchTiming.PER_DAY
+        and not cfg.is_baseline
+        and state.cycle >= cfg.warmup_cycles
+    )
+    item_ids = catalog.item_ids.tolist()
+    catalog_row = {item: row for row, item in enumerate(item_ids)}
+    consumer_ids = state.consumers.consumer_ids.tolist()
+    counts: dict[str, dict[int, int]] = {}
+    day_utility = [0.0] * len(consumer_ids)
+    for row, cid in enumerate(consumer_ids):
+        rid = state.columns[state.current[row]]
+        rec_config = state.rec_configs[rid]
+        model = state.models[rid].model
+        if rec_config.specialization == ALL_GENRES:
+            pool = item_ids
+        else:
+            pool = catalog.items_with_genre(rec_config.specialization)
+        seen = visible_items(store, rid, cid)
+        candidates = [i for i in pool if i not in seen]
+        popularity_tier = bool(candidates) and not model.knows_consumer(cid)
+        if popularity_tier and rid not in counts:
+            # The day's one coupling between consumers: a recommender's
+            # subscriber counts are taken at its first popularity-tier serve
+            # of the day, over its current subscribers' profiles as they are
+            # then, so they hold the clicks and switches of every consumer
+            # served before it today.
+            counts[rid] = dict(
+                Counter(
+                    item
+                    for other, column in zip(consumer_ids, state.current.tolist())
+                    if state.columns[column] == rid
+                    for item in visible_items(store, rid, other)
+                )
+            )
+        context = ServingContext(
+            subscriber_counts=counts[rid] if popularity_tier else {},
+            global_popular=catalog.item_ids[state.global_popular[rid]].tolist(),
+        )
+        rng = state.consumer_rngs[row]
+        slate = recommend(cid, model, candidates, cfg.slate_size, rng, context, rid)
+        state.metrics.provenance[slate.provenance.value] += 1
+
+        def similarity(item: int) -> float:
+            return float(state.index.sims[row, catalog_row[item]])
+
+        mu = list_utility(slate, similarity)
+        column = int(state.current[row])
+        prev = float(state.estimates[row, column])
+        state.estimates[row, column] = (
+            mu if math.isnan(prev) else update_utility(prev, mu, cfg.behavior.recency_bias)
+        )
+        day_utility[row] = mu
+        item = select_item(slate, similarity, cfg.behavior, rng)
+        if item is not None:
+            record_click(store, cid, rid, item, state.day)
+            label = state.index.provider_type_of_row[catalog_row[item]]
+            state.metrics.provider_clicks[label] += 1
+        if per_day_switching:
+            reference_switch(state, row, day_in_cycle)
+    day_utility = np.array(day_utility)
+    state.metrics.cycle_sum += day_utility
+    if state.collect_day_rows:
+        for ctype, rows in state.type_rows.items():
+            mean = float(np.mean([day_utility[r] for r in rows]))
+            state.metrics.day_rows.append(
+                engine.DayUtilityRow(state.cycle, day_in_cycle, ctype, mean, len(rows))
+            )
+    state.day += 1
+
+
+def reference_switch(state: engine.EcosystemState, row: int, day_in_cycle: int) -> None:
+    """``engine._apply_switch`` by recommender id, through ``maybe_switch_by_id``."""
+    cid = int(state.consumers.consumer_ids[row])
+    source = state.columns[state.current[row]]
+    estimates = {
+        rid: float(value)
+        for rid, value in zip(state.columns, state.estimates[row])
+        if not math.isnan(value)
+    }
+    tried = {rid for rid, flag in zip(state.columns, state.tried[row]) if flag}
+    destination = maybe_switch_by_id(
+        source, estimates, tried, state.config.behavior, state.active
+    )
+    if destination is None:
+        return
+    column = state.columns.index(destination)
+    state.current[row] = column
+    state.tried[row, column] = True
+    if state.store.audit is not None:
+        state.store.audit.emit(
+            "switch",
+            consumer=cid,
+            source=source,
+            destination=destination,
+            cycle=state.cycle,
+            day=state.cycle * state.config.days_per_cycle + day_in_cycle,
+        )
+    on_switch(state.store, cid, source, destination)
+    state.metrics.switch_events.append(
+        engine.SwitchEvent(
+            state.cycle, day_in_cycle, cid, state.consumers.type_labels[row], source, destination
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

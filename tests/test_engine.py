@@ -23,8 +23,11 @@ from helpers import (
     assert_matrices_index_lists,
     build_preferences_per_record,
     consumer_rows,
+    genre_similarity,
+    item_genres,
     list_utility,
     recommend,
+    reference_run_day,
     run_from_scratch,
     seed_per_click,
     select_item,
@@ -341,17 +344,18 @@ class TestServeMirrorsRecommend:
             last.update(state=state, preference=preference, slate=expected)
             return tier, rows
 
+        def similarity(item):
+            return genre_similarity(last["preference"], item_genres(last["state"].catalog, item))
+
         def utility(sims):
             got = original_utility(sims)
-            expected = list_utility(last["preference"], last["slate"], last["state"].catalog)
+            expected = list_utility(last["slate"], similarity)
             assert got == pytest.approx(expected, abs=1e-12)
             return got
 
         def choose(sims, threshold, rng):
             state, slate = last["state"], last["slate"]
-            expected = select_item(
-                last["preference"], slate, state.catalog, state.config.behavior, copy.deepcopy(rng)
-            )
+            expected = select_item(slate, similarity, state.config.behavior, copy.deepcopy(rng))
             got = original_choose(sims, threshold, rng)
             assert (None if got is None else slate.item_ids[got]) == expected
             return got
@@ -446,6 +450,63 @@ def switching_suite(timing):
         switch_timing=timing,
         behavior=BehaviorParams(satisfaction_threshold=0.5),
     )
+
+
+class TestReferenceDay:
+    """The engine's day against ``helpers.reference_run_day``, which serves,
+    scores, picks and switches one consumer at a time from the per-item
+    oracles: every report byte, CSV line and audit line must be equal."""
+
+    @staticmethod
+    def outputs(configs, data):
+        audits = {c.scenario_name: AuditTrail() for c in configs}
+        reports = run_experiment_suite(configs, data, audits, collect_day_rows=True).reports
+        emitted = {
+            emit.__name__: emit(reports)
+            for emit in (
+                engine.cycle_csv_lines,
+                engine.provider_csv_lines,
+                engine.switch_csv_lines,
+                engine.day_csv_lines,
+                engine.render_summary,
+            )
+        }
+        return {
+            "reports": [json.dumps(r.to_json_dict(), indent=2, sort_keys=True) for r in reports],
+            "provenance": [r.provenance_counts for r in reports],
+            "switches": [len(r.switch_events) for r in reports],
+            "audit": {name: trail.lines for name, trail in audits.items()},
+            **emitted,
+        }
+
+    @pytest.mark.parametrize("slate_size", [5, 10])
+    @pytest.mark.parametrize("timing", list(SwitchTiming))
+    def test_suite_equals_the_reference_day(self, monkeypatch, timing, slate_size):
+        # All five scenarios, with a threshold at which consumers switch
+        configs = [replace(c, slate_size=slate_size) for c in switching_suite(timing)]
+        data = small_data()
+        got = self.outputs(configs, data)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "run_day", reference_run_day)
+            want = self.outputs(configs, data)
+        for key in want:
+            assert got[key] == want[key], key
+        # The popularity tiers fire, so the subscriber counts' timing is exercised
+        tiers = sum((Counter(p) for p in got["provenance"]), Counter())
+        assert tiers[Provenance.USER_POPULARITY.value] > 0, tiers
+        assert tiers[Provenance.GLOBAL_POPULAR_FALLBACK.value] > 0, tiers
+        assert all(got["switches"][1:]), got["switches"]
+        assert all(len(lines) > 0 for lines in got["audit"].values())
+
+    def test_similarity_table_is_the_per_pair_cosine(self):
+        # The reference day reads the set-up's similarity table; each cell
+        # is the cosine of one preference row and one item's genres
+        state = prepare_state(small_config(), small_data())
+        for row, preference in enumerate(state.consumers.preferences.tolist()):
+            for item in state.catalog.item_ids.tolist()[::7]:
+                cell = state.index.sims[row, np.searchsorted(state.catalog.item_ids, item)]
+                want = genre_similarity(preference, item_genres(state.catalog, item))
+                assert cell == pytest.approx(want, abs=1e-12)
 
 
 class TestEngineInvariants:
