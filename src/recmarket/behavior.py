@@ -1,5 +1,6 @@
-"""Consumer decision model: slate utility, recency-weighted satisfaction,
-item selection, and the threshold rule for switching recommenders."""
+"""Consumer decision model: genre similarity, recency-weighted
+satisfaction, and the threshold rule for switching recommenders. The
+engine's day loop applies the selection rule to a batch of slates."""
 
 from __future__ import annotations
 
@@ -46,47 +47,22 @@ def genre_similarities(preferences: np.ndarray, genre_matrix: np.ndarray) -> np.
     return (preferences / pref_norm) @ (genre_matrix / genre_norm).T
 
 
-def slate_utility(sims: np.ndarray) -> float:
-    """List utility: mean similarity of the slate's items (0 if empty)."""
-    # bit-equal to float(sims.mean()), without np.mean's per-call overhead
-    return float(sims.sum()) / sims.size if sims.size else 0.0
-
-
-def update_utility(prev: float, observed: float, recency_bias: float) -> float:
+def update_utility(prev, observed, recency_bias: float):
     """Recency-weighted update: (prev * bias + observed) / (1 + bias).
 
     The exact formula never leaves the closed interval between its two
     inputs, so the float result is clamped to it; that keeps the fixed
     point (prev == observed) exact, and bias == 0 returns ``observed``
-    unchanged.
+    unchanged. ``prev`` and ``observed`` are floats, giving a float, or
+    arrays, giving each element the float's bits.
     """
     value = (prev * recency_bias + observed) / (1.0 + recency_bias)
-    lo, hi = (prev, observed) if prev <= observed else (observed, prev)
-    return min(max(value, lo), hi)
-
-
-def choose_item(
-    sims: np.ndarray, select_threshold: float, rng: np.random.Generator
-) -> int | None:
-    """Pick one slate position with probability proportional to similarity.
-
-    ``sims`` holds the similarity of each slate item, in slate order. Items
-    below ``select_threshold`` are not candidates; if nothing on the slate
-    qualifies (or all qualifying similarities are zero), the consumer
-    selects nothing.
-    """
-    picks = np.flatnonzero(sims >= select_threshold)
-    if not picks.size:
-        return None
-    weights = sims[picks]
-    total = float(weights.sum())
-    if total <= 0.0:
-        return None
-    # Generator.choice(p=...)'s own draw, without its per-call argument checks:
-    # the same pick from the same single uniform.
-    cdf = (weights / total).cumsum()
-    cdf /= cdf[-1]
-    return int(picks[cdf.searchsorted(rng.random(), side="right")])
+    # Python's min and max, elementwise: each keeps its first argument on a tie
+    ordered = prev <= observed
+    lo, hi = np.where(ordered, prev, observed), np.where(ordered, observed, prev)
+    value = np.where(lo > value, lo, value)
+    value = np.where(hi < value, hi, value)
+    return value if value.ndim else float(value)
 
 
 def maybe_switch(

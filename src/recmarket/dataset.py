@@ -144,9 +144,10 @@ def load_ratings(path: str | Path, fmt: str = "movielens-dat") -> InteractionLog
 
     latest: dict[tuple[int, int], tuple[int, float]] = {}  # pair -> (timestamp, rating)
     for where, fields in rows:
+        key = _parse_int(where, fields[0], "user"), _parse_int(where, fields[1], "item")
+        timestamp = _parse_int(where, fields[3], "timestamp")
         try:
-            key = int(fields[0]), int(fields[1])
-            rating, timestamp = float(fields[2]), int(fields[3])
+            rating = float(fields[2])
         except ValueError as exc:
             raise DataError(f"{where}: {exc}") from exc
         if fmt == "csv" and not (math.isfinite(rating) and rating > 0.0):
@@ -239,12 +240,23 @@ def _csv_rows(path: Path, header: Sequence[str]) -> Iterator[tuple[str, list[str
             yield f"{path}:{lineno}", row
 
 
-def _new_item_id(where: str, text: str, seen: Mapping[int, object]) -> int:
-    """The item id in ``text``, which must not be a key of ``seen`` yet."""
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_int(where: str, text: str, name: str) -> int:
+    """The ``name`` in ``text``, an int within 64 bits; else a DataError at ``where``."""
     try:
-        item_id = int(text)
+        value = int(text)
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from exc
+    if not _INT64.min <= value <= _INT64.max:
+        raise DataError(f"{where}: {name} {value} out of range for int64")
+    return value
+
+
+def _new_item_id(where: str, text: str, seen: Mapping[int, object]) -> int:
+    """The item id in ``text``, which must not be a key of ``seen`` yet."""
+    item_id = _parse_int(where, text, "item")
     if item_id in seen:
         raise DataError(f"{where}: item {item_id} repeats an earlier row")
     return item_id

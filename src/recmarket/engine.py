@@ -249,6 +249,18 @@ class _MetricsAccumulator:
 
 
 @dataclass
+class _Day:
+    """A day in progress: the consumers served but not yet selected for,
+    queued in row order as (row, column, slate's catalog rows), and each
+    consumer's list utility."""
+
+    in_cycle: int
+    switching: bool  # whether each consumer's switch is evaluated after its click
+    utility: np.ndarray
+    queue: list[tuple[int, int, np.ndarray]] = field(default_factory=list)
+
+
+@dataclass
 class EcosystemState:
     """A scenario's market; per-consumer arrays are by consumer row, then column."""
 
@@ -271,6 +283,7 @@ class EcosystemState:
     collect_day_rows: bool = False
     # per-day cache of subscriber click counts (per catalog row) for fallback serving
     _fallback_counts: dict[str, np.ndarray] = field(default_factory=dict)
+    _day: _Day | None = None  # the day in progress; None between days
 
     # Read from the config, so that a branch that swaps it needs no re-sync
     @property
@@ -393,11 +406,13 @@ def _subscriber_counts(state: EcosystemState, rid: str) -> np.ndarray:
     """Click counts per catalog row over current subscribers' visible profiles.
 
     Taken lazily at the first popularity-tier serve of each day, so the
-    counts include the same-day clicks of consumers served before it.
+    counts include the same-day clicks and switches of consumers served
+    before it: the day's queue is flushed first.
     """
     cached = state._fallback_counts.get(rid)
     if cached is not None:
         return cached
+    _flush(state)
     subscribers = state.current == state.columns.index(rid)
     # A profile list never holds an item twice, so its matrix row counts it
     counts = state.store.visible[rid][subscribers].sum(axis=0)
@@ -455,50 +470,143 @@ def _apply_switch(state: EcosystemState, row: int, day_in_cycle: int) -> None:
 
 
 def run_day(state: EcosystemState) -> None:
-    """Serve one slate per consumer, update estimates, record selections."""
+    """Serve one slate per consumer in row order; ``_flush`` then selects,
+    updates estimates, records clicks and applies per-day switches."""
     cfg = state.config
     state._fallback_counts = {}
-    day_in_cycle = state.day - state.cycle * cfg.days_per_cycle
-    per_day_switching = (
-        cfg.switch_timing is SwitchTiming.PER_DAY
-        and not cfg.is_baseline
-        and state.cycle >= cfg.warmup_cycles
+    day = state._day = _Day(
+        in_cycle=state.day - state.cycle * cfg.days_per_cycle,
+        switching=(
+            cfg.switch_timing is SwitchTiming.PER_DAY
+            and not cfg.is_baseline
+            and state.cycle >= cfg.warmup_cycles
+        ),
+        utility=np.zeros(len(state.consumers)),
     )
-    day_utility = np.zeros(len(state.consumers))
-    current, estimates = state.current, state.estimates
-    for k, consumer_id in enumerate(state.consumers.consumer_ids.tolist()):
+    current, provenance = state.current, state.metrics.provenance
+    for k in range(len(state.consumers)):
         column = current.item(k)
-        rid = state.columns[column]
-        tier, rows = _serve(state, k, rid)
-        state.metrics.provenance[tier.value] += 1
-        sims = state.index.sims[k, rows]
-        mu = behavior.slate_utility(sims)
-        prev = estimates.item(k, column)
-        estimates[k, column] = (
-            mu if math.isnan(prev) else behavior.update_utility(prev, mu, cfg.behavior.recency_bias)
-        )
-        day_utility[k] = mu
-        picked = behavior.choose_item(sims, cfg.behavior.select_threshold, state.consumer_rngs[k])
-        if picked is not None:
-            row = int(rows[picked])
-            item = int(state.catalog.item_ids[row])
-            portability.record_click(state.store, consumer_id, rid, item, state.day)
-            state.metrics.provider_clicks[state.index.provider_type_of_row[row]] += 1
-        if per_day_switching:
-            _apply_switch(state, k, day_in_cycle)
-    state.metrics.cycle_sum += day_utility
+        tier, rows = _serve(state, k, state.columns[column])
+        provenance[tier.value] += 1
+        day.queue.append((k, column, rows))
+    _flush(state)
+    state._day = None
+    state.metrics.cycle_sum += day.utility
     if state.collect_day_rows:
         for ctype, rows in state.type_rows.items():
             state.metrics.day_rows.append(
                 DayUtilityRow(
                     state.cycle,
-                    day_in_cycle,
+                    day.in_cycle,
                     ctype,
-                    float(day_utility[rows].mean()),
+                    float(day.utility[rows].mean()),
                     len(rows),
                 )
             )
     state.day += 1
+
+
+def _flush(state: EcosystemState) -> None:
+    """Select for every queued consumer at once, then record each one's
+    click and per-day switch one at a time, in row order."""
+    day = state._day
+    if day is None or not day.queue:
+        return
+    queue, day.queue = day.queue, []
+    rows = np.array([row for row, _column, _slate in queue])
+    columns = np.array([column for _row, column, _slate in queue])
+    params = state.config.behavior
+    utility, picks = _select(
+        state.index.sims,
+        rows,
+        [slate for _row, _column, slate in queue],
+        params.select_threshold,
+        [state.consumer_rngs[row] for row in rows.tolist()],
+    )
+    day.utility[rows] = utility
+    # The estimate at the serving recommender moves toward the utility
+    prev = state.estimates[rows, columns]
+    seen = ~np.isnan(prev)
+    estimates = utility.copy()
+    estimates[seen] = behavior.update_utility(prev[seen], utility[seen], params.recency_bias)
+    state.estimates[rows, columns] = estimates
+
+    consumer_ids, item_ids = state.consumers.consumer_ids, state.catalog.item_ids
+    for (row, column, slate), pick in zip(queue, picks.tolist()):
+        if pick >= 0:
+            item_row = slate.item(pick)
+            portability.record_click(
+                state.store,
+                consumer_ids.item(row),
+                state.columns[column],
+                item_ids.item(item_row),
+                state.day,
+            )
+            state.metrics.provider_clicks[state.index.provider_type_of_row[item_row]] += 1
+        if day.switching:
+            _apply_switch(state, row, day.in_cycle)
+
+
+def _select(
+    sims: np.ndarray,
+    rows: np.ndarray,
+    slates: Sequence[np.ndarray],
+    select_threshold: float,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The utility and pick of each slate: ``slates[k]`` holds the catalog
+    rows served to consumer row ``rows[k]``, whose generator is ``rngs[k]``,
+    and ``sims`` is the consumer row x catalog row similarity table.
+
+    A slate's utility is the mean similarity of its items (0 if empty); its
+    pick is as ``_pick`` makes it. Slates are grouped by length, so each
+    row's sum is that of its 1-D slate: the same bits.
+    """
+    lengths = np.array([slate.size for slate in slates])
+    utility = np.zeros(len(slates))
+    picks = np.full(len(slates), -1)
+    # Not np.unique: its first call imports numpy.ma, 12-16 ms of a run
+    for length in sorted(set(lengths.tolist()) - {0}):
+        group = np.flatnonzero(lengths == length)
+        block = sims[rows[group, None], np.array([slates[k] for k in group.tolist()])]
+        utility[group] = block.sum(axis=1) / length
+        picks[group] = _pick(block, select_threshold, [rngs[k] for k in group.tolist()])
+    return utility, picks
+
+
+def _pick(
+    sims: np.ndarray, select_threshold: float, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Each row's pick: a slate position with probability proportional to
+    similarity, or -1 for none.
+
+    ``sims`` holds one slate's similarities per row, in slate order, and
+    ``rngs`` each row's generator. Items below ``select_threshold`` are not
+    candidates; if none qualifies, or all qualifying similarities are zero,
+    the row picks nothing and draws nothing. Otherwise it draws one uniform
+    from its generator and picks what ``Generator.choice(p=...)`` picks with
+    it. Rows are grouped by their number of candidates, so each row's sum
+    and cumulative sum are those of a 1-D row: the same bits.
+    """
+    candidates = sims >= select_threshold
+    counts = candidates.sum(axis=1)
+    picks = np.full(len(sims), -1)
+    for count in sorted(set(counts.tolist()) - {0}):
+        group = np.flatnonzero(counts == count)
+        mask = candidates[group]
+        positions = np.nonzero(mask)[1].reshape(-1, count)
+        weights = sims[group][mask].reshape(-1, count)
+        total = weights.sum(axis=1)
+        drawn = total > 0.0
+        if not drawn.any():
+            continue
+        group, positions, weights = group[drawn], positions[drawn], weights[drawn]
+        cdf = (weights / total[drawn, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        uniforms = np.array([rngs[k].random() for k in group.tolist()])
+        # searchsorted(side="right") of each uniform in its row's ascending cdf
+        picks[group] = positions[np.arange(len(group)), (cdf <= uniforms[:, None]).sum(axis=1)]
+    return picks
 
 
 def evaluate_switches(state: EcosystemState) -> list[SwitchEvent]:

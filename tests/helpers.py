@@ -7,7 +7,11 @@ sequences through both and compare final states.
 
 The per-item serving and selection functions below work on item ids, one
 item at a time. The engine's array-native path over catalog rows must
-reproduce them exactly, including random-number consumption. The per-row
+reproduce them exactly, including random-number consumption.
+``slate_utility`` and ``choose_item`` are the 1-D rule for one slate, the
+reference for the engine's batched selection. ``reference_run_day`` builds
+a whole day from these oracles, one consumer at a time; the engine's day
+must reproduce its reports, CSV lines and audit lines byte for byte. The per-row
 ALS trainer is the reference for the stacked solves in ``recommender.fit``,
 which must reproduce its factors bit for bit. ``build_preferences_per_record``
 is the per-record reference for the one array pass of
@@ -389,6 +393,38 @@ def list_utility(slate: Slate, similarity: Callable[[int], float]) -> float:
     if not slate.item_ids:
         return 0.0
     return float(np.sum([similarity(i) for i in slate.item_ids])) / len(slate.item_ids)
+
+
+def slate_utility(sims: np.ndarray) -> float:
+    """List utility of one slate: the mean of its similarities, in slate
+    order (0 if empty). The 1-D reference for the engine's batched
+    utilities, ``engine._select``."""
+    return float(sims.sum()) / sims.size if sims.size else 0.0
+
+
+def choose_item(
+    sims: np.ndarray, select_threshold: float, rng: np.random.Generator
+) -> int | None:
+    """Pick one slate position with probability proportional to similarity:
+    the 1-D reference for the engine's batched picks, ``engine._pick``.
+
+    ``sims`` holds the similarity of each slate item, in slate order. Items
+    below ``select_threshold`` are not candidates; if nothing on the slate
+    qualifies (or all qualifying similarities are zero), the consumer
+    selects nothing and draws nothing.
+    """
+    picks = np.flatnonzero(sims >= select_threshold)
+    if not picks.size:
+        return None
+    weights = sims[picks]
+    total = float(weights.sum())
+    if total <= 0.0:
+        return None
+    # Generator.choice(p=...)'s own draw, without its per-call argument checks:
+    # the same pick from the same single uniform.
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(picks[cdf.searchsorted(rng.random(), side="right")])
 
 
 def select_item(

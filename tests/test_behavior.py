@@ -7,15 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import maybe_switch_by_id
-from recmarket.behavior import (
-    BehaviorParams,
-    choose_item,
-    genre_similarities,
-    maybe_switch,
-    slate_utility,
-    update_utility,
-)
+from helpers import choose_item, maybe_switch_by_id, slate_utility
+from recmarket import engine
+from recmarket.behavior import BehaviorParams, genre_similarities, maybe_switch, update_utility
 
 
 def sims_of(pref, genre_rows):
@@ -64,6 +58,37 @@ class TestUpdateUtility:
         for n in range(1, 30):
             est = update_utility(est, target, beta)
             assert abs(est - target) <= (beta / (1 + beta)) ** n * abs(0.1 - target) + 1e-12
+
+
+def update_utility_float(prev, observed, recency_bias):
+    """The update over Python floats, with Python's ``min`` and ``max``."""
+    value = (prev * recency_bias + observed) / (1.0 + recency_bias)
+    lo, hi = (prev, observed) if prev <= observed else (observed, prev)
+    return min(max(value, lo), hi)
+
+
+UNIT = st.sampled_from([0.0, -0.0, 0.2, 1 / 3, 1.0]) | st.floats(0, 1)
+
+
+class TestUpdateUtilityOnArrays:
+    @given(
+        pairs=st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=20),
+        beta=st.sampled_from([0.0, 2.0]) | st.floats(0, 50),
+    )
+    def test_each_element_is_the_float_path(self, pairs, beta):
+        prev, observed = (np.array(column) for column in zip(*pairs))
+        got = update_utility(prev, observed, beta)
+        assert isinstance(got, np.ndarray) and got.shape == prev.shape
+        for value, (p, mu) in zip(got.tolist(), pairs):
+            want = update_utility(p, mu, beta)
+            assert type(want) is float
+            assert value.hex() == want.hex() == update_utility_float(p, mu, beta).hex()
+
+    def test_an_unset_estimate_stays_unset(self):
+        # NaN marks an unset estimate; the engine never updates one, but the
+        # rule passes it through on both paths without a warning
+        got = update_utility(np.array([np.nan, 0.5]), np.array([0.2, 0.2]), 2.0)
+        assert np.isnan(got[0]) and math.isnan(update_utility(math.nan, 0.2, 2.0))
 
 
 class TestListUtility:
@@ -147,6 +172,57 @@ class TestSelectItem:
                 want = None
             assert choose_item(sims, threshold, mine) == want
             assert mine.random() == ref.random()
+
+
+SIMS = st.sampled_from([0.0, 0.2, 0.5, 1.0]) | st.floats(0, 1)
+
+
+class TestBatchedSelection:
+    """``engine._select`` takes one flush's slates at once; the 1-D
+    ``slate_utility`` and ``choose_item`` are its reference, slate by slate:
+    the same utility bits, the same picks and the same generator states."""
+
+    @staticmethod
+    def assert_flush_equals_the_one_slate_rule(table, rows, slates, threshold, seed):
+        batched = [np.random.default_rng(seed + k) for k in range(len(slates))]
+        oracle = [np.random.default_rng(seed + k) for k in range(len(slates))]
+        # A 0/0 or an overflow in the batched path fails here
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            utility, picks = engine._select(table, rows, slates, threshold, batched)
+        assert utility.shape == picks.shape == (len(slates),)
+        for k, slate in enumerate(slates):
+            sims = table[rows[k], slate]
+            assert utility[k].hex() == slate_utility(sims).hex(), k
+            want = choose_item(sims, threshold, oracle[k])
+            assert picks[k] == (-1 if want is None else want), k
+            assert batched[k].bit_generator.state == oracle[k].bit_generator.state, k
+
+    @given(data=st.data())
+    def test_one_flush_equals_the_one_slate_rule(self, data):
+        # Mixed slate lengths 0-10 in one flush, and similarities exactly at
+        # the threshold
+        threshold = data.draw(SIMS)
+        n = data.draw(st.integers(1, 12))
+        cells = SIMS | st.just(threshold)
+        table = np.array([[data.draw(cells) for _ in range(10)] for _ in range(n)])
+        rows = np.array(data.draw(st.permutations(range(n))))
+        slates = [
+            np.array(data.draw(st.permutations(range(10)))[: data.draw(st.integers(0, 10))], int)
+            for _ in range(n)
+        ]
+        seed = data.draw(st.integers(0, 2**32))
+        self.assert_flush_equals_the_one_slate_rule(table, rows, slates, threshold, seed)
+
+    def test_all_zero_weights_draw_nothing(self):
+        # At threshold 0 every item is a candidate, but zero mass is no pick
+        # and no draw, and no 0/0
+        slates = [np.arange(length) for length in (0, 1, 4, 10, 10)]
+        table = np.zeros((len(slates), 10))
+        table[4, 3] = 0.5
+        rows = np.arange(len(slates))
+        self.assert_flush_equals_the_one_slate_rule(table, rows, slates, 0.0, 7)
+        _utility, picks = engine._select(table, rows, slates, 0.0, [np.random.default_rng(0)] * 5)
+        assert picks.tolist() == [-1, -1, -1, -1, 3]
 
 
 def switch_row(estimates, tried, current, active, params=BehaviorParams()):

@@ -579,6 +579,45 @@ class TestMainEntry:
         assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(big) in err[0], err
+        assert "items.csv:2: item" in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, row, where",
+        [
+            ("providers.csv", "{n},p", "providers.csv:2: item {n} "),
+            ("ratings.csv", "{n},1,5.0,0", "ratings.csv:2: user {n} "),
+            ("ratings.csv", "1,{n},5.0,0", "ratings.csv:2: item {n} "),
+            ("ratings.csv", "1,1,5.0,{n}", "ratings.csv:2: timestamp {n} "),
+            ("ratings.dat", "{n}::1::5::0", "ratings.dat:1: user {n} "),
+            ("ratings.dat", "1::{n}::5::0", "ratings.dat:1: item {n} "),
+            ("ratings.dat", "1::1::5::{n}", "ratings.dat:1: timestamp {n} "),
+        ],
+    )
+    @pytest.mark.parametrize("n", [2**63, -(2**63) - 1])
+    def test_an_int_outside_64_bits_names_its_file_and_row(
+        self, tmp_path, capsys, name, row, where, n
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        files = {
+            "ratings.csv": "user,item,rating,timestamp\n1,1,5.0,0\n",
+            "ratings.dat": "1::1::5::0\n",
+            "items.csv": "item,title,genres\n1,t,Horror\n",
+            "providers.csv": "item,provider\n1,p\n",
+        }
+        header = files[name].splitlines()[:-1]
+        files[name] = "\n".join([*header, row.format(n=n)]) + "\n"
+        for file_name, text in files.items():
+            (data / file_name).write_text(text)
+        text = files_run(data)
+        if name == "ratings.dat":
+            text = text.replace("ratings.csv", "ratings.dat") + "format = movielens-dat\n"
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert where.format(n=n) + "out of range for int64" in err[0], err
         assert not out.exists()
 
     @pytest.mark.parametrize("policies", ["", "policies = baseline\n"])

@@ -25,14 +25,12 @@ from helpers import (
     consumer_rows,
     genre_similarity,
     item_genres,
-    list_utility,
     recommend,
     reference_run_day,
     run_from_scratch,
     seed_per_click,
-    select_item,
 )
-from recmarket import behavior, engine, portability, recommender
+from recmarket import engine, portability, recommender
 from recmarket.behavior import BehaviorParams
 from recmarket.dataset import GENERIC, NICHE, SyntheticSpec, generate_synthetic
 from recmarket.engine import (
@@ -258,15 +256,15 @@ class TestDeterminismAndEquivalence:
 
 
 class TestServeMirrorsRecommend:
-    """The engine's array-native serving, utility and selection against the
-    per-item oracles in ``helpers``, for every consumer on every day."""
+    """The engine's array-native serving against the per-item oracle in
+    ``helpers``, for every consumer on every day; ``TestReferenceDay``
+    checks the rest of the day."""
 
     def run_against_oracle(self, monkeypatch, config, data):
         log, _catalog = data
         states = []
         tiers = Counter()
         counts_cache: dict = {}
-        last: dict = {}
 
         def oracle_counts(state, rid):
             # taken at the first popularity-tier serve of the day, as documented
@@ -298,8 +296,6 @@ class TestServeMirrorsRecommend:
 
         original_prepare = engine.prepare_state
         original_serve = engine._serve
-        original_utility = behavior.slate_utility
-        original_choose = behavior.choose_item
         original_run_day = engine.run_day
         original_switch = engine._apply_switch
 
@@ -319,6 +315,12 @@ class TestServeMirrorsRecommend:
                 pool = state.catalog.items_with_genre(rec_config.specialization)
             seen = portability.visible_items(state.store, rid, cid)
             cands = [i for i in pool if i not in seen]
+            rng = copy.deepcopy(state.consumer_rngs[row])
+            # First the engine: a first popularity-tier serve flushes the
+            # day's queue, so the same-day clicks and switches of the
+            # consumers before this one are in the store when the oracle
+            # counts
+            tier, rows = original_serve(state, row, rid)
             ctx = ServingContext(
                 subscriber_counts=(
                     oracle_counts(state, rid)
@@ -332,33 +334,14 @@ class TestServeMirrorsRecommend:
                 model,
                 cands,
                 state.config.slate_size,
-                copy.deepcopy(state.consumer_rngs[row]),
+                rng,
                 ctx,
                 rid,
             )
-            tier, rows = original_serve(state, row, rid)
             got = Slate(rid, cid, tuple(int(i) for i in state.catalog.item_ids[rows]), tier)
             assert got == expected, (state.day, cid)
             tiers[tier] += 1
-            preference = state.consumers.preferences[row].tolist()
-            last.update(state=state, preference=preference, slate=expected)
             return tier, rows
-
-        def similarity(item):
-            return genre_similarity(last["preference"], item_genres(last["state"].catalog, item))
-
-        def utility(sims):
-            got = original_utility(sims)
-            expected = list_utility(last["slate"], similarity)
-            assert got == pytest.approx(expected, abs=1e-12)
-            return got
-
-        def choose(sims, threshold, rng):
-            state, slate = last["state"], last["slate"]
-            expected = select_item(slate, similarity, state.config.behavior, copy.deepcopy(rng))
-            got = original_choose(sims, threshold, rng)
-            assert (None if got is None else slate.item_ids[got]) == expected
-            return got
 
         def run_day(state):
             original_run_day(state)
@@ -373,8 +356,6 @@ class TestServeMirrorsRecommend:
         with monkeypatch.context() as patch:
             patch.setattr(engine, "prepare_state", prepare)
             patch.setattr(engine, "_serve", serve)
-            patch.setattr(behavior, "slate_utility", utility)
-            patch.setattr(behavior, "choose_item", choose)
             patch.setattr(engine, "run_day", run_day)
             patch.setattr(engine, "_apply_switch", apply_switch)
             report = run_scenario(config, data)
