@@ -47,7 +47,9 @@ def genre_similarities(preferences: np.ndarray, genre_matrix: np.ndarray) -> np.
     return (preferences / pref_norm) @ (genre_matrix / genre_norm).T
 
 
-def update_utility(prev, observed, recency_bias: float):
+def update_utility(
+    prev: float | np.ndarray, observed: float | np.ndarray, recency_bias: float
+) -> float | np.ndarray:
     """Recency-weighted update: (prev * bias + observed) / (1 + bias).
 
     The exact formula never leaves the closed interval between its two

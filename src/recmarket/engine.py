@@ -513,16 +513,11 @@ def _flush(state: EcosystemState) -> None:
     if day is None or not day.queue:
         return
     queue, day.queue = day.queue, []
-    rows = np.array([row for row, _column, _slate in queue])
-    columns = np.array([column for _row, column, _slate in queue])
+    rows, columns = np.array([(row, column) for row, column, _slate in queue]).T
+    slates = [slate for _row, _column, slate in queue]
+    rngs = [state.consumer_rngs[row] for row in rows.tolist()]
     params = state.config.behavior
-    utility, picks = _select(
-        state.index.sims,
-        rows,
-        [slate for _row, _column, slate in queue],
-        params.select_threshold,
-        [state.consumer_rngs[row] for row in rows.tolist()],
-    )
+    utility, picks = _select(state.index.sims, rows, slates, params.select_threshold, rngs)
     day.utility[rows] = utility
     # The estimate at the serving recommender moves toward the utility
     prev = state.estimates[rows, columns]

@@ -11,8 +11,8 @@ reproduce them exactly, including random-number consumption.
 ``slate_utility`` and ``choose_item`` are the 1-D rule for one slate, the
 reference for the engine's batched selection. ``reference_run_day`` builds
 a whole day from these oracles, one consumer at a time; the engine's day
-must reproduce its reports, CSV lines and audit lines byte for byte. The per-row
-ALS trainer is the reference for the stacked solves in ``recommender.fit``,
+must reproduce its reports, CSV lines and audit lines byte for byte. The
+per-row ALS trainer is the reference for the stacked solves in ``recommender.fit``,
 which must reproduce its factors bit for bit. ``build_preferences_per_record``
 is the per-record reference for the one array pass of
 ``dataset.build_preferences``, and ``seed_per_click`` seeds a store one

@@ -567,24 +567,10 @@ class TestMainEntry:
         assert "providers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_item_id_outside_64_bits_is_a_data_error(self, tmp_path, capsys):
-        big = 2**63
-        data = tmp_path / "data"
-        data.mkdir()
-        (data / "ratings.csv").write_text("user,item,rating,timestamp\n1,1,5.0,0\n")
-        (data / "items.csv").write_text(f"item,title,genres\n{big},t,Horror\n")
-        (data / "providers.csv").write_text(f"item,provider\n{big},p\n")
-        config = write(tmp_path, files_run(data))
-        out = tmp_path / "o"
-        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and str(big) in err[0], err
-        assert "items.csv:2: item" in err[0], err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "name, row, where",
         [
+            ("items.csv", "{n},t,Horror", "items.csv:2: item {n} "),
             ("providers.csv", "{n},p", "providers.csv:2: item {n} "),
             ("ratings.csv", "{n},1,5.0,0", "ratings.csv:2: user {n} "),
             ("ratings.csv", "1,{n},5.0,0", "ratings.csv:2: item {n} "),
