@@ -272,10 +272,14 @@ def cmd_run(
 
 def _write_atomically(path: Path, write: Callable[[Path], object]) -> None:
     """Write ``path`` through a temporary file beside it, so that a reader
-    never sees a partly written file."""
+    never sees a partly written file; a failed write removes it."""
     tmp = path.with_name(f".{path.name}.tmp")
-    write(tmp)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_text(path: Path, text: str) -> None:

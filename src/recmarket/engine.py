@@ -32,7 +32,7 @@ from .dataset import (
 )
 from .errors import ConfigError
 from .portability import AuditTrail, PortabilityPolicy, ProfileStore
-from .recommender import ALL_GENRES, CatalogModel, Provenance, RecommenderConfig, TrainedModel
+from .recommender import ALL_GENRES, CatalogModel, RecommenderConfig, TrainedModel
 
 logger = logging.getLogger(__name__)
 # One line per cycle of each scenario: a logger of its own, so it can be muted alone
@@ -251,13 +251,15 @@ class _MetricsAccumulator:
 @dataclass
 class _Day:
     """A day in progress: the consumers served but not yet selected for,
-    queued in row order as (row, column, slate's catalog rows), and each
-    consumer's list utility."""
+    queued in row order as (row, column, slate's catalog rows), each
+    consumer's list utility, and the subscriber click counts taken so far
+    today, by recommender id."""
 
     in_cycle: int
     switching: bool  # whether each consumer's switch is evaluated after its click
     utility: np.ndarray
     queue: list[tuple[int, int, np.ndarray]] = field(default_factory=list)
+    counts: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
@@ -281,9 +283,6 @@ class EcosystemState:
     day: int = 0  # global day counter
     metrics: _MetricsAccumulator = None  # type: ignore[assignment]
     collect_day_rows: bool = False
-    # per-day cache of subscriber click counts (per catalog row) for fallback serving
-    _fallback_counts: dict[str, np.ndarray] = field(default_factory=dict)
-    _day: _Day | None = None  # the day in progress; None between days
 
     # Read from the config, so that a branch that swaps it needs no re-sync
     @property
@@ -402,37 +401,22 @@ def train_cycle(state: EcosystemState, memo: _ForkModels | None = None) -> None:
         state.models[rid] = train(state, state.store.visible[rid], state.rec_configs[rid], seed)
 
 
-def _subscriber_counts(state: EcosystemState, rid: str) -> np.ndarray:
+def _subscriber_counts(state: EcosystemState, day: _Day, rid: str) -> np.ndarray:
     """Click counts per catalog row over current subscribers' visible profiles.
 
     Taken lazily at the first popularity-tier serve of each day, so the
     counts include the same-day clicks and switches of consumers served
     before it: the day's queue is flushed first.
     """
-    cached = state._fallback_counts.get(rid)
+    cached = day.counts.get(rid)
     if cached is not None:
         return cached
-    _flush(state)
+    _flush(state, day)
     subscribers = state.current == state.columns.index(rid)
     # A profile list never holds an item twice, so its matrix row counts it
     counts = state.store.visible[rid][subscribers].sum(axis=0)
-    state._fallback_counts[rid] = counts
+    day.counts[rid] = counts
     return counts
-
-
-def _serve(state: EcosystemState, row: int, rid: str) -> tuple[Provenance, np.ndarray]:
-    """Serve consumer row ``row`` at recommender ``rid``: the tier and the
-    slate's catalog rows."""
-    pool = state.index.pools[rid]
-    return recommender.serve(
-        state.models[rid],
-        state.consumers.consumer_ids.item(row),
-        pool[~state.store.visible[rid][row, pool]],
-        state.config.slate_size,
-        state.consumer_rngs[row],
-        lambda: _subscriber_counts(state, rid),
-        state.global_popular[rid],
-    )
 
 
 def _apply_switch(state: EcosystemState, row: int, day_in_cycle: int) -> None:
@@ -473,8 +457,7 @@ def run_day(state: EcosystemState) -> None:
     """Serve one slate per consumer in row order; ``_flush`` then selects,
     updates estimates, records clicks and applies per-day switches."""
     cfg = state.config
-    state._fallback_counts = {}
-    day = state._day = _Day(
+    day = _Day(
         in_cycle=state.day - state.cycle * cfg.days_per_cycle,
         switching=(
             cfg.switch_timing is SwitchTiming.PER_DAY
@@ -484,13 +467,23 @@ def run_day(state: EcosystemState) -> None:
         utility=np.zeros(len(state.consumers)),
     )
     current, provenance = state.current, state.metrics.provenance
+    consumer_ids, visible = state.consumers.consumer_ids, state.store.visible
     for k in range(len(state.consumers)):
         column = current.item(k)
-        tier, rows = _serve(state, k, state.columns[column])
+        rid = state.columns[column]
+        pool = state.index.pools[rid]
+        tier, rows = recommender.serve(
+            state.models[rid],
+            consumer_ids.item(k),
+            pool[~visible[rid][k, pool]],
+            cfg.slate_size,
+            state.consumer_rngs[k],
+            lambda: _subscriber_counts(state, day, rid),
+            state.global_popular[rid],
+        )
         provenance[tier.value] += 1
         day.queue.append((k, column, rows))
-    _flush(state)
-    state._day = None
+    _flush(state, day)
     state.metrics.cycle_sum += day.utility
     if state.collect_day_rows:
         for ctype, rows in state.type_rows.items():
@@ -506,11 +499,10 @@ def run_day(state: EcosystemState) -> None:
     state.day += 1
 
 
-def _flush(state: EcosystemState) -> None:
-    """Select for every queued consumer at once, then record each one's
-    click and per-day switch one at a time, in row order."""
-    day = state._day
-    if day is None or not day.queue:
+def _flush(state: EcosystemState, day: _Day) -> None:
+    """Select for every consumer on ``day``'s queue at once, then record
+    each one's click and per-day switch one at a time, in row order."""
+    if not day.queue:
         return
     queue, day.queue = day.queue, []
     rows, columns = np.array([(row, column) for row, column, _slate in queue]).T
@@ -762,11 +754,13 @@ def run_experiment_suite(
 
 
 def _fork(prefix: EcosystemState) -> EcosystemState:
-    """A deep copy of the prefix for one branch. Branches share what none of
-    them writes: the catalog, the consumer table, the index and the prefix's
-    store (each branch copies its home lists and matrix into its own). The
-    prefix's models are kept only so that they are not copied: a branch
-    trains every recommender at its first cycle and never reads them.
+    """A deep copy of the prefix for one branch, taken between days: a day's
+    queue and counts live in ``run_day``, not on the state. Branches share
+    what none of them writes: the catalog, the consumer table, the index and
+    the prefix's store (each branch copies its home lists and matrix into
+    its own). The prefix's models are kept only so that they are not
+    copied: a branch trains every recommender at its first cycle and never
+    reads them.
     Generators are copied by state: a third of the cost of a deep copy, for
     the same streams."""
     keep = (prefix.catalog, prefix.consumers, prefix.type_rows, prefix.index, prefix.store)

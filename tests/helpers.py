@@ -10,18 +10,20 @@ item at a time. The engine's array-native path over catalog rows must
 reproduce them exactly, including random-number consumption.
 ``slate_utility`` and ``choose_item`` are the 1-D rule for one slate, the
 reference for the engine's batched selection. ``reference_run_day`` builds
-a whole day from these oracles, one consumer at a time; the engine's day
-must reproduce its reports, CSV lines and audit lines byte for byte. The
-per-row ALS trainer is the reference for the stacked solves in ``recommender.fit``,
-which must reproduce its factors bit for bit. ``build_preferences_per_record``
-is the per-record reference for the one array pass of
-``dataset.build_preferences``, and ``seed_per_click`` seeds a store one
-``record_click`` at a time, the reference for the engine's bulk seeding.
-``maybe_switch_by_id`` is the switching rule over dicts and sets keyed by
-recommender id, the reference for ``behavior.maybe_switch`` over a
-consumer's row of columns. ``run_from_scratch`` runs one
-scenario straight through from cycle 0; a suite, which runs the warm-up once
-and branches it into every scenario, must reproduce it byte for byte.
+a whole day from these oracles, one consumer at a time. It is the one
+oracle of the engine's day, which must reproduce its every serve (consumer,
+tier and slate) and its reports, CSV lines and audit lines byte for byte.
+``assert_engine_invariants`` states what must hold after every day and
+switch. The per-row ALS trainer is the reference for the stacked solves in
+``recommender.fit``, which must reproduce its factors bit for bit.
+``build_preferences_per_record`` is the per-record reference for the one
+array pass of ``dataset.build_preferences``, and ``seed_per_click`` seeds a
+store one ``record_click`` at a time, the reference for the engine's bulk
+seeding. ``maybe_switch_by_id`` is the switching rule over dicts and sets
+keyed by recommender id, the reference for ``behavior.maybe_switch`` over a
+consumer's row of columns. ``run_from_scratch`` runs one scenario straight
+through from cycle 0; a suite, which runs the warm-up once and branches it
+into every scenario, must reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -205,6 +207,11 @@ def assert_engine_invariants(
         consumer, source = switched
         assert consumer not in store.per_recommender[source]
         assert not store.visible[source][store.consumer_rows[consumer]].any()
+    # No profile list holds an item twice, so a matrix row counts a
+    # subscriber's items, as engine._subscriber_counts reads them
+    for bucket in (store.shared, *store.per_recommender.values()):
+        for consumer, entries in bucket.items():
+            assert len({item for item, _day in entries}) == len(entries), consumer
     assert_matrices_index_lists(store)
 
 
@@ -229,9 +236,10 @@ def consumer_rows(consumers: Consumers) -> list[ConsumerRow]:
 
 
 def catalog_tables(catalog: Catalog) -> tuple:
-    """The catalog as plain Python values, for comparing catalogs: its
-    taxonomy, one (item id, genre bits, provider id) row per item in id
-    order, and one (provider id, item ids) row per provider in id order."""
+    """The catalog as plain Python values, whose ``repr`` the synthetic
+    stream's digests hash (compare catalogs with ``==``): its taxonomy, one
+    (item id, genre bits, provider id) row per item in id order, and one
+    (provider id, item ids) row per provider in id order."""
     item_ids = catalog.item_ids.tolist()
     provider_items: dict[str, list[int]] = {}
     for item_id, provider_id in zip(item_ids, catalog.provider_ids):

@@ -1,6 +1,7 @@
 """Config parsing, commands, emitted files, exit codes."""
 
 import codecs
+import errno
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import catalog_tables, run_from_scratch
+from helpers import run_from_scratch
 from recmarket import cli, dataset, engine, recommender
 from recmarket.behavior import BehaviorParams
 from recmarket.cli import (
@@ -567,6 +568,23 @@ class TestMainEntry:
         assert "providers" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_a_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys):
+        # The disk fills after ten bytes of the summary's temporary file
+        config, out = write(tmp_path, SMALL_RUN), tmp_path / "out"
+        write_text = Path.write_text
+
+        def full_disk(path, text, *args, **kwargs):
+            if path.name != ".summary.txt.tmp":
+                return write_text(path, text, *args, **kwargs)
+            write_text(path, text[:10], *args, **kwargs)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+        assert not (out / "summary.txt").exists()
+
     @pytest.mark.parametrize(
         "name, row, where",
         [
@@ -628,7 +646,7 @@ class TestMainEntry:
             )
         )
         assert log == direct_log
-        assert catalog_tables(catalog) == catalog_tables(direct_catalog)
+        assert catalog == direct_catalog
 
         config = write(tmp_path, files_run(data), "files.ini")
         assert (

@@ -292,7 +292,7 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(consumers=30, items=50, providers=5, niche_fraction=0.2, seed=7)
         (log_a, cat_a), (log_b, cat_b) = generate_synthetic(spec), generate_synthetic(spec)
         assert log_a == log_b
-        assert catalog_tables(cat_a) == catalog_tables(cat_b)
+        assert cat_a == cat_b
 
     def test_different_seeds_differ(self):
         a = generate_synthetic(
@@ -301,7 +301,7 @@ class TestGenerateSynthetic:
         b = generate_synthetic(
             SyntheticSpec(consumers=30, items=50, providers=5, niche_fraction=0.2, seed=8)
         )
-        assert (a[0], catalog_tables(a[1])) != (b[0], catalog_tables(b[1]))
+        assert a != b
 
     def test_tables_compare_by_value(self):
         # Each table compares its array columns by value, not as a tuple of
@@ -434,7 +434,7 @@ class TestLoadCatalog:
         (tmp_path / "items.csv").write_text("\n".join(items_lines) + "\n")
         (tmp_path / "providers.csv").write_text("\n".join(prov_lines) + "\n")
         loaded = load_catalog(tmp_path / "items.csv", tmp_path / "providers.csv")
-        assert catalog_tables(loaded) == catalog_tables(cat)
+        assert loaded == cat
 
     def test_missing_provider_mapping_errors(self, tmp_path):
         (tmp_path / "items.csv").write_text("item,title,genres\n1,x,Drama\n")
@@ -522,7 +522,7 @@ class TestFileMetamorphic:
         expected = written_catalog(tmp_path, rows, rows)
         items, providers = data.draw(st.permutations(rows)), data.draw(st.permutations(rows))
         shuffled = written_catalog(tmp_path, items, providers)
-        assert catalog_tables(shuffled) == catalog_tables(expected)
+        assert shuffled == expected
 
 
 def assert_same_seeds(consumers, expected):
@@ -641,7 +641,7 @@ class TestByteOrderMark:
         files = {name: tmp_path / name for name in ("items.csv", "providers.csv")}
         files[marked] = with_bom(files[marked])
         loaded = load_catalog(files["items.csv"], files["providers.csv"])
-        assert catalog_tables(loaded) == catalog_tables(catalog)
+        assert loaded == catalog
 
 
 def assert_log_columns(log):

@@ -16,16 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 from helpers import (
-    ServingContext,
-    Slate,
     assert_engine_invariants,
     assert_matrices_index_lists,
     build_preferences_per_record,
     consumer_rows,
     genre_similarity,
     item_genres,
-    recommend,
     reference_run_day,
     run_from_scratch,
     seed_per_click,
@@ -37,7 +35,6 @@ from recmarket.engine import (
     GENERIC_RECOMMENDER,
     ScenarioConfig,
     SwitchTiming,
-    derive_rng,
     prepare_state,
     run_day,
     run_experiment_suite,
@@ -47,7 +44,7 @@ from recmarket.engine import (
 )
 from recmarket.errors import ConfigError
 from recmarket.portability import AuditTrail, PortabilityPolicy, ProfileStore
-from recmarket.recommender import ALL_GENRES, Provenance, RecommenderConfig
+from recmarket.recommender import Provenance, RecommenderConfig
 
 
 def small_data(seed=0, consumers=40, items=80, providers=6):
@@ -255,169 +252,6 @@ class TestDeterminismAndEquivalence:
             assert np.mean(days) == pytest.approx(row.mean_utility, abs=1e-9)
 
 
-class TestServeMirrorsRecommend:
-    """The engine's array-native serving against the per-item oracle in
-    ``helpers``, for every consumer on every day; ``TestReferenceDay``
-    checks the rest of the day."""
-
-    def run_against_oracle(self, monkeypatch, config, data):
-        log, _catalog = data
-        states = []
-        tiers = Counter()
-        counts_cache: dict = {}
-
-        def oracle_counts(state, rid):
-            # taken at the first popularity-tier serve of the day, as documented
-            key = (state.day, rid)
-            if key not in counts_cache:
-                view = portability.training_view(state.store, rid)
-                counts = Counter(
-                    item
-                    for cid, column in zip(
-                        state.consumers.consumer_ids.tolist(), state.current.tolist()
-                    )
-                    if state.columns[column] == rid
-                    for item, _day in view.get(cid, ())
-                )
-                counts_cache[key] = dict(counts)
-            return counts_cache[key]
-
-        def assert_visibility(state):
-            # The engine counts a profile's items by its visibility matrix
-            # row, so no profile list may hold an item twice
-            for rid in state.active:
-                view = portability.training_view(state.store, rid)
-                for k, cid in enumerate(state.consumers.consumer_ids.tolist()):
-                    got = {int(i) for i in state.catalog.item_ids[state.store.visible[rid][k]]}
-                    expected = portability.visible_items(state.store, rid, cid)
-                    assert got == expected, (state.day, rid, cid)
-                    listed = [item for item, _day in view.get(cid, ())]
-                    assert len(listed) == len(expected), (state.day, rid, cid)
-
-        original_prepare = engine.prepare_state
-        original_serve = engine._serve
-        original_run_day = engine.run_day
-        original_switch = engine._apply_switch
-
-        def prepare(*args, **kwargs):
-            state = original_prepare(*args, **kwargs)
-            states.append(state)
-            assert_visibility(state)
-            return state
-
-        def serve(state, row, rid):
-            cid = int(state.consumers.consumer_ids[row])
-            rec_config = state.rec_configs[rid]
-            model = state.models[rid].model
-            if rec_config.specialization == ALL_GENRES:
-                pool = state.catalog.item_ids.tolist()
-            else:
-                pool = state.catalog.items_with_genre(rec_config.specialization)
-            seen = portability.visible_items(state.store, rid, cid)
-            cands = [i for i in pool if i not in seen]
-            rng = copy.deepcopy(state.consumer_rngs[row])
-            # First the engine: a first popularity-tier serve flushes the
-            # day's queue, so the same-day clicks and switches of the
-            # consumers before this one are in the store when the oracle
-            # counts
-            tier, rows = original_serve(state, row, rid)
-            ctx = ServingContext(
-                subscriber_counts=(
-                    oracle_counts(state, rid)
-                    if cands and not model.knows_consumer(cid)
-                    else {}
-                ),
-                global_popular=recommender.popular_list(log, rec_config.popular_list_size),
-            )
-            expected = recommend(
-                cid,
-                model,
-                cands,
-                state.config.slate_size,
-                rng,
-                ctx,
-                rid,
-            )
-            got = Slate(rid, cid, tuple(int(i) for i in state.catalog.item_ids[rows]), tier)
-            assert got == expected, (state.day, cid)
-            tiers[tier] += 1
-            return tier, rows
-
-        def run_day(state):
-            original_run_day(state)
-            assert_visibility(state)
-
-        def apply_switch(state, row, day_in_cycle):
-            before = len(state.metrics.switch_events)
-            original_switch(state, row, day_in_cycle)
-            if len(state.metrics.switch_events) > before:
-                assert_visibility(state)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(engine, "prepare_state", prepare)
-            patch.setattr(engine, "_serve", serve)
-            patch.setattr(engine, "run_day", run_day)
-            patch.setattr(engine, "_apply_switch", apply_switch)
-            report = run_scenario(config, data)
-        assert len(states) == 1
-        consumer_days = len(states[0].consumers) * config.cycles * config.days_per_cycle
-        assert sum(tiers.values()) == consumer_days
-        return report, tiers
-
-    def test_engine_serving_equals_reference_implementation(self, monkeypatch):
-        # Every scenario of the suite under both switch timings. A higher
-        # satisfaction threshold makes consumers switch, so profiles move
-        # and every serving tier fires.
-        data = small_data()
-        tiers = Counter()
-        switches = Counter()
-        for timing in SwitchTiming:
-            overrides = dict(
-                switch_timing=timing, behavior=BehaviorParams(satisfaction_threshold=0.4)
-            )
-            for policy in [None, *PortabilityPolicy]:
-                if policy is None:
-                    config = baseline_config(**overrides)
-                else:
-                    config = small_config(policy, **overrides)
-                report, seen = self.run_against_oracle(monkeypatch, config, data)
-                tiers += seen
-                switches[timing, policy] = len(report.switch_events)
-        assert set(tiers) == set(Provenance), tiers
-        assert all(n > 0 for (_timing, policy), n in switches.items() if policy), switches
-
-    def test_tier3_sampling_identical_with_same_stream(self):
-        config = small_config()
-        data = small_data()
-        state = prepare_state(config, data)
-        train_cycle(state)
-        cid = int(state.consumers.consumer_ids[0])
-        rid = state.columns[state.current[0]]
-        # force the fallback tier by blanking the model and store
-        empty = recommender.TrainedModel.empty(2)
-        state.models[rid] = recommender.CatalogModel.align(empty, state.catalog.item_ids)
-        state.store.shared.clear()
-        state.store.per_recommender.get(rid, {}).clear()
-        state.store.visible[rid][:] = False  # the lists' index, blanked with them
-        state._fallback_counts = {}
-        seed_rng = derive_rng(config.seed, "consumer", cid)
-        state.consumer_rngs[0] = derive_rng(config.seed, "consumer", cid)
-        tier, rows = engine._serve(state, 0, rid)
-        items = tuple(int(i) for i in state.catalog.item_ids[rows])
-        popular = recommender.popular_list(data[0], state.rec_configs[rid].popular_list_size)
-        expected = recommend(
-            cid,
-            empty,
-            state.catalog.item_ids.tolist(),
-            config.slate_size,
-            seed_rng,
-            ServingContext(subscriber_counts={}, global_popular=popular),
-            rid,
-        )
-        assert Slate(rid, cid, items, tier) == expected
-        assert tier is Provenance.GLOBAL_POPULAR_FALLBACK
-
-
 def switching_suite(timing):
     """The five scenarios over ``small_data`` with enough switching to move
     profiles under every policy."""
@@ -436,7 +270,7 @@ def switching_suite(timing):
 class TestReferenceDay:
     """The engine's day against ``helpers.reference_run_day``, which serves,
     scores, picks and switches one consumer at a time from the per-item
-    oracles: every report byte, CSV line and audit line must be equal."""
+    oracles: every serve, report byte, CSV line and audit line must be equal."""
 
     @staticmethod
     def outputs(configs, data):
@@ -466,18 +300,45 @@ class TestReferenceDay:
         # All five scenarios, with a threshold at which consumers switch
         configs = [replace(c, slate_size=slate_size) for c in switching_suite(timing)]
         data = small_data()
-        got = self.outputs(configs, data)
+        item_ids = data[1].item_ids
+        # Every serve as (consumer id, tier, slate item ids in order)
+        got_serves, want_serves = [], []
+        serve, recommend = recommender.serve, helpers.recommend
+
+        def engine_serve(model, consumer_id, *args):
+            tier, rows = serve(model, consumer_id, *args)
+            got_serves.append((consumer_id, tier, tuple(item_ids[rows].tolist())))
+            return tier, rows
+
+        def reference_recommend(consumer_id, *args):
+            slate = recommend(consumer_id, *args)
+            want_serves.append((consumer_id, slate.provenance, slate.item_ids))
+            return slate
+
+        with monkeypatch.context() as patch:
+            patch.setattr(recommender, "serve", engine_serve)
+            got = self.outputs(configs, data)
         with monkeypatch.context() as patch:
             patch.setattr(engine, "run_day", reference_run_day)
+            patch.setattr(helpers, "recommend", reference_recommend)
             want = self.outputs(configs, data)
+        assert got_serves == want_serves
         for key in want:
             assert got[key] == want[key], key
-        # The popularity tiers fire, so the subscriber counts' timing is exercised
-        tiers = sum((Counter(p) for p in got["provenance"]), Counter())
-        assert tiers[Provenance.USER_POPULARITY.value] > 0, tiers
-        assert tiers[Provenance.GLOBAL_POPULAR_FALLBACK.value] > 0, tiers
+        # Every tier fires, so the subscriber counts' timing and the
+        # fallback's draws are exercised
+        tiers = Counter(tier for _consumer, tier, _items in got_serves)
+        assert set(tiers) == set(Provenance), tiers
         assert all(got["switches"][1:]), got["switches"]
         assert all(len(lines) > 0 for lines in got["audit"].values())
+
+    def test_global_popular_is_the_logs_popular_list(self):
+        # The reference day reads the set-up's popular lists
+        log, catalog = data = small_data()
+        state = prepare_state(small_config(), data)
+        for rid, rows in state.global_popular.items():
+            size = state.rec_configs[rid].popular_list_size
+            assert catalog.item_ids[rows].tolist() == recommender.popular_list(log, size)
 
     def test_similarity_table_is_the_per_pair_cosine(self):
         # The reference day reads the set-up's similarity table; each cell
