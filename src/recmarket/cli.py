@@ -151,11 +151,7 @@ def parse_config(path: str | Path, seed: int | None = None) -> ExperimentSpec:
     none is required. ``seed``, when given, replaces the file's seed.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    given = _parse_keys(text, str(path))
+    given = _parse_keys(dataset.read_text(path), str(path))
     kind = given[None].get("source", "synthetic")
     for (section, key), (owner, name, _parse) in _KEYS.items():
         if owner in _SOURCES.values() and owner is not _SOURCES[kind]:
@@ -340,9 +336,7 @@ def compare_reports(reports: list[dict]) -> list[dict]:
 def _read_report(path: Path) -> dict:
     """A report file's JSON object, whose compared families map groups to numbers."""
     try:
-        report = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read report {path}: {exc}") from exc
+        report = json.loads(dataset.read_text(Path(path)))
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid report {path}: {exc}") from exc
     families = [field for field, _metric, _who in _COMPARED]

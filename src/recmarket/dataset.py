@@ -210,16 +210,17 @@ def _column(values: Sequence | np.ndarray, dtype: type, name: str) -> np.ndarray
         raise
 
 
-def _read_text(path: Path) -> str:
+def read_text(path: Path) -> str:
+    """The file's UTF-8 text, less a byte-order mark; else a DataError naming it."""
     try:
         return path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def _dat_rows(path: Path) -> Iterator[tuple[str, list[str]]]:
     """``(path:line, fields)`` for each non-blank line of a ``::``-delimited file."""
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if line.strip():
             fields = line.split("::")
             if len(fields) != 4:
@@ -230,7 +231,7 @@ def _dat_rows(path: Path) -> Iterator[tuple[str, list[str]]]:
 def _csv_rows(path: Path, header: Sequence[str]) -> Iterator[tuple[str, list[str]]]:
     """``(path:line, row)`` for each non-blank row of a CSV file whose first
     row is ``header`` (compared stripped and lower-cased)."""
-    reader = csv.reader(_read_text(path).splitlines())
+    reader = csv.reader(read_text(path).splitlines())
     if [h.strip().lower() for h in next(reader, [])] != list(header):
         raise DataError(f"{path}:1: header must be {','.join(header)}")
     for lineno, row in enumerate(reader, start=2):
@@ -279,7 +280,10 @@ def load_catalog(items_path: str | Path, providers_path: str | Path) -> Catalog:
         raw_items[item_id] = item_genres
     provider_of: dict[int, str] = {}
     for where, (item, provider) in _csv_rows(Path(providers_path), ("item", "provider")):
-        provider_of[_new_item_id(where, item, provider_of)] = provider.strip()
+        item_id = _new_item_id(where, item, provider_of)
+        if not provider.strip():
+            raise DataError(f"{where}: item {item_id} has no provider")
+        provider_of[item_id] = provider.strip()
 
     missing = sorted(set(raw_items) - set(provider_of))
     if missing:
@@ -430,6 +434,8 @@ class SyntheticSpec:
     niche_genre: str = "Horror"
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0 for synthetic data, got {self.seed}")
         if self.consumers < 1 or self.items < 1 or self.providers < 1:
             raise DataError("population counts must be positive")
         if not 0.0 < self.niche_fraction < 1.0:

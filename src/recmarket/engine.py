@@ -32,7 +32,7 @@ from .dataset import (
 )
 from .errors import ConfigError
 from .portability import AuditTrail, PortabilityPolicy, ProfileStore
-from .recommender import ALL_GENRES, CatalogModel, RecommenderConfig, TrainedModel
+from .recommender import CatalogModel, RecommenderConfig, TrainedModel
 
 logger = logging.getLogger(__name__)
 # One line per cycle of each scenario: a logger of its own, so it can be muted alone
@@ -59,7 +59,7 @@ class ScenarioConfig:
     seed: int
     niche_genre: str
     policy: PortabilityPolicy | None
-    # The hyperparameters of every recommender; the roster sets ids and specializations
+    # The hyperparameters of every recommender; the roster sets the ids
     recommender: RecommenderConfig = RecommenderConfig(GENERIC_RECOMMENDER)
     cycles: int = 10
     days_per_cycle: int = 10
@@ -79,15 +79,10 @@ class ScenarioConfig:
 
     @property
     def recommenders(self) -> tuple[RecommenderConfig, ...]:
-        """The generic recommender over all genres, every consumer's home,
-        and under a policy the niche one over the niche genre."""
-        roster = [(GENERIC_RECOMMENDER, ALL_GENRES)]
-        if self.policy is not None:
-            roster.append((NICHE_RECOMMENDER, self.niche_genre))
-        return tuple(
-            replace(self.recommender, recommender_id=rid, specialization=genre)
-            for rid, genre in roster
-        )
+        """The generic recommender, every consumer's home, and under a
+        policy the niche one: ``_build_index`` gives each its pool."""
+        roster = [GENERIC_RECOMMENDER] + ([] if self.is_baseline else [NICHE_RECOMMENDER])
+        return tuple(replace(self.recommender, recommender_id=rid) for rid in roster)
 
     @property
     def store_policy(self) -> PortabilityPolicy:
@@ -210,23 +205,19 @@ class _SimIndex:
 
 
 def _build_index(
+    config: ScenarioConfig,
     catalog: Catalog,
     provider_labels: Mapping[str, str],
     preferences: np.ndarray,
-    recommenders: Sequence[RecommenderConfig],
 ) -> _SimIndex:
-    pools: dict[str, np.ndarray] = {}
-    for rec in recommenders:
-        if rec.specialization == ALL_GENRES:
-            pools[rec.recommender_id] = np.arange(len(catalog.item_ids))
-        else:
-            g = catalog.genre_index(rec.specialization)
-            if g is None:
-                genres = ", ".join(catalog.genres)
-                raise ConfigError(
-                    f"niche_genre {rec.specialization!r} is not an item genre: {genres}"
-                )
-            pools[rec.recommender_id] = np.flatnonzero(catalog.genre_matrix[:, g])
+    """Pools: the generic recommender's is every catalog row, the niche one's its genre's."""
+    pools = {GENERIC_RECOMMENDER: np.arange(len(catalog.item_ids))}
+    if not config.is_baseline:
+        g = catalog.genre_index(config.niche_genre)
+        if g is None:
+            genres = ", ".join(catalog.genres)
+            raise ConfigError(f"niche_genre {config.niche_genre!r} is not an item genre: {genres}")
+        pools[NICHE_RECOMMENDER] = np.flatnonzero(catalog.genre_matrix[:, g])
 
     sims = behavior.genre_similarities(preferences, catalog.genre_matrix)
     return _SimIndex([provider_labels[p] for p in catalog.provider_ids], pools, sims)
@@ -272,7 +263,7 @@ class EcosystemState:
     type_rows: dict[str, list[int]]  # consumer type -> consumer rows, types sorted
     store: ProfileStore  # rows: consumer rows; columns: catalog rows
     index: _SimIndex
-    global_popular: dict[str, np.ndarray]  # recommender id -> catalog rows, most popular first
+    popular: np.ndarray  # the log's popular list as catalog rows, most popular first
     columns: list[str]  # recommender ids, ascending
     current: np.ndarray  # each row's current column
     estimates: np.ndarray  # float64 satisfaction, rows x columns, NaN where unset
@@ -287,12 +278,8 @@ class EcosystemState:
     # Read from the config, so that a branch that swaps it needs no re-sync
     @property
     def active(self) -> list[str]:
-        """The config's recommender ids, sorted."""
-        return sorted(self.rec_configs)
-
-    @property
-    def rec_configs(self) -> dict[str, RecommenderConfig]:
-        return {r.recommender_id: r for r in self.config.recommenders}
+        """The config's recommender ids, generic first."""
+        return [r.recommender_id for r in self.config.recommenders]
 
 
 def prepare_state(
@@ -311,18 +298,14 @@ def prepare_state(
     if not len(consumers):
         raise ConfigError("no usable consumers in the interaction log")
 
-    index = _build_index(catalog, labels, consumers.preferences, config.recommenders)
+    index = _build_index(config, catalog, labels, consumers.preferences)
     columns = sorted(r.recommender_id for r in config.recommenders)
     consumer_ids = consumers.consumer_ids.tolist()
     store = ProfileStore.create(config.store_policy, columns, consumer_ids, catalog.item_ids, audit)
     histories = dict(zip(consumer_ids, consumers.histories))
     portability.seed_histories(store, GENERIC_RECOMMENDER, histories)
 
-    longest = max(r.popular_list_size for r in config.recommenders)
-    popular = np.searchsorted(catalog.item_ids, recommender.popular_list(log, longest))
-    global_popular = {
-        r.recommender_id: popular[: r.popular_list_size] for r in config.recommenders
-    }
+    popular = recommender.popular_list(log, config.recommender.popular_list_size)
     types = consumers.type_labels
     type_rows = {t: [k for k, c in enumerate(types) if c == t] for t in sorted(set(types))}
     current = np.full(len(consumers), columns.index(GENERIC_RECOMMENDER))
@@ -333,7 +316,7 @@ def prepare_state(
         type_rows=type_rows,
         store=store,
         index=index,
-        global_popular=global_popular,
+        popular=np.searchsorted(catalog.item_ids, popular),
         columns=columns,
         current=current,
         estimates=np.full((len(consumers), len(columns)), np.nan),
@@ -396,9 +379,10 @@ def train_cycle(state: EcosystemState, memo: _ForkModels | None = None) -> None:
     visibility matrix has observed; with a ``memo``, a training it holds is
     reused, not fitted again."""
     train = _fit if memo is None else memo.model
-    for rid in state.active:
+    for config in state.config.recommenders:
+        rid = config.recommender_id
         seed = derive_seed(state.config.seed, "train", rid, state.cycle)
-        state.models[rid] = train(state, state.store.visible[rid], state.rec_configs[rid], seed)
+        state.models[rid] = train(state, state.store.visible[rid], config, seed)
 
 
 def _subscriber_counts(state: EcosystemState, day: _Day, rid: str) -> np.ndarray:
@@ -479,7 +463,7 @@ def run_day(state: EcosystemState) -> None:
             cfg.slate_size,
             state.consumer_rngs[k],
             lambda: _subscriber_counts(state, day, rid),
-            state.global_popular[rid],
+            state.popular,
         )
         provenance[tier.value] += 1
         day.queue.append((k, column, rows))

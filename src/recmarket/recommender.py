@@ -20,19 +20,12 @@ import numpy as np
 from .dataset import InteractionLog
 from .errors import ConfigError, TrainingError
 
-ALL_GENRES = "All"
-
 
 @dataclass(frozen=True)
 class RecommenderConfig:
-    """Identity, specialization, and model hyperparameters for one recommender.
-
-    ``specialization`` is either ``"All"`` or a genre name; a genre-specialized
-    recommender serves only items carrying that genre.
-    """
+    """Identity and model hyperparameters for one recommender."""
 
     recommender_id: str
-    specialization: str = ALL_GENRES
     latent_factors: int = 32
     epochs: int = 10
     regularization: float = 0.1
@@ -250,9 +243,9 @@ def serve(
 ) -> tuple[Provenance, np.ndarray]:
     """Serve a top-n slate from exactly one provenance tier.
 
-    ``cand_rows`` are ascending catalog rows, already filtered by
-    specialization and by the consumer's visible profile at this
-    recommender, so equal scores or counts break by ascending item id.
+    ``cand_rows`` are ascending catalog rows, already filtered to the
+    recommender's pool and by the consumer's visible profile at it, so
+    equal scores or counts break by ascending item id.
     ``subscriber_counts`` returns click counts per catalog row and is
     called only when the popularity tier is tried; ``popular_rows`` is the
     global popular list as catalog rows, most popular first. Returns the

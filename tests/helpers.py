@@ -58,7 +58,6 @@ from recmarket.portability import (
     visible_items,
 )
 from recmarket.recommender import (
-    ALL_GENRES,
     CatalogModel,
     Provenance,
     RecommenderConfig,
@@ -305,8 +304,8 @@ def recommend(
 ) -> Slate:
     """Serve a top-n slate of item ids from exactly one provenance tier.
 
-    ``candidates`` must already be filtered by specialization and by the
-    consumer's visible profile at this recommender. A short (possibly empty)
+    ``candidates`` must already be filtered to the recommender's pool and by
+    the consumer's visible profile at this recommender. A short (possibly empty)
     slate is returned when candidates run out; tiers never pad each other.
     """
     rid = recommender_id
@@ -595,12 +594,11 @@ def reference_run_day(state: engine.EcosystemState) -> None:
     day_utility = [0.0] * len(consumer_ids)
     for row, cid in enumerate(consumer_ids):
         rid = state.columns[state.current[row]]
-        rec_config = state.rec_configs[rid]
         model = state.models[rid].model
-        if rec_config.specialization == ALL_GENRES:
-            pool = item_ids
+        if rid == engine.NICHE_RECOMMENDER:
+            pool = catalog.items_with_genre(cfg.niche_genre)
         else:
-            pool = catalog.items_with_genre(rec_config.specialization)
+            pool = item_ids
         seen = visible_items(store, rid, cid)
         candidates = [i for i in pool if i not in seen]
         popularity_tier = bool(candidates) and not model.knows_consumer(cid)
@@ -620,7 +618,7 @@ def reference_run_day(state: engine.EcosystemState) -> None:
             )
         context = ServingContext(
             subscriber_counts=counts[rid] if popularity_tier else {},
-            global_popular=catalog.item_ids[state.global_popular[rid]].tolist(),
+            global_popular=catalog.item_ids[state.popular].tolist(),
         )
         rng = state.consumer_rngs[row]
         slate = recommend(cid, model, candidates, cfg.slate_size, rng, context, rid)

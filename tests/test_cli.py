@@ -135,7 +135,7 @@ class TestParseConfig:
         for config in minimal.scenarios:
             assert config.behavior == BehaviorParams()
             for rec in config.recommenders:
-                assert rec == RecommenderConfig(rec.recommender_id, rec.specialization)
+                assert rec == RecommenderConfig(rec.recommender_id)
 
     def test_unknown_section_is_an_error(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -213,7 +213,6 @@ class TestParseConfig:
             (ScenarioConfig, "recommender"),
             (ScenarioConfig, "behavior"),
             (RecommenderConfig, "recommender_id"),
-            (RecommenderConfig, "specialization"),
             (SyntheticSpec, "seed"),
             (SyntheticSpec, "niche_genre"),
         }
@@ -623,6 +622,53 @@ class TestMainEntry:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert where.format(n=n) + "out of range for int64" in err[0], err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["config.ini", "items.csv", "ratings.dat", "report.json"])
+    def test_a_file_that_is_not_utf8_names_itself(self, tmp_path, capsys, name):
+        files = {
+            "ratings.dat": "1::1::5::0\n",
+            "items.csv": "item,title,genres\n1,t,Horror\n",
+            "providers.csv": "item,provider\n1,p\n",
+            "report.json": json.dumps(TestCompare().reference_reports()[1]),
+        }
+        for file_name, text in files.items():
+            (tmp_path / file_name).write_text(text)
+        text = files_run(tmp_path).replace("ratings.csv", "ratings.dat")
+        write(tmp_path, text + "format = movielens-dat\n")
+        bad = tmp_path / name
+        bad.write_bytes(bad.read_bytes() + b"\xff")
+        base = write(tmp_path, json.dumps(TestCompare().reference_reports()[0]), "base.json")
+        if name == "report.json":
+            argv = ["compare", str(base), str(bad)]
+        else:
+            argv = ["run", "--config", str(tmp_path / "config.ini"), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read {bad}: "), err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_report_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
+        base, algo, _uni = TestCompare().reference_reports()
+        paths = [write(tmp_path, json.dumps(r), f"{r['scenario']}.json") for r in (base, algo)]
+        assert cli.main(["compare", *map(str, paths)]) == 0
+        plain = capsys.readouterr().out
+        paths[1].write_bytes(codecs.BOM_UTF8 + paths[1].read_bytes())
+        assert cli.main(["compare", *map(str, paths)]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_a_negative_seed_is_a_data_error_only_for_synthetic_data(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        negative = write(tmp_path, MINIMAL.replace("seed = 5", "seed = -1"))
+        assert cli.main(["run", "--config", str(negative), "--out", str(out)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert cli.main(["synth", "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        # A file population draws nothing from the seed's generator
+        data = synth_files(tmp_path / "data")
+        files = write(tmp_path, files_run(data).replace("seed = 5", "seed = -1"), "files.ini")
+        assert cli.main(["run", "--config", str(files), "--out", str(out)]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("policies", ["", "policies = baseline\n"])
     def test_synthetic_niche_genre_outside_the_genres_is_a_data_error(

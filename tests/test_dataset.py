@@ -363,6 +363,10 @@ class TestGenerateSynthetic:
         with pytest.raises(DataError):
             SyntheticSpec(consumers=10, items=10, providers=2, niche_fraction=1.5, seed=0).validate()
 
+    def test_negative_seed_errors(self):
+        with pytest.raises(DataError, match="seed must be >= 0"):
+            generate_synthetic(SyntheticSpec(consumers=20, items=40, providers=4, seed=-1))
+
     def test_single_provider_errors(self):
         with pytest.raises(DataError, match="providers"):
             generate_synthetic(
@@ -449,6 +453,13 @@ class TestLoadCatalog:
         with pytest.raises(
             DataError, match=r"1 provider-map items missing from items file, first: \[3\]"
         ):
+            load_catalog(tmp_path / "items.csv", tmp_path / "providers.csv")
+
+    @pytest.mark.parametrize("provider", ["", " "])
+    def test_an_empty_provider_names_the_line(self, tmp_path, provider):
+        (tmp_path / "items.csv").write_text("item,title,genres\n1,x,Drama\n2,y,Horror\n")
+        (tmp_path / "providers.csv").write_text(f"item,provider\n1,p1\n2,{provider}\n")
+        with pytest.raises(DataError, match=r"providers\.csv:3: item 2 has no provider"):
             load_catalog(tmp_path / "items.csv", tmp_path / "providers.csv")
 
     @pytest.mark.parametrize("repeated", ["items", "providers"])

@@ -333,12 +333,12 @@ class TestReferenceDay:
         assert all(len(lines) > 0 for lines in got["audit"].values())
 
     def test_global_popular_is_the_logs_popular_list(self):
-        # The reference day reads the set-up's popular lists
+        # The reference day reads the set-up's one popular list
         log, catalog = data = small_data()
-        state = prepare_state(small_config(), data)
-        for rid, rows in state.global_popular.items():
-            size = state.rec_configs[rid].popular_list_size
-            assert catalog.item_ids[rows].tolist() == recommender.popular_list(log, size)
+        config = small_config()
+        state = prepare_state(config, data)
+        size = config.recommender.popular_list_size
+        assert catalog.item_ids[state.popular].tolist() == recommender.popular_list(log, size)
 
     def test_similarity_table_is_the_per_pair_cosine(self):
         # The reference day reads the set-up's similarity table; each cell
@@ -391,11 +391,12 @@ class TestTrainingMirrorsTheLists:
 
         def train_cycle(state, *memo):
             original_train_cycle(state, *memo)
-            for rid in state.active:
+            for config in state.config.recommenders:
+                rid = config.recommender_id
                 got = state.models[rid].model
                 seed = engine.derive_seed(state.config.seed, "train", rid, state.cycle)
                 view = portability.training_view(state.store, rid)
-                want = recommender.train(view, state.rec_configs[rid], seed, state.cycle)
+                want = recommender.train(view, config, seed, state.cycle)
                 where = (state.config.scenario_name, rid, state.cycle)
                 assert got.user_index == want.user_index, where
                 assert got.item_index == want.item_index, where
