@@ -28,7 +28,10 @@ and these labels:
   median, is wider than the ``bound``, unless every change run beats every
   parent run: such a spread hides a regression of the bound's size.
 
-It also prints the scenarios each side ``failed`` over all its runs.
+It also prints the scenarios each side ``failed`` over all its runs, and
+before that each side's environment as ``run.py``'s details line gives it
+(python, numpy, BLAS, ``OPENBLAS_NUM_THREADS`` and nproc), with
+``differs: env`` when the sides ran in different ones.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run: its last output line, parsed."""
+    """One ``perfbench/run.py`` run: its last output line, parsed, with the
+    ``env`` of the details line before it."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -52,7 +56,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: perfbench/run.py exited {proc.returncode}\n{proc.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["env"] = json.loads(lines[-2]).get("env") if len(lines) > 1 else None
+    return result
 
 
 def benchmark_digests(checkout: Path) -> dict[str, str]:
@@ -78,6 +84,23 @@ def quartile_spread(values: list[float]) -> float:
         return 0.0
     q1, _q2, q3 = statistics.quantiles(values, n=4)
     return q3 - q1
+
+
+def environment_lines(runs: dict[str, list[dict]]) -> list[str]:
+    """Each environment a side ran in, and ``differs: env`` when the sides'
+    differ: a ratio across two environments measures them too."""
+    envs = {
+        side: sorted({json.dumps(r.get("env")) for r in side_runs})
+        for side, side_runs in runs.items()
+    }
+    lines = []
+    for side, side_envs in envs.items():
+        for env in map(json.loads, side_envs):
+            described = ", ".join(f"{k} {v}" for k, v in (env or {}).items())
+            lines.append(f"env {side}: {described or 'unknown'}")
+    if envs["parent"] != envs["change"]:
+        lines.append("differs: env")
+    return lines
 
 
 def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
@@ -153,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
                 runs[side].append(run_once(sides[side], args.workload, seed, args.seconds))
             print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr, flush=True)
         print(f"{args.workload}, seed {seed}, {args.pairs} pairs of {args.seconds:g} s runs")
-        print("\n".join(summarize(metrics, runs)), flush=True)
+        print("\n".join(environment_lines(runs) + summarize(metrics, runs)), flush=True)
     return 0
 
 

@@ -18,7 +18,7 @@ import sys
 from collections import defaultdict
 from dataclasses import MISSING, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import dataset, engine
 from .behavior import BehaviorParams
@@ -164,15 +164,22 @@ def parse_config(path: str | Path, seed: int | None = None) -> ExperimentSpec:
     scenario = given[ScenarioConfig]
     if seed is not None:
         scenario["seed"] = seed
-    suite = engine.standard_suite(
-        recommender=RecommenderConfig(engine.GENERIC_RECOMMENDER, **given[RecommenderConfig]),
-        behavior=BehaviorParams(**given[BehaviorParams]),
-        **scenario,
-    )
+    recommender = RecommenderConfig(engine.GENERIC_RECOMMENDER, **given[RecommenderConfig])
+    behavior = BehaviorParams(**given[BehaviorParams])
+    suite = engine.standard_suite(recommender=recommender, behavior=behavior, **scenario)
     by_name = {c.scenario_name: c for c in suite}
     scenarios = tuple(by_name[name] for name in given[None].get("policies", by_name))
-    for config in scenarios:
-        config.validate()
+    # Each section is checked before the scenario that holds it, so that an
+    # error names its section; the scenarios differ only in the policy.
+    for section, validate in (
+        ("behavior", behavior.validate),
+        ("recommenders", lambda: recommender.validate(scenarios[0].slate_size)),
+        ("scenario", scenarios[0].validate),
+    ):
+        try:
+            validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: [{section}] {exc}") from exc
 
     if kind == "synthetic":
         source = SyntheticSpec(
@@ -247,7 +254,7 @@ def cmd_run(
         _write_text(out / name, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
         written.add(name)
     for name, trail in audits.items():
-        _write_lines(out / f"audit_{name}.jsonl", trail.lines)
+        _write_lines(out / f"audit_{name}.jsonl", trail.render())
         written.add(f"audit_{name}.jsonl")
     if "model-dump" in emit:
         for report in result.reports:
@@ -282,9 +289,9 @@ def _write_text(path: Path, text: str) -> None:
     _write_atomically(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    """Write the lines one by one: joining them first would hold the file
-    twice in memory."""
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write the lines one by one, as they come: joining them first would
+    hold the file in memory."""
 
     def write(tmp: Path) -> None:
         with tmp.open("w", encoding="utf-8") as f:

@@ -97,11 +97,7 @@ class ScenarioConfig:
         if not math.isfinite(self.history_threshold):
             raise ConfigError("history_threshold must be finite")
         self.behavior.validate()
-        self.recommender.validate()
-        if self.recommender.popular_list_size < self.slate_size:
-            raise ConfigError(
-                f"{self.recommender.recommender_id}: popular_list_size must be >= slate_size"
-            )
+        self.recommender.validate(self.slate_size)
 
 
 def standard_suite(seed: int, niche_genre: str, **overrides) -> list[ScenarioConfig]:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import enum
 import json
+from array import array
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,33 +44,102 @@ class PortabilityPolicy(enum.Enum):
 # json.dumps(..., sort_keys=True) builds this encoder on every call
 _encode = json.JSONEncoder(sort_keys=True).encode
 
+# The kind byte of an event held in ``AuditTrail._held``; any smaller kind is
+# a column-held click's recommender code
+_LINE = 255  # one line
+_TRAIL = 254  # a whole trail, by reference
 
-@dataclass
+
 class AuditTrail:
-    """Append-only event log, held as its newline-delimited JSON lines.
+    """Append-only event log, written as newline-delimited JSON.
 
-    Each line is exactly ``json.dumps(event, sort_keys=True) + "\n"``, so a
-    trail is written to disk as it is held, and a suite's scenarios share the
-    line strings of the prefix they branch from.
+    Each line is exactly ``json.dumps(event, sort_keys=True) + "\n"``, but it
+    is rendered only when the trail is read or written. Clicks, most of a
+    trail, are held as int64 columns (consumer, day, item) with one kind
+    byte each: the code of the click's recommender. Every other event, and a
+    click whose numbers do not fit the columns, is held as its line, as is
+    each line given to the constructor. A branch of a suite holds the trail
+    of the prefix it forks from by reference (``include``).
     """
 
-    lines: list[str] = field(default_factory=list)
+    def __init__(self, lines: Iterable[str] = ()) -> None:
+        self._kinds = bytearray()  # one per event, in event order
+        self._consumers, self._days, self._items = array("q"), array("q"), array("q")
+        self._held: list[str | AuditTrail] = list(lines)
+        self._kinds += bytes((_LINE,)) * len(self._held)
+        self._codes: dict[str, int] = {}  # recommender id -> code, in code order
 
     def emit(self, event: str, **payload: object) -> None:
-        self.lines.append(_encode({"event": event, **payload}) + "\n")
+        self._held.append(_encode({"event": event, **payload}) + "\n")
+        self._kinds.append(_LINE)
 
     def click(self, consumer: int, recommender: str, item: int, day: int) -> None:
-        """``emit("click", ...)`` through a fixed template: clicks are most of
-        a trail, and the seed history's clicks are audited in set-up."""
-        self.lines.append(
-            f'{{"consumer": {consumer}, "day": {day}, "event": "click", '
-            f'"item": {item}, "recommender": {encode_basestring_ascii(recommender)}}}\n'
-        )
+        """``emit("click", ...)``, held in the columns when it fits them."""
+        code = self._codes.setdefault(recommender, len(self._codes))
+        if code < _TRAIL:
+            try:
+                self._consumers.append(consumer)
+                self._days.append(day)
+                self._items.append(item)
+                self._kinds.append(code)
+                return
+            except (OverflowError, TypeError):  # not an int64
+                n = len(self._items)
+                del self._consumers[n:], self._days[n:]
+        self.emit("click", consumer=consumer, recommender=recommender, item=item, day=day)
+
+    def clicks(
+        self, consumers: Sequence[int], recommender: str, items: Sequence[int], day: int
+    ) -> None:
+        """``click`` of each (consumer, item) pair in order, all at ``day``: one
+        bulk write to the columns when every number fits them."""
+        code = self._codes.setdefault(recommender, len(self._codes))
+        if code < _TRAIL:
+            n = len(self._items)
+            try:
+                self._consumers.extend(consumers)
+                self._days.extend(array("q", (day,)) * len(items))
+                self._items.extend(items)
+                self._kinds += bytes((code,)) * len(items)
+                return
+            except (OverflowError, TypeError):
+                del self._consumers[n:], self._days[n:], self._items[n:]
+        for consumer, item in zip(consumers, items):
+            self.click(consumer, recommender, item, day)
+
+    def include(self, trail: AuditTrail) -> None:
+        """Append every event of ``trail``, by reference: events written to
+        ``trail`` afterwards would show here too, so it must not be written
+        again."""
+        self._held.append(trail)
+        self._kinds.append(_TRAIL)
+
+    def render(self) -> Iterator[str]:
+        """The lines in event order, each rendered as it is reached."""
+        names = [encode_basestring_ascii(r) for r in self._codes]
+        clicks = zip(self._consumers, self._days, self._items)
+        held = iter(self._held)
+        for kind in self._kinds:
+            if kind == _LINE:
+                yield next(held)
+            elif kind == _TRAIL:
+                yield from next(held).render()
+            else:
+                consumer, day, item = next(clicks)
+                yield (
+                    f'{{"consumer": {consumer}, "day": {day}, "event": "click", '
+                    f'"item": {item}, "recommender": {names[kind]}}}\n'
+                )
+
+    @property
+    def lines(self) -> list[str]:
+        """The rendered lines; editing them changes nothing."""
+        return list(self.render())
 
     @property
     def events(self) -> list[dict]:
         """The events decoded from the lines; editing them changes nothing."""
-        return [json.loads(line) for line in self.lines]
+        return [json.loads(line) for line in self.render()]
 
 
 @dataclass(eq=False)
@@ -122,14 +192,15 @@ class ProfileStore:
     ) -> "ProfileStore":
         """A store under ``policy`` over the same consumers and items whose
         ``home`` profiles are copies of this store's. ``audit``, if given,
-        first receives this store's audit lines."""
+        first receives this store's audit trail, by reference: this store's
+        trail must not be written after the branch."""
         store = ProfileStore.create(
             policy, recommender_ids, self.consumer_rows, self.item_rows, audit
         )
         store._bucket(home).update((c, list(e)) for c, e in self._bucket(home).items())
         store.visible[home][:] = self.visible[home]
         if audit is not None:
-            audit.lines.extend(self.audit.lines)
+            audit.include(self.audit)
         return store
 
     def _bucket(self, recommender_id: str) -> dict[int, list[Interaction]]:
@@ -159,20 +230,21 @@ def seed_histories(
     store: ProfileStore, recommender_id: str, histories: Mapping[int, Sequence[int]]
 ) -> None:
     """Place pre-simulation histories in one bulk write: the matrix cells,
-    list entries and audit lines of ``record_click`` of each consumer's
+    list entries and audit clicks of ``record_click`` of each consumer's
     items at day -1, consumers in the mapping's order."""
     histories = {c: items for c, items in histories.items() if len(items)}
     # The lookups come first, so an unknown id raises before any write
     rows = np.fromiter((store.consumer_rows[c] for c in histories), np.intp, len(histories))
-    cols = np.fromiter((store.item_rows[i] for h in histories.values() for i in h), np.intp)
+    items = [i for h in histories.values() for i in h]
+    cols = np.fromiter((store.item_rows[i] for i in items), np.intp, len(items))
     rows = np.repeat(rows, [len(h) for h in histories.values()])
     store.visible[recommender_id][rows, cols] = True
     bucket = store._bucket(recommender_id)
-    for consumer_id, items in histories.items():
-        bucket.setdefault(consumer_id, []).extend((item_id, -1) for item_id in items)
-        if store.audit is not None:
-            for item_id in items:
-                store.audit.click(consumer_id, recommender_id, item_id, -1)
+    for consumer_id, history in histories.items():
+        bucket.setdefault(consumer_id, []).extend((item_id, -1) for item_id in history)
+    if store.audit is not None:
+        consumers = [c for c, h in histories.items() for _ in h]
+        store.audit.clicks(consumers, recommender_id, items, -1)
 
 
 def record_click(

@@ -32,21 +32,21 @@ class RecommenderConfig:
     confidence_weight: float = 40.0
     popular_list_size: int = 100
 
-    def validate(self) -> None:
+    def validate(self, slate_size: int = 1) -> None:
+        """Check the hyperparameters, and that the popular list fills a slate
+        of ``slate_size``; they apply to every recommender of a roster."""
         if self.latent_factors < 1:
-            raise ConfigError(f"{self.recommender_id}: latent_factors must be >= 1")
+            raise ConfigError("latent_factors must be >= 1")
         if self.epochs < 1:
-            raise ConfigError(f"{self.recommender_id}: epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if not (math.isfinite(self.regularization) and self.regularization >= 0):
-            raise ConfigError(
-                f"{self.recommender_id}: regularization must be finite and >= 0"
-            )
+            raise ConfigError("regularization must be finite and >= 0")
         if not (math.isfinite(self.confidence_weight) and self.confidence_weight >= 0):
-            raise ConfigError(
-                f"{self.recommender_id}: confidence_weight must be finite and >= 0"
-            )
+            raise ConfigError("confidence_weight must be finite and >= 0")
         if self.popular_list_size < 1:
-            raise ConfigError(f"{self.recommender_id}: popular_list_size must be >= 1")
+            raise ConfigError("popular_list_size must be >= 1")
+        if self.popular_list_size < slate_size:
+            raise ConfigError(f"popular_list_size must be >= slate_size ({slate_size})")
 
 
 class Provenance(enum.Enum):

@@ -1,7 +1,10 @@
-"""``scripts/ab_bench.py`` names the benchmark files two checkouts differ in."""
+"""``scripts/ab_bench.py`` names the benchmark files and the environments two
+checkouts differ in."""
 
 import importlib.util
+import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,56 @@ WIDE = [1.0, 1.6, 1.0, 1.6, 1.0, 1.6, 1.0, 1.6, 1.0, 1.6]  # IQR 0.6 on a median
 )
 def test_summarize_labels(better, bound, parent, change, expected):
     assert labels(better, bound, parent, change) == expected
+
+
+ENV = {
+    "python": "3.11.7",
+    "numpy": "2.4.6",
+    "blas": "scipy-openblas 0.3.31",
+    "OPENBLAS_NUM_THREADS": None,
+    "nproc": 2,
+}
+
+
+def test_a_run_carries_the_environment_of_its_details_line(monkeypatch, tmp_path):
+    details = {"workload": "desk_suite", "env": ENV}
+    result = {"correct": True, "attempted": 5, "failed": 0, "metrics": {}}
+    stdout = f"{json.dumps(details)}\n{json.dumps(result)}\n"
+    done = subprocess.CompletedProcess([], 0, stdout, "")
+    monkeypatch.setattr(ab_bench.subprocess, "run", lambda *args, **kwargs: done)
+    assert ab_bench.run_once(tmp_path, "desk_suite", 3, 1.0) == {**result, "env": ENV}
+
+
+@pytest.mark.parametrize(
+    "change_env, differs",
+    [(ENV, False), ({**ENV, "OPENBLAS_NUM_THREADS": "1"}, True), ({**ENV, "nproc": 4}, True)],
+)
+def test_the_environments_are_printed_and_a_difference_named(change_env, differs):
+    runs = {"parent": [{"env": ENV}] * 3, "change": [{"env": change_env}] * 3}
+    lines = ab_bench.environment_lines(runs)
+    assert lines[0] == (
+        "env parent: python 3.11.7, numpy 2.4.6, blas scipy-openblas 0.3.31, "
+        "OPENBLAS_NUM_THREADS None, nproc 2"
+    )
+    assert lines[1].startswith("env change: python 3.11.7")
+    assert lines[2:] == (["differs: env"] if differs else [])
+
+
+def test_the_environment_is_printed_before_the_summary(tmp_path, monkeypatch, capsys):
+    parent, change = checkout(tmp_path / "parent"), checkout(tmp_path / "change")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0} for m in benchmark["end_to_end"]}
+
+    def run_once(checkout, workload, seed, seconds):
+        threads = "2" if checkout == change.resolve() else "1"
+        env = {**ENV, "OPENBLAS_NUM_THREADS": threads}
+        return {"metrics": metrics, "failed": 0, "attempted": 1, "env": env}
+
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    monkeypatch.setattr(ab_bench.subprocess, "run", lambda *args, **kwargs: None)
+    ab_bench.main([str(parent), str(change), "--workload", "desk_suite", "--pairs", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("env parent: ") and out[1].endswith("OPENBLAS_NUM_THREADS 1, nproc 2")
+    assert out[2].startswith("env change: ") and out[2].endswith("OPENBLAS_NUM_THREADS 2, nproc 2")
+    assert out[3] == "differs: env"
+    assert out[4].startswith("metric")

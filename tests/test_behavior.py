@@ -1,6 +1,10 @@
 """Consumer decision model: utility arithmetic, selection, switching."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import choose_item, maybe_switch_by_id, slate_utility
-from recmarket import engine
+from recmarket import behavior, engine
 from recmarket.behavior import BehaviorParams, genre_similarities, maybe_switch, update_utility
 
 
@@ -118,6 +122,57 @@ class TestListUtility:
     def test_zero_vector_similarity_guard(self):
         assert sims_of((0.0, 0.0), [(1, 0)])[0] == 0.0
         assert sims_of((1.0, 0.0), [(0, 0)])[0] == 0.0
+
+
+# The similarity table of a benchmark-sized population (perfbench's
+# switch_churn data at seed 3), printed as the hex of its bytes
+TABLE_BITS = """
+import hashlib
+from recmarket import behavior, dataset
+spec = dataset.SyntheticSpec(consumers=500, items=300, providers=20, seed=3, niche_genre="Horror")
+log, catalog = dataset.generate_synthetic(spec)
+consumers = dataset.build_preferences(log, catalog, "Horror")
+table = behavior.genre_similarities(consumers.preferences, catalog.genre_matrix)
+print(table.tobytes().hex())
+"""
+
+
+def openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError, ValueError):
+        return False
+    return "openblas" in blas.lower()
+
+
+class TestSimilarityTable:
+    @pytest.mark.skipif(not openblas(), reason="numpy is not built on OpenBLAS")
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="one GEMM: OpenBLAS splits it by thread count, which moves the last bit of "
+        "a few cells (2 of 150,000 here); a thread-invariant table changes report bytes",
+    )
+    def test_table_bits_do_not_depend_on_the_blas_thread_count(self):
+        src = str(Path(behavior.__file__).resolve().parents[1])
+        tables = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", TABLE_BITS],
+                env=env,
+                check=True,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            tables.append(np.frombuffer(bytes.fromhex(run.stdout.strip())).reshape(500, 300))
+        differing = int((tables[0] != tables[1]).sum())
+        assert differing == 0, f"{differing} of {tables[0].size} cells differ"
 
 
 class TestSelectItem:

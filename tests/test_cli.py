@@ -558,6 +558,42 @@ class TestMainEntry:
         assert err.startswith("error: ") and "finite" in err, err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("recommenders", "latent_factors", "0", "[recommenders] latent_factors must be >= 1"),
+            (
+                "scenario",
+                "slate_size",
+                "200",
+                "[recommenders] popular_list_size must be >= slate_size (200)",
+            ),
+        ],
+    )
+    def test_a_recommender_value_out_of_range_names_file_and_section(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        # The values apply to both recommenders: no recommender id is blamed
+        bad = write(tmp_path, MINIMAL + f"\n[{section}]\n{key} = {value}\n")
+        assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("scenario", "warmup_cycles", "10", "[scenario] warmup_cycles must satisfy"),
+            ("scenario", "cycles", "0", "[scenario] cycles, days_per_cycle and slate_size"),
+            ("behavior", "tau", "2", "[behavior] satisfaction_threshold (tau) must lie in"),
+        ],
+    )
+    def test_a_scenario_or_behavior_value_out_of_range_names_file_and_section(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        bad = write(tmp_path, MINIMAL + f"\n[{section}]\n{key} = {value}\n")
+        assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
     def test_exit_code_data_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.ini"
         assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2

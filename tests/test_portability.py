@@ -1,6 +1,9 @@
 """Profile store semantics under the four portability policies."""
 
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,3 +345,120 @@ class TestAuditReplay:
     def test_unknown_event_rejected(self):
         with pytest.raises(ValueError, match="unknown audit event"):
             replay_audit([{"event": "mystery"}], UO, RECS)
+
+
+# Ids on both sides of the int64 columns' range, and recommender ids that JSON
+# must escape
+IDS = st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**70), st.just(2**63 - 1))
+RECOMMENDER_IDS = st.one_of(
+    st.sampled_from(["generic", "niche", "\u00e9t\u00e9", '"q"\\', "\U0001f600"]), st.text()
+)
+DAYS = st.one_of(st.just(-1), st.integers(0, 2**64))
+EVENTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("click"), IDS, RECOMMENDER_IDS, IDS, DAYS),
+        st.tuples(
+            st.just("clicks"), st.lists(st.tuples(IDS, IDS), max_size=4), RECOMMENDER_IDS, DAYS
+        ),
+        st.tuples(st.just("switch"), IDS, RECOMMENDER_IDS, RECOMMENDER_IDS, IDS, DAYS),
+        st.tuples(st.just("transfer"), IDS, RECOMMENDER_IDS, RECOMMENDER_IDS),
+        st.tuples(st.just("delete"), IDS, RECOMMENDER_IDS),
+    ),
+    max_size=12,
+)
+
+
+def write_events(trail, events):
+    """Write ``events`` (drawn from ``EVENTS``) to ``trail`` as the store and
+    the engine do; return the event dicts the trail must encode."""
+    expected = []
+    for kind, *fields in events:
+        if kind == "click":
+            consumer, recommender, item, day = fields
+            trail.click(consumer, recommender, item, day)
+            pairs = [(consumer, item)]
+        elif kind == "clicks":
+            pairs, recommender, day = fields
+            trail.clicks([c for c, _ in pairs], recommender, [i for _, i in pairs], day)
+        if kind in ("click", "clicks"):
+            expected += [
+                {"event": "click", "consumer": c, "recommender": recommender, "item": i, "day": day}
+                for c, i in pairs
+            ]
+            continue
+        names = {
+            "switch": ("consumer", "source", "destination", "cycle", "day"),
+            "transfer": ("consumer", "source", "destination"),
+            "delete": ("consumer", "recommender"),
+        }[kind]
+        payload = dict(zip(names, fields))
+        trail.emit(kind, **payload)
+        expected.append({"event": kind, **payload})
+    return expected
+
+
+def jsonl(events):
+    return [json.dumps(e, sort_keys=True) + "\n" for e in events]
+
+
+class TestColumnTrail:
+    """The trail holds clicks as columns and renders them on demand: every
+    way of reading it must give the lines ``json.dumps`` would."""
+
+    @given(prefix_events=EVENTS, own_events=EVENTS)
+    def test_renders_sorted_key_json_of_every_event(self, prefix_events, own_events):
+        prefix = AuditTrail()
+        expected_prefix = write_events(prefix, prefix_events)
+        assert prefix.lines == jsonl(expected_prefix)
+        assert prefix.events == expected_prefix
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "audit.jsonl"
+            _write_lines(path, prefix.render())
+            assert path.read_bytes() == "".join(prefix.lines).encode()
+
+        # A branch holds the prefix's events, then its own
+        store = ProfileStore.create(UO, RECS, [], [], audit=prefix)
+        branch = AuditTrail()
+        store.branch(UO, RECS, "generic", branch)
+        expected_own = write_events(branch, own_events)
+        assert branch.lines == jsonl(expected_prefix + expected_own)
+        assert branch.events == expected_prefix + expected_own
+        assert prefix.lines == jsonl(expected_prefix)
+
+    def test_a_parsed_trail_holds_its_lines_as_text(self):
+        lines = ['{"event":"delete","consumer":1,"recommender":"niche"}\n']
+        trail = AuditTrail(lines)
+        trail.click(1, "generic", 2, 3)
+        assert trail.lines == lines + jsonl(
+            [{"event": "click", "consumer": 1, "recommender": "generic", "item": 2, "day": 3}]
+        )
+
+    def test_more_recommenders_than_codes_are_held_as_lines(self):
+        trail, expected = AuditTrail(), []
+        for k in range(300):
+            trail.click(k, f"r{k}", k, 0)
+            expected.append(
+                {"event": "click", "consumer": k, "recommender": f"r{k}", "item": k, "day": 0}
+            )
+        trail.clicks([1, 2], "r299", [3, 4], 5)
+        expected += [
+            {"event": "click", "consumer": c, "recommender": "r299", "item": i, "day": 5}
+            for c, i in ((1, 3), (2, 4))
+        ]
+        assert trail.lines == jsonl(expected)
+
+    def test_an_empty_trail_is_truthy(self):
+        # run_experiment_suite audits the prefix when any scenario has a trail
+        assert AuditTrail() and any({"s": AuditTrail()}.values())
+
+    def test_a_click_is_held_in_at_most_48_bytes(self):
+        trail = AuditTrail()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(20_000):
+                trail.click(10_000 + k % 500, RECS[k % 2], 20_000 + k % 300, k // 500)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / 20_000 <= 48, held / 20_000
