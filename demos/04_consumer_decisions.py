@@ -25,12 +25,12 @@ for day in range(1, 5):
 
 print("\nswitch decision table (current estimate x alternative):")
 print(f"{'current':>8s} {'alternative':>12s} {'decision':>10s}")
-columns = ["generic", "niche"]  # a consumer's row: one column per recommender, by id
-for current in (0.15, 0.25):
-    for alternative in (None, 0.10, 0.30):
-        estimates = np.array([current, np.nan if alternative is None else alternative])
-        tried = np.array([True, alternative is not None])
-        column = maybe_switch(estimates, tried, columns.index("generic"), params)
-        alt = "untried" if alternative is None else f"{alternative:.2f}"
-        outcome = "stay" if column is None else f"-> {columns[column]}"
-        print(f"{current:>8.2f} {alt:>12s} {outcome:>10s}")
+columns = ["generic", "niche"]  # one column per recommender, by id
+cases = [(current, alternative) for current in (0.15, 0.25) for alternative in (None, 0.10, 0.30)]
+# One row per case: every consumer is at generic, with an unset niche estimate if untried
+estimates = np.array([[current, np.nan if alt is None else alt] for current, alt in cases])
+moves = maybe_switch(estimates, np.zeros(len(cases), dtype=int), params)
+for (current, alternative), column in zip(cases, moves.tolist()):
+    alt = "untried" if alternative is None else f"{alternative:.2f}"
+    outcome = "stay" if column < 0 else f"-> {columns[column]}"
+    print(f"{current:>8.2f} {alt:>12s} {outcome:>10s}")

@@ -15,7 +15,9 @@ of ``TestCriterion4TrendReproduction`` sits from its gate:
 
 It also prints a sha256 over the suite's report JSON (as ``recmarket run``
 writes it) and its cycle, provider, switch and per-day CSV lines, so that
-two checkouts can be compared byte for byte by running this on each.
+two checkouts can be compared byte for byte by running this on each. The
+bytes can depend on the BLAS thread count, so the first line gives
+``OPENBLAS_NUM_THREADS``: compare digests only between runs that agree on it.
 
 Run from the repository root (about two minutes on two CPUs):
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 from recmarket.dataset import GENERIC, NICHE, SyntheticSpec, generate_synthetic
 from recmarket.engine import (
@@ -79,6 +82,7 @@ def seed_margins(seed: int) -> dict[str, object]:
 
 
 def main() -> None:
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     print("seed\tniche_uplift_min\tgeneric_deviation_max\tniche_provider_gain_min\t"
           "universal_minus_algorithm_specific\tsha256")
     print("gate\t>= 1.5\t<= 0.10\t> 0\t>= 0\t")

@@ -67,30 +67,19 @@ def update_utility(
     return value if value.ndim else float(value)
 
 
-def maybe_switch(
-    estimates_row: np.ndarray,
-    tried_row: np.ndarray,
-    current_column: int,
-    params: BehaviorParams,
-) -> int | None:
-    """The threshold switching rule for one consumer: the column to switch
-    to, or ``None`` to stay. It reads and changes nothing else.
+def maybe_switch(estimates: np.ndarray, current: np.ndarray, params: BehaviorParams) -> np.ndarray:
+    """The threshold switching rule for a batch of consumers of the two
+    recommenders: each row's column to switch to, or -1 to stay. It reads
+    and changes nothing else.
 
-    Columns are recommenders in id order; ``estimates_row`` holds the
-    satisfaction estimate of each (NaN where unset) and ``tried_row`` marks
-    those the consumer has used. A consumer satisfied with the current
-    recommender (estimate at or above the threshold) stays. Otherwise it
-    moves to the most promising eligible alternative: one it has not tried
-    (ranked above everything), or one whose estimate is at least the current
-    one, an unset estimate counting as 0. Ties break by recommender id.
+    ``estimates`` holds each row's satisfaction estimate at both columns
+    (NaN where unset) and ``current`` each row's current column. A row
+    whose current estimate is below the threshold moves to the other
+    column when it has no estimate there, having never been served by it,
+    or one at least the current one.
     """
-    estimates = estimates_row.tolist()
-    current_estimate = estimates[current_column]
-    if current_estimate >= params.satisfaction_threshold:
-        return None
-    best, best_rank = None, -math.inf
-    for column, (estimate, tried) in enumerate(zip(estimates, tried_row.tolist())):
-        rank = (0.0 if math.isnan(estimate) else estimate) if tried else math.inf
-        if column != current_column and rank >= current_estimate and rank > best_rank:
-            best, best_rank = column, rank
-    return best
+    rows = np.arange(len(current))
+    other = 1 - current
+    mine, theirs = estimates[rows, current], estimates[rows, other]
+    move = (mine < params.satisfaction_threshold) & (np.isnan(theirs) | (theirs >= mine))
+    return np.where(move, other, -1)

@@ -243,7 +243,7 @@ class _Day:
     today, by recommender id."""
 
     in_cycle: int
-    switching: bool  # whether each consumer's switch is evaluated after its click
+    switching: bool  # whether each consumer may switch once its estimate moves
     utility: np.ndarray
     queue: list[tuple[int, int, np.ndarray]] = field(default_factory=list)
     counts: dict[str, np.ndarray] = field(default_factory=dict)
@@ -263,7 +263,6 @@ class EcosystemState:
     columns: list[str]  # recommender ids, ascending
     current: np.ndarray  # each row's current column
     estimates: np.ndarray  # float64 satisfaction, rows x columns, NaN where unset
-    tried: np.ndarray  # bool, rows x columns
     consumer_rngs: list[np.random.Generator]  # by consumer row
     models: dict[str, CatalogModel] = field(default_factory=dict)
     cycle: int = 0
@@ -316,7 +315,6 @@ def prepare_state(
         columns=columns,
         current=current,
         estimates=np.full((len(consumers), len(columns)), np.nan),
-        tried=current[:, None] == np.arange(len(columns)),
         consumer_rngs=[derive_rng(config.seed, "consumer", c) for c in consumer_ids],
         metrics=_MetricsAccumulator(np.zeros(len(consumers))),
         collect_day_rows=collect_day_rows,
@@ -399,16 +397,10 @@ def _subscriber_counts(state: EcosystemState, day: _Day, rid: str) -> np.ndarray
     return counts
 
 
-def _apply_switch(state: EcosystemState, row: int, day_in_cycle: int) -> None:
-    """Move consumer row ``row`` where ``behavior.maybe_switch`` sends it, if anywhere."""
+def _apply_switch(state: EcosystemState, row: int, column: int, day_in_cycle: int) -> None:
+    """Move consumer row ``row`` to ``column``, where ``behavior.maybe_switch`` sends it."""
     source = state.current.item(row)
-    column = behavior.maybe_switch(
-        state.estimates[row], state.tried[row], source, state.config.behavior
-    )
-    if column is None:
-        return
     state.current[row] = column
-    state.tried[row, column] = True
     consumer_id = state.consumers.consumer_ids.item(row)
     from_id, destination = state.columns[source], state.columns[column]
     if state.store.audit is not None:
@@ -480,8 +472,9 @@ def run_day(state: EcosystemState) -> None:
 
 
 def _flush(state: EcosystemState, day: _Day) -> None:
-    """Select for every consumer on ``day``'s queue at once, then record
-    each one's click and per-day switch one at a time, in row order."""
+    """Select for every consumer on ``day``'s queue at once, and on a
+    switching day decide each one's switch after its estimate moves; then
+    record each one's click and switch one at a time, in row order."""
     if not day.queue:
         return
     queue, day.queue = day.queue, []
@@ -497,9 +490,12 @@ def _flush(state: EcosystemState, day: _Day) -> None:
     estimates = utility.copy()
     estimates[seen] = behavior.update_utility(prev[seen], utility[seen], params.recency_bias)
     state.estimates[rows, columns] = estimates
+    moves = [-1] * len(queue)
+    if day.switching:
+        moves = behavior.maybe_switch(state.estimates[rows], columns, params).tolist()
 
     consumer_ids, item_ids = state.consumers.consumer_ids, state.catalog.item_ids
-    for (row, column, slate), pick in zip(queue, picks.tolist()):
+    for (row, column, slate), pick, move in zip(queue, picks.tolist(), moves):
         if pick >= 0:
             item_row = slate.item(pick)
             portability.record_click(
@@ -510,8 +506,8 @@ def _flush(state: EcosystemState, day: _Day) -> None:
                 state.day,
             )
             state.metrics.provider_clicks[state.index.provider_type_of_row[item_row]] += 1
-        if day.switching:
-            _apply_switch(state, row, day.in_cycle)
+        if move >= 0:
+            _apply_switch(state, row, move, day.in_cycle)
 
 
 def _select(
@@ -581,8 +577,9 @@ def evaluate_switches(state: EcosystemState) -> list[SwitchEvent]:
     if state.cycle < state.config.warmup_cycles:
         raise ConfigError("switch evaluation before the warm-up period has ended")
     before = len(state.metrics.switch_events)
-    for row in range(len(state.consumers)):
-        _apply_switch(state, row, state.config.days_per_cycle - 1)
+    moves = behavior.maybe_switch(state.estimates, state.current, state.config.behavior)
+    for row in np.flatnonzero(moves >= 0).tolist():
+        _apply_switch(state, row, moves.item(row), state.config.days_per_cycle - 1)
     return state.metrics.switch_events[before:]
 
 

@@ -56,20 +56,19 @@ class AuditTrail:
     is rendered only when the trail is read or written. Clicks, most of a
     trail, are held as int64 columns (consumer, day, item) with one kind
     byte each: the code of the click's recommender. Every other event, and a
-    click whose numbers do not fit the columns, is held as its line, as is
-    each line given to the constructor. A branch of a suite holds the trail
-    of the prefix it forks from by reference (``include``).
+    click whose numbers do not fit the columns, is held as its line. A
+    branch of a suite holds the trail of the prefix it forks from by
+    reference (``include``).
     """
 
-    def __init__(self, lines: Iterable[str] = ()) -> None:
+    def __init__(self) -> None:
         # Imported here: it is a shared library that a run without a trail
         # need not load (about 70 KB of resident memory)
         from array import array
 
         self._kinds = bytearray()  # one per event, in event order
         self._consumers, self._days, self._items = array("q"), array("q"), array("q")
-        self._held: list[str | AuditTrail] = list(lines)
-        self._kinds += bytes((_LINE,)) * len(self._held)
+        self._held: list[str | AuditTrail] = []
         self._codes: dict[str, int] = {}  # recommender id -> code, in code order
 
     def emit(self, event: str, **payload: object) -> None:

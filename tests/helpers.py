@@ -21,9 +21,11 @@ array pass of ``dataset.build_preferences``, and ``seed_per_click`` seeds a
 store one ``record_click`` at a time, the reference for the engine's bulk
 seeding. ``maybe_switch_by_id`` is the switching rule over dicts and sets
 keyed by recommender id, the reference for ``behavior.maybe_switch`` over a
-consumer's row of columns. ``run_from_scratch`` runs one scenario straight
-through from cycle 0; a suite, which runs the warm-up once and branches it
-into every scenario, must reproduce it byte for byte.
+batch of consumer rows. The reference day gives it the recommenders a
+consumer has tried from its switch history, ``recommenders_tried``, not from
+the estimates the engine's rule reads. ``run_from_scratch`` runs one
+scenario straight through from cycle 0; a suite, which runs the warm-up
+once and branches it into every scenario, must reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -181,6 +183,25 @@ def assert_store_matches_reference(run: EventRun) -> None:
     assert store_state(run.store) == run.reference.state()
 
 
+def openblas() -> bool:
+    """Whether numpy is built on OpenBLAS, whose thread count
+    ``OPENBLAS_NUM_THREADS`` sets."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError, ValueError):
+        return False
+    return "openblas" in blas.lower()
+
+
+def recommenders_tried(state: engine.EcosystemState) -> list[set[str]]:
+    """Each consumer row's recommenders so far, from its history alone: the
+    home recommender and the destinations of its switch events."""
+    tried = {cid: {engine.GENERIC_RECOMMENDER} for cid in state.consumers.consumer_ids.tolist()}
+    for event in state.metrics.switch_events:
+        tried[event.consumer_id].add(event.to_id)
+    return list(tried.values())
+
+
 def assert_engine_invariants(
     state: engine.EcosystemState, switched: tuple[int, str] | None = None
 ) -> None:
@@ -193,10 +214,15 @@ def assert_engine_invariants(
     metrics, store = state.metrics, state.store
     # The report's total_clicks is the sum over these two labels
     assert set(metrics.provider_clicks) <= {GENERIC, NICHE}
-    # Every consumer has tried its current recommender, has an estimate only
-    # where it has been, and is at one of the config's recommenders
-    assert state.tried[np.arange(len(state.current)), state.current].all()
-    assert not (~np.isnan(state.estimates) & ~state.tried).any()
+    # Off its current column, a consumer has an estimate exactly where it
+    # has been, so the switching rule reads an unset estimate as an untried
+    # recommender. Every consumer is at one of the config's recommenders.
+    been = recommenders_tried(state)
+    for row, column in enumerate(state.current.tolist()):
+        estimated = {
+            rid for rid, e in zip(state.columns, state.estimates[row].tolist()) if not math.isnan(e)
+        }
+        assert estimated | {state.columns[column]} == been[row], row
     active = {state.columns.index(rid) for rid in state.active}
     assert set(state.current.tolist()) <= active
     if store.policy is PortabilityPolicy.UNIVERSAL:
@@ -661,15 +687,12 @@ def reference_switch(state: engine.EcosystemState, row: int, day_in_cycle: int) 
         for rid, value in zip(state.columns, state.estimates[row])
         if not math.isnan(value)
     }
-    tried = {rid for rid, flag in zip(state.columns, state.tried[row]) if flag}
     destination = maybe_switch_by_id(
-        source, estimates, tried, state.config.behavior, state.active
+        source, estimates, recommenders_tried(state)[row], state.config.behavior, state.active
     )
     if destination is None:
         return
-    column = state.columns.index(destination)
-    state.current[row] = column
-    state.tried[row, column] = True
+    state.current[row] = state.columns.index(destination)
     if state.store.audit is not None:
         state.store.audit.emit(
             "switch",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import choose_item, maybe_switch_by_id, slate_utility
+from helpers import choose_item, maybe_switch_by_id, openblas, slate_utility
 from recmarket import behavior, engine
 from recmarket.behavior import BehaviorParams, genre_similarities, maybe_switch, update_utility
 
@@ -135,14 +135,6 @@ consumers = dataset.build_preferences(log, catalog, "Horror")
 table = behavior.genre_similarities(consumers.preferences, catalog.genre_matrix)
 print(table.tobytes().hex())
 """
-
-
-def openblas() -> bool:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (KeyError, TypeError, ValueError):
-        return False
-    return "openblas" in blas.lower()
 
 
 class TestSimilarityTable:
@@ -280,40 +272,40 @@ class TestBatchedSelection:
         assert picks.tolist() == [-1, -1, -1, -1, 3]
 
 
-def switch_row(estimates, tried, current, active, params=BehaviorParams()):
-    """``maybe_switch`` on the row of a consumer whose estimates and tried
-    set are keyed by recommender id: the destination's id, or ``None``. The
-    rule must leave the row as it found it."""
-    columns = sorted(active)
-    estimates_row = np.array([estimates.get(rid, np.nan) for rid in columns])
-    tried_row = np.array([rid in tried for rid in columns])
-    before = estimates_row.tobytes(), tried_row.tobytes()
-    column = maybe_switch(estimates_row, tried_row, columns.index(current), params)
-    assert (estimates_row.tobytes(), tried_row.tobytes()) == before
-    return None if column is None else columns[column]
-
-
-TWO = ["generic", "niche"]
+TWO = ["generic", "niche"]  # the columns, by recommender id
 ESTIMATES = st.sampled_from([0.0, 0.1, 0.15, 0.2, 0.5, 1.0]) | st.floats(0, 1)
+
+
+def switch_row(estimates, current, params=BehaviorParams()):
+    """``maybe_switch`` on a batch of one consumer, whose estimates are keyed
+    by recommender id and unset where it has not been: the destination's
+    id, or ``None``. The rule must leave its inputs as it found them."""
+    estimates_rows = np.array([[estimates.get(rid, np.nan) for rid in TWO]])
+    current_columns = np.array([TWO.index(current)])
+    before = estimates_rows.tobytes(), current_columns.tobytes()
+    column = maybe_switch(estimates_rows, current_columns, params).item()
+    assert (estimates_rows.tobytes(), current_columns.tobytes()) == before
+    return None if column < 0 else TWO[column]
 
 
 class TestMaybeSwitch:
     def test_satisfied_stays(self):
-        estimates = {"generic": 0.25, "niche": 0.9}
-        assert switch_row(estimates, {"generic", "niche"}, "generic", TWO) is None
+        assert switch_row({"generic": 0.25, "niche": 0.9}, "generic") is None
 
     def test_dissatisfied_switches_to_untried(self):
-        assert switch_row({"generic": 0.15}, {"generic"}, "generic", TWO) == "niche"
+        assert switch_row({"generic": 0.15}, "generic") == "niche"
+        assert switch_row({"niche": 0.15}, "niche") == "generic"
 
     def test_returns_a_column_and_changes_nothing(self):
-        estimates_row, tried_row = np.array([0.15, np.nan]), np.array([True, False])
-        assert maybe_switch(estimates_row, tried_row, 0, BehaviorParams()) == 1
-        assert tried_row.tolist() == [True, False]
-        assert maybe_switch(estimates_row, tried_row, 0, BehaviorParams()) == 1
+        estimates = np.array([[0.15, np.nan], [0.25, np.nan], [0.3, 0.1], [0.15, 0.1]])
+        current = np.array([0, 0, 1, 0])
+        moves = maybe_switch(estimates, current, BehaviorParams())
+        assert moves.tolist() == [1, -1, 0, -1]
+        assert current.tolist() == [0, 0, 1, 0]
+        assert maybe_switch(estimates, current, BehaviorParams()).tolist() == moves.tolist()
 
     def test_dissatisfied_stays_when_alternative_is_worse(self):
-        estimates = {"generic": 0.15, "niche": 0.10}
-        assert switch_row(estimates, {"generic", "niche"}, "generic", TWO) is None
+        assert switch_row({"generic": 0.15, "niche": 0.10}, "generic") is None
 
     def test_two_recommender_decision_table(self):
         # Exhaustive oracle over the documented rule for the 2-recommender case.
@@ -321,39 +313,32 @@ class TestMaybeSwitch:
         grid = [0.0, 0.1, 0.19, 0.2, 0.5, 1.0]
         for cur in grid:
             for other in grid + [None]:  # None = untried
-                tried = {"generic"} | (set() if other is None else {"niche"})
-                estimates = {"generic": cur} | (
-                    {} if other is None else {"niche": other}
-                )
+                estimates = {"generic": cur} | ({} if other is None else {"niche": other})
                 expect_switch = cur < tau and (other is None or other >= cur)
-                got = switch_row(estimates, tried, "generic", TWO)
+                got = switch_row(estimates, "generic")
                 assert (got is not None) == expect_switch, (cur, other)
-
-    def test_ties_break_by_recommender_id(self):
-        estimates = {"a": 0.1, "b": 0.15, "c": 0.15}
-        assert switch_row(estimates, {"a", "b", "c"}, "a", ["a", "b", "c"]) == "b"
-
-    def test_untried_outranks_high_estimates(self):
-        assert switch_row({"a": 0.1, "b": 0.9}, {"a", "b"}, "a", ["a", "b", "z"]) == "z"
-
-    def test_tried_without_an_estimate_counts_as_zero(self):
-        assert switch_row({"a": 0.0}, {"a", "b"}, "a", ["a", "b"]) == "b"
-        assert switch_row({"a": 0.1}, {"a", "b"}, "a", ["a", "b"]) is None
 
     def test_never_switches_when_satisfied_property(self):
         for cur in np.linspace(0.2, 1.0, 20):
-            assert switch_row({"generic": float(cur)}, {"generic"}, "generic", TWO) is None
+            assert switch_row({"generic": float(cur)}, "generic") is None
 
     @given(data=st.data())
-    def test_row_rule_agrees_with_the_oracle_by_id(self, data):
-        # Estimates are set only where tried, and the current column is tried and set
-        n = data.draw(st.integers(2, 4))
-        ids = st.text(alphabet="abnz", min_size=1, max_size=2)
-        active = data.draw(st.lists(ids, min_size=n, max_size=n, unique=True))
-        current = data.draw(st.sampled_from(active))
-        tried = {current} | {r for r in active if data.draw(st.booleans())}
-        estimates = {r: data.draw(ESTIMATES) for r in sorted(tried) if data.draw(st.booleans())}
-        estimates[current] = data.draw(ESTIMATES)
+    def test_batch_agrees_with_the_oracle_by_id(self, data):
+        # Every row's current column has an estimate; a row has tried its
+        # current recommender and those it has an estimate at
+        n = data.draw(st.integers(1, 8))
+        current = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+        estimates = np.full((n, len(TWO)), np.nan)
+        for row, column in enumerate(current.tolist()):
+            estimates[row, column] = data.draw(ESTIMATES)
+            if data.draw(st.booleans()):
+                estimates[row, 1 - column] = data.draw(ESTIMATES)
         params = BehaviorParams(satisfaction_threshold=data.draw(ESTIMATES))
-        expected = maybe_switch_by_id(current, estimates, tried, params, active)
-        assert switch_row(estimates, tried, current, active, params) == expected
+        moves = maybe_switch(estimates, current, params).tolist()
+        for row, column in enumerate(current.tolist()):
+            by_id = {
+                rid: e for rid, e in zip(TWO, estimates[row].tolist()) if not math.isnan(e)
+            }
+            tried = {TWO[column]} | set(by_id)
+            expected = maybe_switch_by_id(TWO[column], by_id, tried, params, TWO)
+            assert (None if moves[row] < 0 else TWO[moves[row]]) == expected, row

@@ -24,6 +24,7 @@ from helpers import (
     consumer_rows,
     genre_similarity,
     item_genres,
+    openblas,
     reference_run_day,
     run_from_scratch,
     seed_per_click,
@@ -95,7 +96,7 @@ class TestValidation:
         with pytest.raises(ConfigError):
             run_scenario(small_config(warmup_cycles=9), small_data())
 
-    def test_unknown_specialization_genre_rejected(self):
+    def test_unknown_niche_genre_rejected(self):
         with pytest.raises(ConfigError, match="niche_genre 'NoSuchGenre' is not an item genre"):
             prepare_state(small_config(niche_genre="NoSuchGenre"), small_data())
 
@@ -208,16 +209,12 @@ class TestDeterminismAndEquivalence:
         for emit in emitters:
             assert emit([base_report]) == emit([frozen_report]), emit.__name__
 
-    def test_blas_thread_count_leaves_reports_identical(self, tmp_path):
-        # Slates rank by exact score bits, so the reports must not depend on
-        # how many threads the BLAS library splits the products over.
+    @staticmethod
+    def digests_at_one_and_two_threads(tmp_path, config_text, *emit):
+        """The sha256 of every file ``recmarket run`` writes for the config,
+        by file name, in one subprocess at 1 BLAS thread and one at 2."""
         config = tmp_path / "blas.ini"
-        config.write_text(
-            "[scenario]\nseed = 17\nniche_genre = Horror\n"
-            "policies = universal, cold_start\ncycles = 3\ndays_per_cycle = 2\n"
-            "warmup_cycles = 1\n"
-            "[data]\nsource = synthetic\nconsumers = 200\nitems = 150\nproviders = 10\n"
-        )
+        config.write_text(config_text)
         src = str(Path(engine.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):
@@ -227,7 +224,7 @@ class TestDeterminismAndEquivalence:
                 OPENBLAS_NUM_THREADS=threads,
                 PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
             )
-            argv = ["run", "--config", str(config), "--out", str(out), "--emit", "audit-log"]
+            argv = ["run", "--config", str(config), "--out", str(out), *emit]
             subprocess.run(
                 [sys.executable, "-m", "recmarket.cli", *argv],
                 env=env,
@@ -238,8 +235,42 @@ class TestDeterminismAndEquivalence:
             digests.append(
                 {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
             )
-        assert len(digests[0]) >= 7
-        assert digests[0] == digests[1]
+        return digests
+
+    def test_blas_thread_count_leaves_reports_identical(self, tmp_path):
+        # Slates rank by exact score bits, so the reports must not depend on
+        # how many threads the BLAS library splits the products over.
+        one, two = self.digests_at_one_and_two_threads(
+            tmp_path,
+            "[scenario]\nseed = 17\nniche_genre = Horror\n"
+            "policies = universal, cold_start\ncycles = 3\ndays_per_cycle = 2\n"
+            "warmup_cycles = 1\n"
+            "[data]\nsource = synthetic\nconsumers = 200\nitems = 150\nproviders = 10\n",
+            "--emit",
+            "audit-log",
+        )
+        assert len(one) >= 7
+        assert one == two
+
+    @pytest.mark.skipif(not openblas(), reason="numpy is not built on OpenBLAS")
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the similarity table's GEMM moves the last bit of a few cells with the "
+        "thread count (TestSimilarityTable); at seed 1 one reaches universal's cycle-7 "
+        "Generic utility: 0.3930501196780597 at 1 thread, 0.39305011967805975 at 2",
+    )
+    def test_blas_thread_count_leaves_the_seed_1_reports_identical(self, tmp_path):
+        # The smallest run found that shows the fault: at cycles = 7 the
+        # bytes still match
+        one, two = self.digests_at_one_and_two_threads(
+            tmp_path,
+            "[scenario]\nseed = 1\nniche_genre = Horror\npolicies = universal\ncycles = 8\n"
+            "[data]\nsource = synthetic\nconsumers = 500\nitems = 300\nproviders = 20\n"
+            "niche_fraction = 0.1\n",
+        )
+        assert len(one) >= 5
+        assert one == two
 
     def test_per_cycle_metric_matches_day_rows(self):
         report = run_scenario(small_config(), small_data(), collect_day_rows=True)
@@ -363,13 +394,12 @@ class TestEngineInvariants:
             assert_engine_invariants(state)
             days.append(state.day)
 
-        def apply_switch(state, row, day_in_cycle):
+        def apply_switch(state, row, column, day_in_cycle):
             source = state.columns[state.current[row]]
-            original_switch(state, row, day_in_cycle)
-            moved = state.columns[state.current[row]] != source
+            original_switch(state, row, column, day_in_cycle)
             cid = int(state.consumers.consumer_ids[row])
-            assert_engine_invariants(state, (cid, source) if moved else None)
-            switches[state.config.scenario_name] += moved
+            assert_engine_invariants(state, (cid, source))
+            switches[state.config.scenario_name] += 1
 
         monkeypatch.setattr(engine, "run_day", run_day)
         monkeypatch.setattr(engine, "_apply_switch", apply_switch)
@@ -746,16 +776,14 @@ class TestSuiteFork:
         prefix = prepare_state(small_config(), small_data())
         branch = engine._fork(prefix)
         assert branch.consumers is prefix.consumers
-        for name in ("current", "estimates", "tried"):
+        for name in ("current", "estimates"):
             mine, theirs = getattr(branch, name), getattr(prefix, name)
             assert not np.shares_memory(mine, theirs), name
             assert mine.tobytes() == theirs.tobytes(), name
         branch.current[0] = 1
         branch.estimates[0, 1] = 0.5
-        branch.tried[0, 1] = True
         assert prefix.current[0] == 0
         assert np.isnan(prefix.estimates[0, 1])
-        assert not prefix.tried[0, 1]
 
     def test_branches_run_one_at_a_time(self, monkeypatch):
         # At most the prefix and one branch exist at a time: every forked

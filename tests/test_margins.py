@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from conftest import TREND_SEEDS
 from recmarket.dataset import SyntheticSpec, generate_synthetic
 from recmarket.engine import run_experiment_suite, standard_suite
@@ -30,3 +32,25 @@ def test_the_digest_of_a_rerun_is_the_same():
     )
     assert margins.report_digest(first) == margins.report_digest(second)
     assert margins.report_digest(first[:-1]) != margins.report_digest(first)
+
+
+
+@pytest.mark.parametrize("threads", [None, "1", "2"])
+def test_the_blas_thread_count_is_printed_once_above_the_table(monkeypatch, capsys, threads):
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    row = {
+        "niche_uplift_min": 2.0,
+        "generic_deviation_max": 0.05,
+        "niche_provider_gain_min": 1,
+        "universal_minus_algorithm_specific": 1,
+        "sha256": "ab",
+    }
+    monkeypatch.setattr(margins, "seed_margins", lambda seed: row)
+    margins.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"OPENBLAS_NUM_THREADS={threads or 'unset'}"
+    assert lines[1].startswith("seed\t")
+    assert len(lines) == 3 + len(margins.SEEDS)
