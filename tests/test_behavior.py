@@ -318,6 +318,22 @@ class TestMaybeSwitch:
                 got = switch_row(estimates, "generic")
                 assert (got is not None) == expect_switch, (cur, other)
 
+    # The next three check the by-id oracle itself, which ranks any number of
+    # recommenders and is what TestReferenceDay holds the engine to
+    def test_ties_break_by_recommender_id(self):
+        estimates = {"a": 0.1, "b": 0.15, "c": 0.15}
+        params, active = BehaviorParams(), ["a", "b", "c"]
+        assert maybe_switch_by_id("a", estimates, {"a", "b", "c"}, params, active) == "b"
+
+    def test_untried_outranks_high_estimates(self):
+        params, active = BehaviorParams(), ["a", "b", "z"]
+        assert maybe_switch_by_id("a", {"a": 0.1, "b": 0.9}, {"a", "b"}, params, active) == "z"
+
+    def test_tried_without_an_estimate_counts_as_zero(self):
+        params, active = BehaviorParams(), ["a", "b"]
+        assert maybe_switch_by_id("a", {"a": 0.0}, {"a", "b"}, params, active) == "b"
+        assert maybe_switch_by_id("a", {"a": 0.1}, {"a", "b"}, params, active) is None
+
     def test_never_switches_when_satisfied_property(self):
         for cur in np.linspace(0.2, 1.0, 20):
             assert switch_row({"generic": float(cur)}, "generic") is None
