@@ -453,9 +453,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(args.config, args.out, args.seed, tuple(args.emit))
         if args.command == "compare":
             return cmd_compare(args.reports)
-        if args.command == "synth":
-            return cmd_synth(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_synth(args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -342,41 +342,21 @@ def _fit_key(visible: np.ndarray, config: RecommenderConfig, seed: int, cycle: i
     return config, seed, cycle, visible.shape, digest
 
 
-@dataclass
-class _ForkModels:
-    """A suite's memo of the models its branches fit at the fork cycle, by
-    ``_fit_key``. ``model`` fits only a key it does not hold, and stores the
-    result only while ``store`` is set: the last branch only reads."""
-
-    store: bool = True
-    models: dict[tuple, CatalogModel] = field(default_factory=dict)
-    trained: int = 0
-    reused: int = 0
-
-    def model(
-        self, state: EcosystemState, visible: np.ndarray, config: RecommenderConfig, seed: int
-    ) -> CatalogModel:
-        key = _fit_key(visible, config, seed, state.cycle)
-        model = self.models.get(key)
-        if model is not None:
-            self.reused += 1
-            return model
-        self.trained += 1
-        model = _fit(state, visible, config, seed)
-        if self.store:
-            self.models[key] = model
-        return model
-
-
-def train_cycle(state: EcosystemState, memo: _ForkModels | None = None) -> None:
+def train_cycle(state: EcosystemState, memo: dict[tuple, CatalogModel] | None = None) -> None:
     """Train every active recommender on the consumers and items its
-    visibility matrix has observed; with a ``memo``, a training it holds is
-    reused, not fitted again."""
-    train = _fit if memo is None else memo.model
+    visibility matrix has observed; with a ``memo``, by ``_fit_key``, a
+    training it holds is reused, and one it lacks is fitted and stored."""
     for config in state.config.recommenders:
         rid = config.recommender_id
         seed = derive_seed(state.config.seed, "train", rid, state.cycle)
-        state.models[rid] = train(state, state.store.visible[rid], config, seed)
+        visible = state.store.visible[rid]
+        if memo is None:
+            state.models[rid] = _fit(state, visible, config, seed)
+            continue
+        key = _fit_key(visible, config, seed, state.cycle)
+        if key not in memo:
+            memo[key] = _fit(state, visible, config, seed)
+        state.models[rid] = memo[key]
 
 
 def _subscriber_counts(state: EcosystemState, day: _Day, rid: str) -> np.ndarray:
@@ -574,6 +554,8 @@ def _pick(
 
 def evaluate_switches(state: EcosystemState) -> list[SwitchEvent]:
     """End-of-cycle switch evaluation over all consumers in id order."""
+    if state.config.is_baseline:
+        raise ConfigError("switch evaluation in the baseline, which has no choice")
     if state.cycle < state.config.warmup_cycles:
         raise ConfigError("switch evaluation before the warm-up period has ended")
     before = len(state.metrics.switch_events)
@@ -604,7 +586,10 @@ def run_scenario(
 
 
 def _run_cycles(
-    state: EcosystemState, cycles: range, scenario: str, memo: _ForkModels | None = None
+    state: EcosystemState,
+    cycles: range,
+    scenario: str,
+    memo: dict[tuple, CatalogModel] | None = None,
 ) -> None:
     """Run ``cycles``, logged under ``scenario``; the first one trains through ``memo``."""
     cfg = state.config
@@ -718,15 +703,17 @@ def run_experiment_suite(
 
     # At most the prefix and one branch exist: the last scenario runs on the prefix itself.
     # At the fork cycle branches often repeat a training (README), so each is fitted once.
-    memo = _ForkModels() if len(configs) > 1 else None
+    memo = {} if len(configs) > 1 else None
     reports = [
         _run_branch(_fork(prefix), c, audits.get(c.scenario_name), memo) for c in configs[:-1]
     ]
-    if memo is not None:
-        memo.store = False
     reports.append(_run_branch(prefix, configs[-1], audits.get(configs[-1].scenario_name), memo))
     if memo is not None:
-        logger.info("fork cycle %d: %d fits trained, %d reused", fork, memo.trained, memo.reused)
+        # Every branch trains its roster at the fork cycle, if the suite reaches it
+        trainings = sum(len(c.recommenders) for c in configs) if fork < baseline.cycles else 0
+        logger.info(
+            "fork cycle %d: %d fits trained, %d reused", fork, len(memo), trainings - len(memo)
+        )
     return ExperimentResult(tuple(reports))
 
 
@@ -753,7 +740,7 @@ def _run_branch(
     state: EcosystemState,
     config: ScenarioConfig,
     audit: AuditTrail | None,
-    memo: _ForkModels | None,
+    memo: dict[tuple, CatalogModel] | None,
 ) -> MetricsReport:
     """Run ``config`` on a copy of the suite's prefix, from the day where it
     ends: its first cycle, the fork cycle, trains every recommender through

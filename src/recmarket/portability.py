@@ -194,8 +194,11 @@ class ProfileStore:
     ) -> "ProfileStore":
         """A store under ``policy`` over the same consumers and items whose
         ``home`` profiles are copies of this store's. ``audit``, if given,
-        first receives this store's audit trail, by reference: this store's
-        trail must not be written after the branch."""
+        first receives this store's audit trail, by reference: this store
+        must have a trail other than ``audit``, and must not write it after
+        the branch."""
+        if audit is not None and (self.audit is None or audit is self.audit):
+            raise ValueError("a branch's audit trail must be new and start from its parent's")
         store = ProfileStore.create(
             policy, recommender_ids, self.consumer_rows, self.item_rows, audit
         )

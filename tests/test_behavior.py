@@ -140,7 +140,6 @@ print(table.tobytes().hex())
 class TestSimilarityTable:
     @pytest.mark.skipif(not openblas(), reason="numpy is not built on OpenBLAS")
     @pytest.mark.xfail(
-        strict=True,
         raises=AssertionError,
         reason="one GEMM: OpenBLAS splits it by thread count, which moves the last bit of "
         "a few cells (2 of 150,000 here); a thread-invariant table changes report bytes",

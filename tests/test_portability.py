@@ -425,6 +425,20 @@ class TestColumnTrail:
         assert branch.events == expected_prefix + expected_own
         assert prefix.lines == jsonl(expected_prefix)
 
+    def test_a_branch_trail_starts_from_a_parent_trail_of_its_own(self):
+        # Without a parent trail the branch's would lack the events behind
+        # the home profiles it copies; the parent's own would include itself.
+        with pytest.raises(ValueError, match="audit trail"):
+            store_for(UO).branch(UO, RECS, "generic", AuditTrail())
+        trail = AuditTrail()
+        trail.click(1, "generic", 2, 0)
+        store = ProfileStore.create(UO, RECS, range(10), range(128), audit=trail)
+        with pytest.raises(ValueError, match="audit trail"):
+            store.branch(UO, RECS, "generic", trail)
+        assert trail.lines == jsonl(
+            [{"event": "click", "consumer": 1, "recommender": "generic", "item": 2, "day": 0}]
+        )
+
     def test_more_recommenders_than_codes_are_held_as_lines(self):
         trail, expected = AuditTrail(), []
         for k in range(300):
