@@ -454,9 +454,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(args.reports)
         return cmd_synth(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except (DataError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -80,7 +80,7 @@ class ScenarioConfig:
     @property
     def recommenders(self) -> tuple[RecommenderConfig, ...]:
         """The generic recommender, every consumer's home, and under a
-        policy the niche one: ``_build_index`` gives each its pool."""
+        policy the niche one: ``_pools`` gives each its pool."""
         roster = [GENERIC_RECOMMENDER] + ([] if self.is_baseline else [NICHE_RECOMMENDER])
         return tuple(replace(self.recommender, recommender_id=rid) for rid in roster)
 
@@ -113,10 +113,6 @@ def derive_seed(root: int, *parts: object) -> int:
     material = ":".join([str(root), *(str(p) for p in parts)])
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def derive_rng(root: int, *parts: object) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(root, *parts))
 
 
 class CycleUtilityRow(NamedTuple):
@@ -187,26 +183,13 @@ class MetricsReport:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed lookup structures
+# Ecosystem state and the simulation loop
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SimIndex:
-    """Lookups by catalog row (``Catalog``'s row order)."""
-
-    provider_type_of_row: list[str]
-    pools: dict[str, np.ndarray]  # recommender id -> candidate catalog rows (ascending)
-    sims: np.ndarray  # consumer row x catalog row cosine similarity
-
-
-def _build_index(
-    config: ScenarioConfig,
-    catalog: Catalog,
-    provider_labels: Mapping[str, str],
-    preferences: np.ndarray,
-) -> _SimIndex:
-    """Pools: the generic recommender's is every catalog row, the niche one's its genre's."""
+def _pools(config: ScenarioConfig, catalog: Catalog) -> dict[str, np.ndarray]:
+    """Each recommender's candidate catalog rows, ascending: the generic
+    recommender's are every row, the niche one's its genre's."""
     pools = {GENERIC_RECOMMENDER: np.arange(len(catalog.item_ids))}
     if not config.is_baseline:
         g = catalog.genre_index(config.niche_genre)
@@ -214,25 +197,7 @@ def _build_index(
             genres = ", ".join(catalog.genres)
             raise ConfigError(f"niche_genre {config.niche_genre!r} is not an item genre: {genres}")
         pools[NICHE_RECOMMENDER] = np.flatnonzero(catalog.genre_matrix[:, g])
-
-    sims = behavior.genre_similarities(preferences, catalog.genre_matrix)
-    return _SimIndex([provider_labels[p] for p in catalog.provider_ids], pools, sims)
-
-
-# ---------------------------------------------------------------------------
-# Ecosystem state and the simulation loop
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _MetricsAccumulator:
-    cycle_sum: np.ndarray
-    rows: list[CycleUtilityRow] = field(default_factory=list)
-    day_rows: list[DayUtilityRow] = field(default_factory=list)
-    provider_clicks: Counter = field(default_factory=Counter)
-    clicks_before_cycle: Counter = field(default_factory=Counter)  # at the cycle's start
-    provenance: Counter = field(default_factory=Counter)
-    switch_events: list[SwitchEvent] = field(default_factory=list)
+    return pools
 
 
 @dataclass
@@ -258,17 +223,25 @@ class EcosystemState:
     consumers: Consumers
     type_rows: dict[str, list[int]]  # consumer type -> consumer rows, types sorted
     store: ProfileStore  # rows: consumer rows; columns: catalog rows
-    index: _SimIndex
+    provider_type_of_row: list[str]  # each catalog row's provider label
+    pools: dict[str, np.ndarray]  # recommender id -> candidate catalog rows
+    sims: np.ndarray  # consumer row x catalog row cosine similarity
     popular: np.ndarray  # the log's popular list as catalog rows, most popular first
     columns: list[str]  # recommender ids, ascending
     current: np.ndarray  # each row's current column
     estimates: np.ndarray  # float64 satisfaction, rows x columns, NaN where unset
     consumer_rngs: list[np.random.Generator]  # by consumer row
+    cycle_sum: np.ndarray  # each consumer row's utility summed over the cycle's days
     models: dict[str, CatalogModel] = field(default_factory=dict)
     cycle: int = 0
     day: int = 0  # global day counter
-    metrics: _MetricsAccumulator = None  # type: ignore[assignment]
     collect_day_rows: bool = False
+    cycle_rows: list[CycleUtilityRow] = field(default_factory=list)
+    day_rows: list[DayUtilityRow] = field(default_factory=list)
+    provider_clicks: Counter = field(default_factory=Counter)
+    clicks_before_cycle: Counter = field(default_factory=Counter)  # at the cycle's start
+    provenance: Counter = field(default_factory=Counter)
+    switch_events: list[SwitchEvent] = field(default_factory=list)
 
     # Read from the config, so that a branch that swaps it needs no re-sync
     @property
@@ -293,7 +266,6 @@ def prepare_state(
     if not len(consumers):
         raise ConfigError("no usable consumers in the interaction log")
 
-    index = _build_index(config, catalog, labels, consumers.preferences)
     columns = sorted(r.recommender_id for r in config.recommenders)
     consumer_ids = consumers.consumer_ids.tolist()
     store = ProfileStore.create(config.store_policy, columns, consumer_ids, catalog.item_ids, audit)
@@ -310,13 +282,17 @@ def prepare_state(
         consumers=consumers,
         type_rows=type_rows,
         store=store,
-        index=index,
+        provider_type_of_row=[labels[p] for p in catalog.provider_ids],
+        pools=_pools(config, catalog),
+        sims=behavior.genre_similarities(consumers.preferences, catalog.genre_matrix),
         popular=np.searchsorted(catalog.item_ids, popular),
         columns=columns,
         current=current,
         estimates=np.full((len(consumers), len(columns)), np.nan),
-        consumer_rngs=[derive_rng(config.seed, "consumer", c) for c in consumer_ids],
-        metrics=_MetricsAccumulator(np.zeros(len(consumers))),
+        consumer_rngs=[
+            np.random.default_rng(derive_seed(config.seed, "consumer", c)) for c in consumer_ids
+        ],
+        cycle_sum=np.zeros(len(consumers)),
         collect_day_rows=collect_day_rows,
     )
 
@@ -393,7 +369,7 @@ def _apply_switch(state: EcosystemState, row: int, column: int, day_in_cycle: in
             day=state.cycle * state.config.days_per_cycle + day_in_cycle,
         )
     portability.on_switch(state.store, consumer_id, from_id, destination)
-    state.metrics.switch_events.append(
+    state.switch_events.append(
         SwitchEvent(
             state.cycle,
             day_in_cycle,
@@ -418,12 +394,12 @@ def run_day(state: EcosystemState) -> None:
         ),
         utility=np.zeros(len(state.consumers)),
     )
-    current, provenance = state.current, state.metrics.provenance
+    current, provenance = state.current, state.provenance
     consumer_ids, visible = state.consumers.consumer_ids, state.store.visible
     for k in range(len(state.consumers)):
         column = current.item(k)
         rid = state.columns[column]
-        pool = state.index.pools[rid]
+        pool = state.pools[rid]
         tier, rows = recommender.serve(
             state.models[rid],
             consumer_ids.item(k),
@@ -436,10 +412,10 @@ def run_day(state: EcosystemState) -> None:
         provenance[tier.value] += 1
         day.queue.append((k, column, rows))
     _flush(state, day)
-    state.metrics.cycle_sum += day.utility
+    state.cycle_sum += day.utility
     if state.collect_day_rows:
         for ctype, rows in state.type_rows.items():
-            state.metrics.day_rows.append(
+            state.day_rows.append(
                 DayUtilityRow(
                     state.cycle,
                     day.in_cycle,
@@ -462,7 +438,7 @@ def _flush(state: EcosystemState, day: _Day) -> None:
     slates = [slate for _row, _column, slate in queue]
     rngs = [state.consumer_rngs[row] for row in rows.tolist()]
     params = state.config.behavior
-    utility, picks = _select(state.index.sims, rows, slates, params.select_threshold, rngs)
+    utility, picks = _select(state.sims, rows, slates, params.select_threshold, rngs)
     day.utility[rows] = utility
     # The estimate at the serving recommender moves toward the utility
     prev = state.estimates[rows, columns]
@@ -485,7 +461,7 @@ def _flush(state: EcosystemState, day: _Day) -> None:
                 item_ids.item(item_row),
                 state.day,
             )
-            state.metrics.provider_clicks[state.index.provider_type_of_row[item_row]] += 1
+            state.provider_clicks[state.provider_type_of_row[item_row]] += 1
         if move >= 0:
             _apply_switch(state, row, move, day.in_cycle)
 
@@ -558,20 +534,20 @@ def evaluate_switches(state: EcosystemState) -> list[SwitchEvent]:
         raise ConfigError("switch evaluation in the baseline, which has no choice")
     if state.cycle < state.config.warmup_cycles:
         raise ConfigError("switch evaluation before the warm-up period has ended")
-    before = len(state.metrics.switch_events)
+    before = len(state.switch_events)
     moves = behavior.maybe_switch(state.estimates, state.current, state.config.behavior)
     for row in np.flatnonzero(moves >= 0).tolist():
         _apply_switch(state, row, moves.item(row), state.config.days_per_cycle - 1)
-    return state.metrics.switch_events[before:]
+    return state.switch_events[before:]
 
 
 def _finish_cycle(state: EcosystemState) -> None:
-    per_consumer = state.metrics.cycle_sum / state.config.days_per_cycle
+    per_consumer = state.cycle_sum / state.config.days_per_cycle
     for ctype, rows in state.type_rows.items():
-        state.metrics.rows.append(
+        state.cycle_rows.append(
             CycleUtilityRow(state.cycle, ctype, float(per_consumer[rows].mean()), len(rows))
         )
-    state.metrics.cycle_sum = np.zeros(len(state.consumers))
+    state.cycle_sum = np.zeros(len(state.consumers))
 
 
 def run_scenario(
@@ -595,7 +571,7 @@ def _run_cycles(
     cfg = state.config
     for cycle in cycles:
         state.cycle = cycle
-        state.metrics.clicks_before_cycle = state.metrics.provider_clicks.copy()
+        state.clicks_before_cycle = state.provider_clicks.copy()
         train_cycle(state, memo if cycle == cycles.start else None)
         for _day in range(cfg.days_per_cycle):
             run_day(state)
@@ -610,16 +586,15 @@ def _log_cycle(state: EcosystemState, scenario: str) -> None:
     recommender, the cycle's clicks by provider type and its switches."""
     if not cycle_logger.isEnabledFor(logging.INFO):
         return
-    metrics = state.metrics
     subscribers = np.bincount(state.current, minlength=len(state.columns)).tolist()
-    clicks = metrics.provider_clicks - metrics.clicks_before_cycle
+    clicks = state.provider_clicks - state.clicks_before_cycle
     cycle_logger.info(
         "%s cycle %d: subscribers %s; clicks %s; switches %d",
         scenario,
         state.cycle,
         " ".join(f"{rid}={n}" for rid, n in zip(state.columns, subscribers)),
         " ".join(f"{label}={clicks[label]}" for label in (GENERIC, NICHE)),
-        sum(event.cycle == state.cycle for event in metrics.switch_events),
+        sum(event.cycle == state.cycle for event in state.switch_events),
     )
 
 
@@ -627,23 +602,23 @@ def _build_report(state: EcosystemState) -> MetricsReport:
     cfg = state.config
     last = {
         row.consumer_type: row.mean_utility
-        for row in state.metrics.rows
+        for row in state.cycle_rows
         if row.cycle == cfg.cycles - 1
     }
     provider_clicks = {
-        label: int(state.metrics.provider_clicks.get(label, 0)) for label in (GENERIC, NICHE)
+        label: int(state.provider_clicks.get(label, 0)) for label in (GENERIC, NICHE)
     }
     return MetricsReport(
         scenario=cfg.scenario_name,
         seed=cfg.seed,
         baseline=cfg.is_baseline,
-        cycle_utilities=tuple(state.metrics.rows),
+        cycle_utilities=tuple(state.cycle_rows),
         last_cycle_utility=last,
         provider_clicks=provider_clicks,
         total_clicks=sum(provider_clicks.values()),
-        switch_events=tuple(state.metrics.switch_events),
-        provenance_counts={k: int(v) for k, v in sorted(state.metrics.provenance.items())},
-        day_utilities=tuple(state.metrics.day_rows),
+        switch_events=tuple(state.switch_events),
+        provenance_counts={k: int(v) for k, v in sorted(state.provenance.items())},
+        day_utilities=tuple(state.day_rows),
         models={rid: m.model for rid, m in state.models.items()},
     )
 
@@ -720,14 +695,17 @@ def run_experiment_suite(
 def _fork(prefix: EcosystemState) -> EcosystemState:
     """A deep copy of the prefix for one branch, taken between days: a day's
     queue and counts live in ``run_day``, not on the state. Branches share
-    what none of them writes: the catalog, the consumer table, the index and
-    the prefix's store (each branch copies its home lists and matrix into
-    its own). The prefix's models are kept only so that they are not
+    what none of them writes: the catalog, the consumer table, the pools,
+    the similarity table, the provider labels and the prefix's store (each
+    branch copies its home lists and matrix into its own). The prefix's models are kept only so that they are not
     copied: a branch trains every recommender at its first cycle and never
     reads them.
     Generators are copied by state: a third of the cost of a deep copy, for
     the same streams."""
-    keep = (prefix.catalog, prefix.consumers, prefix.type_rows, prefix.index, prefix.store)
+    keep = (
+        prefix.catalog, prefix.consumers, prefix.type_rows, prefix.store,
+        prefix.provider_type_of_row, prefix.pools, prefix.sims,
+    )
     memo = {id(x): x for x in (*keep, *prefix.models.values())}
     for rng in prefix.consumer_rngs:
         fresh = np.random.Generator(np.random.PCG64(0))

@@ -95,6 +95,8 @@ class AuditTrail:
     ) -> None:
         """``click`` of each (consumer, item) pair in order, all at ``day``: one
         bulk write to the columns when every number fits them."""
+        if len(consumers) != len(items):
+            raise ValueError(f"{len(consumers)} consumers for {len(items)} clicked items")
         code = self._codes.setdefault(recommender, len(self._codes))
         if code < _TRAIL:
             n = len(self._items)

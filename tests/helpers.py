@@ -197,7 +197,7 @@ def recommenders_tried(state: engine.EcosystemState) -> list[set[str]]:
     """Each consumer row's recommenders so far, from its history alone: the
     home recommender and the destinations of its switch events."""
     tried = {cid: {engine.GENERIC_RECOMMENDER} for cid in state.consumers.consumer_ids.tolist()}
-    for event in state.metrics.switch_events:
+    for event in state.switch_events:
         tried[event.consumer_id].add(event.to_id)
     return list(tried.values())
 
@@ -211,9 +211,9 @@ def assert_engine_invariants(
     made: under Cold Start and User Ownership the source keeps nothing of
     that consumer, neither a list nor a set matrix cell.
     """
-    metrics, store = state.metrics, state.store
+    store = state.store
     # The report's total_clicks is the sum over these two labels
-    assert set(metrics.provider_clicks) <= {GENERIC, NICHE}
+    assert set(state.provider_clicks) <= {GENERIC, NICHE}
     # Off its current column, a consumer has an estimate exactly where it
     # has been, so the switching rule reads an unset estimate as an untried
     # recommender. Every consumer is at one of the config's recommenders.
@@ -602,7 +602,7 @@ def reference_run_day(state: engine.EcosystemState) -> None:
     per-item oracles: serve with ``recommend``, score with ``list_utility``,
     pick with ``select_item`` and switch by ``maybe_switch_by_id``.
 
-    The similarities are the set-up's table, ``state.index.sims``: a cosine
+    The similarities are the set-up's table, ``state.sims``: a cosine
     from a matrix product and one from a single dot product can differ in
     the last bit.
     """
@@ -648,10 +648,10 @@ def reference_run_day(state: engine.EcosystemState) -> None:
         )
         rng = state.consumer_rngs[row]
         slate = recommend(cid, model, candidates, cfg.slate_size, rng, context, rid)
-        state.metrics.provenance[slate.provenance.value] += 1
+        state.provenance[slate.provenance.value] += 1
 
         def similarity(item: int) -> float:
-            return float(state.index.sims[row, catalog_row[item]])
+            return float(state.sims[row, catalog_row[item]])
 
         mu = list_utility(slate, similarity)
         column = int(state.current[row])
@@ -663,16 +663,16 @@ def reference_run_day(state: engine.EcosystemState) -> None:
         item = select_item(slate, similarity, cfg.behavior, rng)
         if item is not None:
             record_click(store, cid, rid, item, state.day)
-            label = state.index.provider_type_of_row[catalog_row[item]]
-            state.metrics.provider_clicks[label] += 1
+            label = state.provider_type_of_row[catalog_row[item]]
+            state.provider_clicks[label] += 1
         if per_day_switching:
             reference_switch(state, row, day_in_cycle)
     day_utility = np.array(day_utility)
-    state.metrics.cycle_sum += day_utility
+    state.cycle_sum += day_utility
     if state.collect_day_rows:
         for ctype, rows in state.type_rows.items():
             mean = float(np.mean([day_utility[r] for r in rows]))
-            state.metrics.day_rows.append(
+            state.day_rows.append(
                 engine.DayUtilityRow(state.cycle, day_in_cycle, ctype, mean, len(rows))
             )
     state.day += 1
@@ -703,7 +703,7 @@ def reference_switch(state: engine.EcosystemState, row: int, day_in_cycle: int) 
             day=state.cycle * state.config.days_per_cycle + day_in_cycle,
         )
     on_switch(state.store, cid, source, destination)
-    state.metrics.switch_events.append(
+    state.switch_events.append(
         engine.SwitchEvent(
             state.cycle, day_in_cycle, cid, state.consumers.type_labels[row], source, destination
         )

@@ -106,7 +106,7 @@ class TestRunDay:
         state = prepare_state(small_config(), small_data())
         train_cycle(state)
         run_day(state)
-        assert sum(state.metrics.provenance.values()) == len(state.consumers)
+        assert sum(state.provenance.values()) == len(state.consumers)
 
     def test_click_conservation(self):
         # Every click the store records counts once, for a Generic or a Niche provider
@@ -124,7 +124,7 @@ class TestRunDay:
         state = prepare_state(config, small_data())
         train_cycle(state)
         run_day(state)
-        assert not state.metrics.provider_clicks
+        assert not state.provider_clicks
         rows = np.arange(len(state.consumers))
         assert not np.isnan(state.estimates[rows, state.current]).any()
 
@@ -134,7 +134,7 @@ class TestRunDay:
         train_cycle(state)
         seeded = len(audit.lines)
         run_day(state)
-        assert sum(state.metrics.provider_clicks.values()) == len(audit.lines) - seeded > 0
+        assert sum(state.provider_clicks.values()) == len(audit.lines) - seeded > 0
 
 
 class TestWarmupAndSwitching:
@@ -395,7 +395,7 @@ class TestReferenceDay:
         state = prepare_state(small_config(), small_data())
         for row, preference in enumerate(state.consumers.preferences.tolist()):
             for item in state.catalog.item_ids.tolist()[::7]:
-                cell = state.index.sims[row, np.searchsorted(state.catalog.item_ids, item)]
+                cell = state.sims[row, np.searchsorted(state.catalog.item_ids, item)]
                 want = genre_similarity(preference, item_genres(state.catalog, item))
                 assert cell == pytest.approx(want, abs=1e-12)
 
@@ -523,7 +523,7 @@ class TestAuditIntegration:
             if e["event"] == "switch"
         ]
         simulated = [
-            (e.consumer_id, e.from_id, e.to_id, e.cycle) for e in state.metrics.switch_events
+            (e.consumer_id, e.from_id, e.to_id, e.cycle) for e in state.switch_events
         ]
         assert logged == simulated
 
@@ -793,13 +793,23 @@ class TestSuiteFork:
             assert draws(prefix.consumer_rngs[row]) == draws(untouched[row])
 
     def test_fork_shares_the_consumer_table_and_copies_its_state(self):
-        prefix = prepare_state(small_config(), small_data())
+        # Forked a day into its second cycle, after a cycle with switches
+        prefix = prepare_state(small_config(warmup_cycles=0), small_data())
+        engine._run_cycles(prefix, range(1), "prefix")
+        prefix.cycle = 1
+        engine.train_cycle(prefix)
+        engine.run_day(prefix)
         branch = engine._fork(prefix)
-        assert branch.consumers is prefix.consumers
-        for name in ("current", "estimates"):
+        # What no branch writes is shared; everything it writes is its own
+        for name in ("consumers", "catalog", "pools", "sims", "provider_type_of_row"):
+            assert getattr(branch, name) is getattr(prefix, name), name
+        for name in ("current", "estimates", "cycle_sum"):
             mine, theirs = getattr(branch, name), getattr(prefix, name)
             assert not np.shares_memory(mine, theirs), name
             assert mine.tobytes() == theirs.tobytes(), name
+        for name in ("provider_clicks", "provenance", "switch_events", "cycle_rows"):
+            mine, theirs = getattr(branch, name), getattr(prefix, name)
+            assert mine is not theirs and mine == theirs and mine, name
         branch.current[0] = 1
         branch.estimates[0, 1] = 0.5
         assert prefix.current[0] == 0

@@ -439,6 +439,19 @@ class TestColumnTrail:
             [{"event": "click", "consumer": 1, "recommender": "generic", "item": 2, "day": 0}]
         )
 
+    def test_a_bulk_click_write_refuses_columns_of_different_lengths(self):
+        # Else every later click would render with the wrong consumer
+        trail = AuditTrail()
+        trail.click(1, "generic", 2, 0)
+        before = trail.lines
+        with pytest.raises(ValueError, match="2 consumers for 1 clicked items"):
+            trail.clicks([1, 2], "niche", [3], 0)
+        assert trail.lines == before
+        trail.click(5, "generic", 6, 1)
+        assert trail.events[-1] == {
+            "event": "click", "consumer": 5, "recommender": "generic", "item": 6, "day": 1
+        }
+
     def test_more_recommenders_than_codes_are_held_as_lines(self):
         trail, expected = AuditTrail(), []
         for k in range(300):
