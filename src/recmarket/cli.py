@@ -9,7 +9,6 @@ dataset to files. Exit codes: 0 success, 1 validation error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import enum
 import json
 import logging
 import os
@@ -188,30 +187,6 @@ def parse_config(path: str | Path, seed: int | None = None) -> ExperimentSpec:
     else:
         source = FileSource(**given[FileSource])
     return ExperimentSpec(scenarios, source)
-
-
-def serialize_config(spec: ExperimentSpec) -> str:
-    """Inverse of parse_config (round-trip stable): every key that holds a value."""
-    cfg, src = spec.scenarios[0], spec.source
-    owners = {
-        ScenarioConfig: cfg,
-        BehaviorParams: cfg.behavior,
-        RecommenderConfig: cfg.recommender,
-        type(src): src,
-    }
-    choices = {
-        "policies": ",".join(c.scenario_name for c in spec.scenarios),
-        "source": next(name for name, kind in _SOURCES.items() if kind is type(src)),
-    }
-    lines: list[str] = []
-    for (section, key), (owner, name, _parse) in _KEYS.items():
-        value = choices[name] if owner is None else getattr(owners.get(owner), name, None)
-        if value is None:
-            continue
-        if f"[{section}]" not in lines:
-            lines += ["", f"[{section}]"]
-        lines.append(f"{key} = {value.value if isinstance(value, enum.Enum) else value}")
-    return "\n".join(lines[1:]) + "\n"
 
 
 def load_data(source: SyntheticSpec | FileSource):

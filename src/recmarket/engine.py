@@ -661,13 +661,19 @@ def run_experiment_suite(
     names = [c.scenario_name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique within a suite")
+    audits = audits or {}
+    owners: dict[int, str] = {}  # id of a trail -> the scenario it was given for
+    for name, audit in audits.items():
+        if name not in names:
+            raise ConfigError(f"audits: {name!r} names no scenario of the suite")
+        if audit is not None and owners.setdefault(id(audit), name) != name:
+            raise ConfigError(f"audits: {name!r} and {owners[id(audit)]!r} share one trail")
     baseline = replace(configs[0], policy=None)
 
     # The prefix is the suite's baseline up to the first possible switch: under
     # per-day switching that is cycle warmup_cycles' first day, else its end.
     # The fork cycle after it is the first in which the branches train. It is
     # prepared with every recommender of the suite, in the baseline's store.
-    audits = audits or {}
     switching = not all(c.is_baseline for c in configs)
     widest = replace(baseline, policy=PortabilityPolicy.UNIVERSAL) if switching else baseline
     trail = AuditTrail() if any(audits.values()) else None

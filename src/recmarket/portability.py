@@ -55,10 +55,10 @@ class AuditTrail:
     Each line is exactly ``json.dumps(event, sort_keys=True) + "\n"``, but it
     is rendered only when the trail is read or written. Clicks, most of a
     trail, are held as int64 columns (consumer, day, item) with one kind
-    byte each: the code of the click's recommender. Every other event, and a
-    click whose numbers do not fit the columns, is held as its line. A
-    branch of a suite holds the trail of the prefix it forks from by
-    reference (``include``).
+    byte each: the code of the click's recommender. A click whose numbers
+    are not int64, or whose recommender would be the 255th, is refused.
+    Every other event is held as its line. A branch of a suite holds the
+    trail of the prefix it forks from by reference (``include``).
     """
 
     def __init__(self) -> None:
@@ -75,41 +75,28 @@ class AuditTrail:
         self._held.append(_encode({"event": event, **payload}) + "\n")
         self._kinds.append(_LINE)
 
-    def click(self, consumer: int, recommender: str, item: int, day: int) -> None:
-        """``emit("click", ...)``, held in the columns when it fits them."""
-        code = self._codes.setdefault(recommender, len(self._codes))
-        if code < _TRAIL:
-            try:
-                self._consumers.append(consumer)
-                self._days.append(day)
-                self._items.append(item)
-                self._kinds.append(code)
-                return
-            except (OverflowError, TypeError):  # not an int64
-                n = len(self._items)
-                del self._consumers[n:], self._days[n:]
-        self.emit("click", consumer=consumer, recommender=recommender, item=item, day=day)
-
     def clicks(
         self, consumers: Sequence[int], recommender: str, items: Sequence[int], day: int
     ) -> None:
-        """``click`` of each (consumer, item) pair in order, all at ``day``: one
-        bulk write to the columns when every number fits them."""
+        """A click event for each (consumer, item) pair in order, all at
+        ``day``, in one bulk write to the columns. Raises ``ValueError`` and
+        writes nothing when the lists differ in length, a number is not an
+        int64 or the recommender would be the 255th."""
         if len(consumers) != len(items):
             raise ValueError(f"{len(consumers)} consumers for {len(items)} clicked items")
-        code = self._codes.setdefault(recommender, len(self._codes))
-        if code < _TRAIL:
-            n = len(self._items)
-            try:
-                self._consumers.extend(consumers)
-                self._days.extend([day] * len(items))
-                self._items.extend(items)
-                self._kinds += bytes((code,)) * len(items)
-                return
-            except (OverflowError, TypeError):
-                del self._consumers[n:], self._days[n:], self._items[n:]
-        for consumer, item in zip(consumers, items):
-            self.click(consumer, recommender, item, day)
+        code = self._codes.get(recommender, len(self._codes))
+        if code >= _TRAIL:
+            raise ValueError(f"a trail holds the clicks of at most {_TRAIL} recommenders")
+        n = len(self._items)
+        try:
+            self._consumers.extend(consumers)
+            self._days.extend([day] * len(items))
+            self._items.extend(items)
+        except (OverflowError, TypeError) as exc:
+            del self._consumers[n:], self._days[n:], self._items[n:]
+            raise ValueError(f"a click's consumer, item and day must be int64: {exc}") from None
+        self._kinds += bytes((code,)) * len(items)
+        self._codes[recommender] = code
 
     def include(self, trail: AuditTrail) -> None:
         """Append every event of ``trail``, by reference: events written to
@@ -240,18 +227,18 @@ def seed_histories(
     list entries and audit clicks of ``record_click`` of each consumer's
     items at day -1, consumers in the mapping's order."""
     histories = {c: items for c, items in histories.items() if len(items)}
-    # The lookups come first, so an unknown id raises before any write
+    # The lookups, then the trail, so an unknown id or a refused click raises
+    # before any write
+    visible, bucket = store.visible[recommender_id], store._bucket(recommender_id)
     rows = np.fromiter((store.consumer_rows[c] for c in histories), np.intp, len(histories))
     items = [i for h in histories.values() for i in h]
     cols = np.fromiter((store.item_rows[i] for i in items), np.intp, len(items))
-    rows = np.repeat(rows, [len(h) for h in histories.values()])
-    store.visible[recommender_id][rows, cols] = True
-    bucket = store._bucket(recommender_id)
-    for consumer_id, history in histories.items():
-        bucket.setdefault(consumer_id, []).extend((item_id, -1) for item_id in history)
     if store.audit is not None:
         consumers = [c for c, h in histories.items() for _ in h]
         store.audit.clicks(consumers, recommender_id, items, -1)
+    visible[np.repeat(rows, [len(h) for h in histories.values()]), cols] = True
+    for consumer_id, history in histories.items():
+        bucket.setdefault(consumer_id, []).extend((item_id, -1) for item_id in history)
 
 
 def record_click(
@@ -262,12 +249,14 @@ def record_click(
     day: int,
 ) -> None:
     """Append a click to the profile the store's policy routes it to."""
-    # The lookups come first, so an unknown id raises before any write
-    visible = store.visible[recommender_id]
-    visible[store.consumer_rows[consumer_id], store.item_rows[item_id]] = True
-    store._bucket(recommender_id).setdefault(consumer_id, []).append((item_id, day))
+    # The lookups, then the trail, so an unknown id or a refused click raises
+    # before any write
+    visible, bucket = store.visible[recommender_id], store._bucket(recommender_id)
+    cell = store.consumer_rows[consumer_id], store.item_rows[item_id]
     if store.audit is not None:
-        store.audit.click(consumer_id, recommender_id, item_id, day)
+        store.audit.clicks((consumer_id,), recommender_id, (item_id,), day)
+    visible[cell] = True
+    bucket.setdefault(consumer_id, []).append((item_id, day))
 
 
 def on_switch(store: ProfileStore, consumer_id: int, from_id: str, to_id: str) -> None:

@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -23,11 +23,11 @@ from recmarket.cli import (
     cmd_run,
     compare_reports,
     parse_config,
-    serialize_config,
 )
 from recmarket.dataset import SyntheticSpec
-from recmarket.engine import ScenarioConfig, standard_suite
+from recmarket.engine import ScenarioConfig, SwitchTiming, standard_suite
 from recmarket.errors import ConfigError
+from recmarket.portability import PortabilityPolicy
 from recmarket.recommender import RecommenderConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -156,15 +156,95 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="beta"):
             parse_config(write(tmp_path, text))
 
-    def test_round_trip(self, tmp_path):
-        files = MINIMAL.split("[data]")[0] + (
-            "[data]\nsource = files\nratings = r\nitems_file = i\nproviders_file = p\n"
-            "format = movielens-dat\n"
+    # Every key of [scenario], [behavior] and [recommenders], each at a value
+    # other than its field's default
+    EVERY_KEY = """
+[scenario]
+seed = 7
+niche_genre = Drama
+policies = universal, baseline, cold_start
+cycles = 6
+days_per_cycle = 3
+slate_size = 5
+warmup_cycles = 1
+switch_timing = per_day
+history_threshold = 3.5
+
+[behavior]
+beta = 1.5
+tau = 0.35
+select_threshold = 0.25
+
+[recommenders]
+latent_factors = 8
+epochs = 4
+regularization = 0.05
+confidence_weight = 20.5
+popular_list_size = 50
+
+[data]
+"""
+    SOURCES = {
+        "synthetic": (
+            "source = synthetic\nconsumers = 40\nitems = 70\nproviders = 6\nniche_fraction = 0.2\n",
+            SyntheticSpec(
+                consumers=40, items=70, providers=6, niche_fraction=0.2, seed=7, niche_genre="Drama"
+            ),
+        ),
+        "files": (
+            "source = files\nratings = r.dat\nitems_file = i.csv\nproviders_file = p.csv\n"
+            "format = movielens-dat\n",
+            FileSource("r.dat", "i.csv", "p.csv", "movielens-dat"),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_every_key_parses_into_its_field(self, tmp_path, kind):
+        data, source = self.SOURCES[kind]
+        spec = parse_config(write(tmp_path, self.EVERY_KEY + data))
+        recommender = RecommenderConfig(
+            "generic",
+            latent_factors=8,
+            epochs=4,
+            regularization=0.05,
+            confidence_weight=20.5,
+            popular_list_size=50,
         )
-        for text in (SMALL_RUN, files):
-            spec = parse_config(write(tmp_path, text))
-            spec2 = parse_config(write(tmp_path, serialize_config(spec), "rt.ini"))
-            assert spec2 == spec
+        behavior = BehaviorParams(
+            recency_bias=1.5, satisfaction_threshold=0.35, select_threshold=0.25
+        )
+        policies = (PortabilityPolicy.UNIVERSAL, None, PortabilityPolicy.COLD_START)
+        scenarios = tuple(
+            ScenarioConfig(
+                seed=7,
+                niche_genre="Drama",
+                policy=policy,
+                recommender=recommender,
+                cycles=6,
+                days_per_cycle=3,
+                slate_size=5,
+                warmup_cycles=1,
+                behavior=behavior,
+                switch_timing=SwitchTiming.PER_DAY,
+                history_threshold=3.5,
+            )
+            for policy in policies
+        )
+        assert spec == ExperimentSpec(scenarios, source)
+        # No field keeps its default, so no key can fall back to one unseen
+        for value in (spec.scenarios[0], behavior, recommender, source):
+            for f in fields(value):
+                assert f.default is MISSING or getattr(value, f.name) != f.default, f.name
+
+    def test_every_key_is_given_by_one_of_the_parse_tests(self):
+        given = {
+            (section, line.partition("=")[0].strip())
+            for text in [self.EVERY_KEY] + [f"[data]\n{d}" for d, _ in self.SOURCES.values()]
+            for section, body in re.findall(r"\[(\w+)\]\n([^[]*)", text)
+            for line in body.splitlines()
+            if "=" in line
+        }
+        assert given == set(cli._KEYS)
 
     def test_policy_subset(self, tmp_path):
         text = MINIMAL + "\n[scenario]\npolicies = baseline, universal\n"

@@ -567,6 +567,23 @@ class TestSuite:
         with pytest.raises(ConfigError, match="unique"):
             run_experiment_suite([small_config(), small_config()], small_data())
 
+    def test_an_audit_key_naming_no_scenario_is_refused(self):
+        # Else that trail would end the run empty, with no error
+        configs = [small_config(policy=PortabilityPolicy.COLD_START), small_config()]
+        trail = AuditTrail()
+        with pytest.raises(ConfigError, match="'coldstart' names no scenario"):
+            run_experiment_suite(configs, small_data(), audits={"coldstart": trail})
+        assert trail.lines == []
+
+    def test_one_trail_for_two_scenarios_is_refused(self):
+        # Else it would hold both branches, and the prefix twice
+        configs = [small_config(policy=PortabilityPolicy.COLD_START), small_config()]
+        trail = AuditTrail()
+        audits = {"cold_start": trail, "universal": trail}
+        with pytest.raises(ConfigError, match="'universal' and 'cold_start' share one trail"):
+            run_experiment_suite(configs, small_data(), audits=audits)
+        assert trail.lines == []
+
     def test_csv_emitters_are_line_stable(self):
         data = small_data()
         report = run_scenario(small_config(), data)
@@ -859,7 +876,7 @@ def test_a_run_never_imports_numpy_ma(tmp_path):
         "[data]\nsource = synthetic\nconsumers = 60\nitems = 80\nproviders = 6\n"
     )
     argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
-    argv += ["--emit", "audit-log", "--emit", "per-day"]
+    argv += ["--emit", "audit-log", "--emit", "per-day", "--emit", "model-dump"]
     code = f"import sys\nfrom recmarket import cli\ncli.main({argv!r})\n"
     code += "print('numpy.ma' in sys.modules)"
     src = str(Path(engine.__file__).resolve().parents[1])

@@ -300,9 +300,9 @@ class TestAuditReplay:
             max_size=2,
             unique=True,
         ),
-        consumer=st.integers(min_value=0),
-        item=st.integers(min_value=0),
-        day=st.one_of(st.just(-1), st.integers(min_value=0)),
+        consumer=st.integers(0, 2**63 - 1),
+        item=st.integers(0, 2**63 - 1),
+        day=st.one_of(st.just(-1), st.integers(0, 2**63 - 1)),
     )
     def test_lines_are_sorted_key_json(self, recommenders, consumer, item, day):
         # Each kind as the store and the engine emit it, against the dicts
@@ -347,13 +347,17 @@ class TestAuditReplay:
             replay_audit([{"event": "mystery"}], UO, RECS)
 
 
-# Ids on both sides of the int64 columns' range, and recommender ids that JSON
-# must escape
-IDS = st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**70), st.just(2**63 - 1))
+# Ids and days up to the int64 columns' largest value, and recommender ids that
+# JSON must escape
+IDS = st.one_of(st.integers(0, 2**63 - 1), st.just(2**63 - 1))
 RECOMMENDER_IDS = st.one_of(
     st.sampled_from(["generic", "niche", "\u00e9t\u00e9", '"q"\\', "\U0001f600"]), st.text()
 )
-DAYS = st.one_of(st.just(-1), st.integers(0, 2**64))
+DAYS = st.one_of(st.just(-1), st.integers(0, 2**63 - 1))
+# Numbers the int64 columns cannot hold
+OUTSIDE_INT64 = st.one_of(
+    st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63) - 1), st.sampled_from([2**63, 2**64])
+)
 EVENTS = st.lists(
     st.one_of(
         st.tuples(st.just("click"), IDS, RECOMMENDER_IDS, IDS, DAYS),
@@ -375,7 +379,7 @@ def write_events(trail, events):
     for kind, *fields in events:
         if kind == "click":
             consumer, recommender, item, day = fields
-            trail.click(consumer, recommender, item, day)
+            trail.clicks((consumer,), recommender, (item,), day)  # as record_click writes
             pairs = [(consumer, item)]
         elif kind == "clicks":
             pairs, recommender, day = fields
@@ -431,7 +435,7 @@ class TestColumnTrail:
         with pytest.raises(ValueError, match="audit trail"):
             store_for(UO).branch(UO, RECS, "generic", AuditTrail())
         trail = AuditTrail()
-        trail.click(1, "generic", 2, 0)
+        trail.clicks([1], "generic", [2], 0)
         store = ProfileStore.create(UO, RECS, range(10), range(128), audit=trail)
         with pytest.raises(ValueError, match="audit trail"):
             store.branch(UO, RECS, "generic", trail)
@@ -442,29 +446,85 @@ class TestColumnTrail:
     def test_a_bulk_click_write_refuses_columns_of_different_lengths(self):
         # Else every later click would render with the wrong consumer
         trail = AuditTrail()
-        trail.click(1, "generic", 2, 0)
+        trail.clicks([1], "generic", [2], 0)
         before = trail.lines
         with pytest.raises(ValueError, match="2 consumers for 1 clicked items"):
             trail.clicks([1, 2], "niche", [3], 0)
         assert trail.lines == before
-        trail.click(5, "generic", 6, 1)
+        trail.clicks([5], "generic", [6], 1)
         assert trail.events[-1] == {
             "event": "click", "consumer": 5, "recommender": "generic", "item": 6, "day": 1
         }
 
-    def test_more_recommenders_than_codes_are_held_as_lines(self):
+    def test_a_255th_recommender_is_refused(self):
         trail, expected = AuditTrail(), []
-        for k in range(300):
-            trail.click(k, f"r{k}", k, 0)
+        for k in range(253):
+            trail.clicks([k], f"r{k}", [k], 0)
             expected.append(
                 {"event": "click", "consumer": k, "recommender": f"r{k}", "item": k, "day": 0}
             )
-        trail.clicks([1, 2], "r299", [3, 4], 5)
+        # A refused click takes no code, so the 254th recommender still fits
+        with pytest.raises(ValueError, match="int64"):
+            trail.clicks([1], "refused", [2**63], 0)
+        trail.clicks([1, 2], "r253", [3, 4], 5)
         expected += [
-            {"event": "click", "consumer": c, "recommender": "r299", "item": i, "day": 5}
+            {"event": "click", "consumer": c, "recommender": "r253", "item": i, "day": 5}
             for c, i in ((1, 3), (2, 4))
         ]
         assert trail.lines == jsonl(expected)
+        for recommender in ("r254", "refused"):
+            with pytest.raises(ValueError, match="at most 254 recommenders"):
+                trail.clicks([1], recommender, [2], 0)
+        assert trail.lines == jsonl(expected)
+        # The recommenders it holds still write
+        trail.clicks([7], "r0", [8], 9)
+        expected.append({"event": "click", "consumer": 7, "recommender": "r0", "item": 8, "day": 9})
+        assert trail.lines == jsonl(expected)
+
+    @given(
+        policy=st.sampled_from(list(PortabilityPolicy)),
+        write=st.sampled_from(
+            [
+                ("clicks", "consumer"), ("clicks", "item"), ("clicks", "day"),
+                ("record_click", "consumer"), ("record_click", "item"), ("record_click", "day"),
+                ("seed_histories", "consumer"), ("seed_histories", "item"),
+            ]
+        ),
+        bad=OUTSIDE_INT64,
+        recommender=st.sampled_from(RECS),
+    )
+    def test_a_click_outside_int64_is_refused_and_written_nowhere(
+        self, policy, write, bad, recommender
+    ):
+        path, field = write
+        consumer, item, day = (bad if field == name else 2 for name in ("consumer", "item", "day"))
+        trail = AuditTrail()
+        # The store knows the id, so only the trail can refuse the click
+        store = ProfileStore.create(
+            policy, RECS, sorted({0, 1, 2, consumer}), sorted({0, 1, 2, item}), trail
+        )
+        seed_histories(store, "generic", {0: [0, 1]})
+        record_click(store, 1, "generic", 2, 0)
+        lines, state = trail.lines, store_state(store)
+        visible = {rid: matrix.copy() for rid, matrix in store.visible.items()}
+        with pytest.raises(ValueError, match="int64"):
+            if path == "clicks":
+                # A good pair before the bad one: neither is written
+                trail.clicks([1, consumer], recommender, [1, item], day)
+            elif path == "record_click":
+                record_click(store, consumer, recommender, item, day)
+            else:
+                seed_histories(store, recommender, {1: [1], consumer: [item]})
+        assert trail.lines == lines
+        assert store_state(store) == state
+        for rid, matrix in store.visible.items():
+            assert np.array_equal(matrix, visible[rid]), rid
+        # The trail and the store take the next click as if nothing happened
+        record_click(store, 2, recommender, 0, 1)
+        assert trail.events[-1] == {
+            "event": "click", "consumer": 2, "recommender": recommender, "item": 0, "day": 1
+        }
+        assert store.visible[recommender][store.consumer_rows[2], store.item_rows[0]]
 
     def test_an_empty_trail_is_truthy(self):
         # run_experiment_suite audits the prefix when any scenario has a trail
@@ -476,7 +536,7 @@ class TestColumnTrail:
         try:
             before = tracemalloc.get_traced_memory()[0]
             for k in range(20_000):
-                trail.click(10_000 + k % 500, RECS[k % 2], 20_000 + k % 300, k // 500)
+                trail.clicks((10_000 + k % 500,), RECS[k % 2], (20_000 + k % 300,), k // 500)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

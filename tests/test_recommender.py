@@ -252,6 +252,21 @@ class TestRecommendTiers:
         empty = serve_ids(0, model, [], 5, np.random.default_rng(0), ServingContext(), "r")
         assert empty.item_ids == ()
 
+    def test_no_candidates_never_take_the_days_counts(self):
+        # The engine's counts callback flushes the day's queue and caches the
+        # counts, so calling it for an empty candidate set would change bytes
+        def counts():
+            raise AssertionError("subscriber counts taken")
+
+        model = CatalogModel.align(manual_model({0: [1.0]}, {1: [0.9]}), np.array([1, 2]))
+        none = np.array([], dtype=np.intp)
+        for consumer, tier in ((0, Provenance.MODEL), (5, Provenance.GLOBAL_POPULAR_FALLBACK)):
+            rng = np.random.default_rng(0)
+            got = recommender.serve(model, consumer, none, 3, rng, counts, np.array([1, 0]))
+            assert got[0] is tier
+            assert got[1].size == 0
+            assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
     def test_exactly_one_tier_fires_randomized(self):
         # Fallback totality over randomized store states.
         rng = random.Random(7)
