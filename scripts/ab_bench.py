@@ -10,7 +10,9 @@ uses the benchmark exactly as that checkout has it, but the metric list is
 read from the parent's ``BENCHMARK.json``; so before the first pair it
 prints each file under ``perfbench/``, and ``BENCHMARK.json``, whose sha256
 differs between the checkouts, as ``differs: <path>``. A ratio over such a
-difference compares two benchmarks. It also runs
+difference compares two benchmarks. It prints ``differs: git`` when only
+one checkout holds ``.git``: ``run.py`` reads the commit only where it is,
+and that alone moves ``peak_rss_mb``. It also runs
 ``python -m compileall -q src`` in both checkouts: the benchmark times
 ``import recmarket``, so stale bytecode on one side would read as a slower
 set-up there.
@@ -164,6 +166,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{checkout} holds no perfbench/run.py")
     for name in differing_files(sides["parent"], sides["change"]):
         print(f"differs: {name}", flush=True)
+    if len({(checkout / ".git").exists() for checkout in sides.values()}) > 1:
+        print("differs: git", flush=True)
     metrics = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
     for checkout in sides.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True)

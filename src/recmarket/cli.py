@@ -24,7 +24,7 @@ from .behavior import BehaviorParams
 from .dataset import SyntheticSpec
 from .engine import ScenarioConfig, SwitchTiming
 from .errors import ConfigError, DataError, RecmarketError
-from .portability import AuditTrail, PortabilityPolicy
+from .portability import PortabilityPolicy
 from .recommender import RecommenderConfig
 
 POLICY_NAMES = ["baseline"] + [p.value for p in PortabilityPolicy]
@@ -202,13 +202,9 @@ def cmd_run(
 ) -> int:
     spec = parse_config(config, seed)
     data = load_data(spec.source)
-    audits: dict[str, AuditTrail] = {}
-    if "audit-log" in emit:
-        audits = {c.scenario_name: AuditTrail() for c in spec.scenarios}
     collect_days = "per-day" in emit
-
     result = engine.run_experiment_suite(
-        spec.scenarios, data, audits=audits, collect_day_rows=collect_days
+        spec.scenarios, data, audit="audit-log" in emit, collect_day_rows=collect_days
     )
     out.mkdir(parents=True, exist_ok=True)  # only now: a failed run leaves no directory
 
@@ -228,9 +224,10 @@ def cmd_run(
         name = f"report_{report.scenario}.json"
         _write_text(out / name, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
         written.add(name)
-    for name, trail in audits.items():
-        _write_lines(out / f"audit_{name}.jsonl", trail.render())
-        written.add(f"audit_{name}.jsonl")
+        if report.audit is not None:
+            name = f"audit_{report.scenario}.jsonl"
+            _write_lines(out / name, report.audit.render())
+            written.add(name)
     if "model-dump" in emit:
         for report in result.reports:
             for rid, model in report.models.items():
@@ -287,7 +284,10 @@ def compare_reports(reports: list[dict]) -> list[dict]:
     baselines = [r for r in reports if r.get("baseline")]
     if not baselines:
         raise ConfigError("no report is flagged as the baseline")
-    base = baselines[0]
+    if len(baselines) > 1:
+        names = ", ".join(repr(r.get("scenario")) for r in baselines)
+        raise ConfigError(f"more than one report is flagged as the baseline: {names}")
+    (base,) = baselines
     for r in reports:
         if set(r) - set(base) or set(base) - set(r):
             raise ConfigError("report schema mismatch")
@@ -309,14 +309,16 @@ def compare_reports(reports: list[dict]) -> list[dict]:
                         "value": v,
                         "baseline": b,
                         "delta": v - b,
-                        "ratio": v / b if b else float("inf"),
+                        # 0 against 0 is no gain, and not a loss either
+                        "ratio": v / b if b else float("nan" if v == 0 else "inf"),
                     }
                 )
     return rows
 
 
 def _read_report(path: Path) -> dict:
-    """A report file's JSON object, whose compared families map groups to numbers."""
+    """A report file's JSON object, with a boolean baseline flag, whose
+    compared families map groups to numbers."""
     try:
         report = json.loads(dataset.read_text(Path(path)))
     except json.JSONDecodeError as exc:
@@ -325,6 +327,7 @@ def _read_report(path: Path) -> dict:
     if not (
         isinstance(report, dict)
         and isinstance(report.get("scenario"), str)
+        and isinstance(report.get("baseline"), bool)
         and all(
             isinstance(report.get(f), dict)
             and all(type(v) in (int, float) for v in report[f].values())
@@ -332,8 +335,8 @@ def _read_report(path: Path) -> dict:
         )
     ):
         raise DataError(
-            f"invalid report {path}: expected an object with a scenario name and "
-            f"numbers in {' and '.join(families)}"
+            f"invalid report {path}: expected an object with a scenario name, a true or "
+            f"false baseline and numbers in {' and '.join(families)}"
         )
     return report
 

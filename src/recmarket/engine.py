@@ -15,7 +15,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -155,6 +155,8 @@ class MetricsReport:
     day_utilities: tuple[DayUtilityRow, ...] = ()
     # Each recommender's model as it served the last cycle; not a report byte
     models: dict[str, TrainedModel] = field(default_factory=dict, compare=False, repr=False)
+    # The store's audit trail, if the run kept one; not a report byte
+    audit: AuditTrail | None = field(default=None, compare=False, repr=False)
 
     def switch_count_rows(self) -> list[tuple[int, str, str, int]]:
         counts = Counter(
@@ -553,12 +555,11 @@ def _finish_cycle(state: EcosystemState) -> None:
 def run_scenario(
     config: ScenarioConfig,
     data: tuple[InteractionLog, Catalog],
-    audit: AuditTrail | None = None,
+    audit: bool = False,
     collect_day_rows: bool = False,
 ) -> MetricsReport:
     """Execute a full scenario and return its metrics: a one-scenario suite."""
-    audits = {config.scenario_name: audit}
-    return run_experiment_suite([config], data, audits, collect_day_rows).reports[0]
+    return run_experiment_suite([config], data, audit, collect_day_rows).reports[0]
 
 
 def _run_cycles(
@@ -620,6 +621,7 @@ def _build_report(state: EcosystemState) -> MetricsReport:
         provenance_counts={k: int(v) for k, v in sorted(state.provenance.items())},
         day_utilities=tuple(state.day_rows),
         models={rid: m.model for rid, m in state.models.items()},
+        audit=state.store.audit,
     )
 
 
@@ -642,10 +644,11 @@ class ExperimentResult:
 def run_experiment_suite(
     configs: Sequence[ScenarioConfig],
     data: tuple[InteractionLog, Catalog],
-    audits: Mapping[str, AuditTrail] | None = None,
+    audit: bool = False,
     collect_day_rows: bool = False,
 ) -> ExperimentResult:
-    """Run several scenarios over shared data and constants.
+    """Run several scenarios over shared data and constants; with ``audit``,
+    each report keeps its scenario's audit trail.
 
     All configs must agree on everything except the policy. No consumer can
     switch during warm-up, so that prefix of the market runs once and each
@@ -661,13 +664,6 @@ def run_experiment_suite(
     names = [c.scenario_name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError("scenario names must be unique within a suite")
-    audits = audits or {}
-    owners: dict[int, str] = {}  # id of a trail -> the scenario it was given for
-    for name, audit in audits.items():
-        if name not in names:
-            raise ConfigError(f"audits: {name!r} names no scenario of the suite")
-        if audit is not None and owners.setdefault(id(audit), name) != name:
-            raise ConfigError(f"audits: {name!r} and {owners[id(audit)]!r} share one trail")
     baseline = replace(configs[0], policy=None)
 
     # The prefix is the suite's baseline up to the first possible switch: under
@@ -676,8 +672,7 @@ def run_experiment_suite(
     # prepared with every recommender of the suite, in the baseline's store.
     switching = not all(c.is_baseline for c in configs)
     widest = replace(baseline, policy=PortabilityPolicy.UNIVERSAL) if switching else baseline
-    trail = AuditTrail() if any(audits.values()) else None
-    prefix = prepare_state(widest, data, trail, collect_day_rows)
+    prefix = prepare_state(widest, data, AuditTrail() if audit else None, collect_day_rows)
     prefix.config = baseline
     fork = baseline.warmup_cycles + (baseline.switch_timing is SwitchTiming.END_OF_CYCLE)
     _run_cycles(prefix, range(fork), "prefix")
@@ -685,10 +680,8 @@ def run_experiment_suite(
     # At most the prefix and one branch exist: the last scenario runs on the prefix itself.
     # At the fork cycle branches often repeat a training (README), so each is fitted once.
     memo = {} if len(configs) > 1 else None
-    reports = [
-        _run_branch(_fork(prefix), c, audits.get(c.scenario_name), memo) for c in configs[:-1]
-    ]
-    reports.append(_run_branch(prefix, configs[-1], audits.get(configs[-1].scenario_name), memo))
+    reports = [_run_branch(_fork(prefix), c, memo) for c in configs[:-1]]
+    reports.append(_run_branch(prefix, configs[-1], memo))
     if memo is not None:
         # Every branch trains its roster at the fork cycle, if the suite reaches it
         trainings = sum(len(c.recommenders) for c in configs) if fork < baseline.cycles else 0
@@ -703,9 +696,9 @@ def _fork(prefix: EcosystemState) -> EcosystemState:
     queue and counts live in ``run_day``, not on the state. Branches share
     what none of them writes: the catalog, the consumer table, the pools,
     the similarity table, the provider labels and the prefix's store (each
-    branch copies its home lists and matrix into its own). The prefix's models are kept only so that they are not
-    copied: a branch trains every recommender at its first cycle and never
-    reads them.
+    branch copies its home lists and matrix into its own). The prefix's
+    models are kept only so that they are not copied: a branch trains every
+    recommender at its first cycle and never reads them.
     Generators are copied by state: a third of the cost of a deep copy, for
     the same streams."""
     keep = (
@@ -723,16 +716,13 @@ def _fork(prefix: EcosystemState) -> EcosystemState:
 def _run_branch(
     state: EcosystemState,
     config: ScenarioConfig,
-    audit: AuditTrail | None,
     memo: dict[tuple, CatalogModel] | None,
 ) -> MetricsReport:
     """Run ``config`` on a copy of the suite's prefix, from the day where it
     ends: its first cycle, the fork cycle, trains every recommender through
     ``memo``."""
     state.config = config
-    state.store = state.store.branch(
-        config.store_policy, state.active, GENERIC_RECOMMENDER, audit
-    )
+    state.store = state.store.branch(config.store_policy, state.active, GENERIC_RECOMMENDER)
     if config.switch_timing is SwitchTiming.END_OF_CYCLE and not config.is_baseline:
         evaluate_switches(state)
         _log_cycle(state, config.scenario_name)  # the prefix's last cycle, with its switches

@@ -43,10 +43,9 @@ class PortabilityPolicy(enum.Enum):
 # json.dumps(..., sort_keys=True) builds this encoder on every call
 _encode = json.JSONEncoder(sort_keys=True).encode
 
-# The kind byte of an event held in ``AuditTrail._held``; any smaller kind is
-# a column-held click's recommender code
-_LINE = 255  # one line
-_TRAIL = 254  # a whole trail, by reference
+# The kind byte of an event held as its line in ``AuditTrail._held``; any
+# smaller kind is a column-held click's recommender code
+_LINE = 255
 
 
 class AuditTrail:
@@ -56,19 +55,21 @@ class AuditTrail:
     is rendered only when the trail is read or written. Clicks, most of a
     trail, are held as int64 columns (consumer, day, item) with one kind
     byte each: the code of the click's recommender. A click whose numbers
-    are not int64, or whose recommender would be the 255th, is refused.
-    Every other event is held as its line. A branch of a suite holds the
-    trail of the prefix it forks from by reference (``include``).
+    are not int64, or whose recommender would be the 256th, is refused.
+    Every other event is held as its line. A trail's lines are those of its
+    ``parent``, if it has one, then its own: the parent must not be written
+    after the trail is made.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, parent: AuditTrail | None = None) -> None:
         # Imported here: it is a shared library that a run without a trail
         # need not load (about 70 KB of resident memory)
         from array import array
 
+        self.parent = parent
         self._kinds = bytearray()  # one per event, in event order
         self._consumers, self._days, self._items = array("q"), array("q"), array("q")
-        self._held: list[str | AuditTrail] = []
+        self._held: list[str] = []
         self._codes: dict[str, int] = {}  # recommender id -> code, in code order
 
     def emit(self, event: str, **payload: object) -> None:
@@ -81,12 +82,12 @@ class AuditTrail:
         """A click event for each (consumer, item) pair in order, all at
         ``day``, in one bulk write to the columns. Raises ``ValueError`` and
         writes nothing when the lists differ in length, a number is not an
-        int64 or the recommender would be the 255th."""
+        int64 or the recommender would be the 256th."""
         if len(consumers) != len(items):
             raise ValueError(f"{len(consumers)} consumers for {len(items)} clicked items")
         code = self._codes.get(recommender, len(self._codes))
-        if code >= _TRAIL:
-            raise ValueError(f"a trail holds the clicks of at most {_TRAIL} recommenders")
+        if code >= _LINE:
+            raise ValueError(f"a trail holds the clicks of at most {_LINE} recommenders")
         n = len(self._items)
         try:
             self._consumers.extend(consumers)
@@ -98,23 +99,16 @@ class AuditTrail:
         self._kinds += bytes((code,)) * len(items)
         self._codes[recommender] = code
 
-    def include(self, trail: AuditTrail) -> None:
-        """Append every event of ``trail``, by reference: events written to
-        ``trail`` afterwards would show here too, so it must not be written
-        again."""
-        self._held.append(trail)
-        self._kinds.append(_TRAIL)
-
     def render(self) -> Iterator[str]:
         """The lines in event order, each rendered as it is reached."""
+        if self.parent is not None:
+            yield from self.parent.render()
         names = [encode_basestring_ascii(r) for r in self._codes]
         clicks = zip(self._consumers, self._days, self._items)
         held = iter(self._held)
         for kind in self._kinds:
             if kind == _LINE:
                 yield next(held)
-            elif kind == _TRAIL:
-                yield from next(held).render()
             else:
                 consumer, day, item = next(clicks)
                 yield (
@@ -175,26 +169,18 @@ class ProfileStore:
         return cls(policy, consumer_rows, item_rows, visible, per_recommender=buckets, audit=audit)
 
     def branch(
-        self,
-        policy: PortabilityPolicy,
-        recommender_ids: Iterable[str],
-        home: str,
-        audit: AuditTrail | None,
+        self, policy: PortabilityPolicy, recommender_ids: Iterable[str], home: str
     ) -> "ProfileStore":
         """A store under ``policy`` over the same consumers and items whose
-        ``home`` profiles are copies of this store's. ``audit``, if given,
-        first receives this store's audit trail, by reference: this store
-        must have a trail other than ``audit``, and must not write it after
-        the branch."""
-        if audit is not None and (self.audit is None or audit is self.audit):
-            raise ValueError("a branch's audit trail must be new and start from its parent's")
+        ``home`` profiles are copies of this store's. If this store has an
+        audit trail, the branch has a new one whose ``parent`` it is: this
+        store must not write it after the branch."""
+        audit = None if self.audit is None else AuditTrail(self.audit)
         store = ProfileStore.create(
             policy, recommender_ids, self.consumer_rows, self.item_rows, audit
         )
         store._bucket(home).update((c, list(e)) for c, e in self._bucket(home).items())
         store.visible[home][:] = self.visible[home]
-        if audit is not None:
-            audit.include(self.audit)
         return store
 
     def _bucket(self, recommender_id: str) -> dict[int, list[Interaction]]:

@@ -576,12 +576,13 @@ def solve_side_per_row(
 def run_from_scratch(
     config: engine.ScenarioConfig,
     data: tuple,
-    audit: AuditTrail | None = None,
+    audit: bool = False,
     collect_day_rows: bool = False,
 ) -> engine.MetricsReport:
     """One scenario on its own state, cycle by cycle from the start: every
     active recommender trains every cycle, and nothing is shared."""
-    state = engine.prepare_state(config, data, audit=audit, collect_day_rows=collect_day_rows)
+    trail = AuditTrail() if audit else None
+    state = engine.prepare_state(config, data, audit=trail, collect_day_rows=collect_day_rows)
     for cycle in range(config.cycles):
         state.cycle = cycle
         engine.train_cycle(state)

@@ -53,6 +53,23 @@ def test_differences_are_printed_before_the_first_pair(tmp_path, monkeypatch, ca
     assert runs == ["differs: perfbench/golden.json\n"]
 
 
+@pytest.mark.parametrize("git", [(), ("parent",), ("change",), ("parent", "change")])
+def test_a_git_clone_against_a_plain_copy_is_named(tmp_path, monkeypatch, capsys, git):
+    # A plain copy reads a higher peak_rss_mb than a git clone of the same tree
+    sides = {side: checkout(tmp_path / side) for side in ("parent", "change")}
+    for side in git:
+        (sides[side] / ".git").mkdir()
+
+    def run_once(checkout, workload, seed, seconds):
+        raise SystemExit(0)
+
+    monkeypatch.setattr(ab_bench, "run_once", run_once)
+    monkeypatch.setattr(ab_bench.subprocess, "run", lambda *args, **kwargs: None)
+    with pytest.raises(SystemExit):
+        ab_bench.main([*map(str, sides.values()), "--workload", "desk_suite", "--pairs", "1"])
+    assert capsys.readouterr().out == ("differs: git\n" if len(git) == 1 else "")
+
+
 def labels(better, bound, parent, change):
     """The labels ``summarize`` gives one metric over runs with these values."""
     metric = {"name": "m", "unit": "s", "better": better, "bound": bound}

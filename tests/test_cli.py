@@ -341,13 +341,19 @@ class TestCmdRun:
             h2 = hashlib.sha256((out2 / p.name).read_bytes()).hexdigest()
             assert h1 == h2, p.name
 
-    def test_emit_audit_log(self, tmp_path):
+    def test_emit_audit_log_writes_each_scenarios_trail(self, tmp_path):
         out = self.run_once(tmp_path, "out", emit=("audit-log",))
-        trail = (out / "audit_universal.jsonl").read_text().splitlines()
-        events = [json.loads(line) for line in trail]
-        assert {"click", "switch"} <= {e["event"] for e in events} or all(
-            e["event"] == "click" for e in events
-        )
+        spec = parse_config(tmp_path / "config.ini")
+        data = cli.load_data(spec.source)
+        expected = {
+            f"audit_{config.scenario_name}.jsonl": engine.run_scenario(
+                config, data, audit=True
+            ).audit.lines
+            for config in spec.scenarios
+        }
+        assert len(expected) == 5
+        written = {p.name: p.read_text().splitlines(keepends=True) for p in out.glob("audit_*")}
+        assert written == expected
 
     def test_emit_per_day_and_model_dump(self, tmp_path):
         out = self.run_once(tmp_path, "out", emit=("per-day", "model-dump"))
@@ -484,6 +490,16 @@ class TestRelabelling:
         assert outputs["providers"] == outputs["original"]
 
 
+def report_files(tmp_path, *reports):
+    """Each report written to ``<scenario>.json``, as the ``compare`` arguments."""
+    paths = []
+    for report in reports:
+        path = tmp_path / f"{report['scenario']}.json"
+        path.write_text(json.dumps(report))
+        paths.append(str(path))
+    return paths
+
+
 class TestCompare:
     def reference_reports(self):
         # Published reference values for the two-table report shape.
@@ -540,6 +556,12 @@ class TestCompare:
         _, algo, uni = self.reference_reports()
         with pytest.raises(ConfigError, match="baseline"):
             compare_reports([algo, uni])
+
+    def test_a_second_baseline_is_rejected(self):
+        base, algo, _ = self.reference_reports()
+        other = dict(algo, baseline=True)
+        with pytest.raises(ConfigError, match="more than one report is flagged as the baseline"):
+            compare_reports([base, other])
 
 
 class TestMainEntry:
@@ -857,7 +879,9 @@ class TestMainEntry:
         assert (out / "report_baseline.json").exists()
         capsys.readouterr()
 
-    @pytest.mark.parametrize("bad", ["list", "string_group_value"])
+    @pytest.mark.parametrize(
+        "bad", ["list", "string_group_value", "string_baseline", "missing_baseline"]
+    )
     def test_compare_of_json_that_is_no_report_is_a_data_error(self, tmp_path, capsys, bad):
         base_report, algo, _ = TestCompare().reference_reports()
         base = write(tmp_path, json.dumps(base_report), "baseline.json")
@@ -866,6 +890,9 @@ class TestMainEntry:
             "string_group_value": json.dumps(
                 dict(algo, provider_clicks=dict(algo["provider_clicks"], Niche="12"))
             ),
+            # Else any truthy flag would make it the baseline
+            "string_baseline": json.dumps(dict(algo, baseline="yes")),
+            "missing_baseline": json.dumps({k: v for k, v in algo.items() if k != "baseline"}),
         }
         bad = write(tmp_path, texts[bad], "bad.json")
         assert cli.main(["compare", str(base), str(bad)]) == 2
@@ -874,11 +901,15 @@ class TestMainEntry:
 
     def test_compare_cli(self, tmp_path, capsys):
         base, algo, uni = TestCompare().reference_reports()
-        paths = []
-        for rep in (base, algo, uni):
-            p = tmp_path / f"{rep['scenario']}.json"
-            p.write_text(json.dumps(rep))
-            paths.append(str(p))
-        assert cli.main(["compare", *paths]) == 0
+        assert cli.main(["compare", *report_files(tmp_path, base, algo, uni)]) == 0
         out = capsys.readouterr().out
         assert "algorithm_specific" in out and "ratio" in out
+
+    def test_compare_prints_nan_for_zero_against_zero_and_inf_for_more(self, tmp_path, capsys):
+        base, algo, _ = TestCompare().reference_reports()
+        base = dict(base, provider_clicks={"Generic": 0, "Niche": 0})
+        algo = dict(algo, provider_clicks={"Generic": 0, "Niche": 5})
+        assert cli.main(["compare", *report_files(tmp_path, base, algo)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        ratios = {row[2]: row[-1] for row in rows if row[1] == "provider_clicks"}
+        assert ratios == {"Generic": "nan", "Niche": "inf"}

@@ -110,9 +110,8 @@ class TestRunDay:
 
     def test_click_conservation(self):
         # Every click the store records counts once, for a Generic or a Niche provider
-        audit = AuditTrail()
-        report = run_scenario(small_config(), small_data(), audit=audit)
-        clicks = [e for e in audit.events if e["event"] == "click" and e["day"] >= 0]
+        report = run_scenario(small_config(), small_data(), audit=True)
+        clicks = [e for e in report.audit.events if e["event"] == "click" and e["day"] >= 0]
         assert set(report.provider_clicks) == {GENERIC, NICHE}
         assert report.total_clicks == len(clicks) > 0
 
@@ -323,8 +322,7 @@ class TestReferenceDay:
 
     @staticmethod
     def outputs(configs, data):
-        audits = {c.scenario_name: AuditTrail() for c in configs}
-        reports = run_experiment_suite(configs, data, audits, collect_day_rows=True).reports
+        reports = run_experiment_suite(configs, data, audit=True, collect_day_rows=True).reports
         emitted = {
             emit.__name__: emit(reports)
             for emit in (
@@ -339,7 +337,7 @@ class TestReferenceDay:
             "reports": [json.dumps(r.to_json_dict(), indent=2, sort_keys=True) for r in reports],
             "provenance": [r.provenance_counts for r in reports],
             "switches": [len(r.switch_events) for r in reports],
-            "audit": {name: trail.lines for name, trail in audits.items()},
+            "audit": {r.scenario: r.audit.lines for r in reports},
             **emitted,
         }
 
@@ -567,23 +565,6 @@ class TestSuite:
         with pytest.raises(ConfigError, match="unique"):
             run_experiment_suite([small_config(), small_config()], small_data())
 
-    def test_an_audit_key_naming_no_scenario_is_refused(self):
-        # Else that trail would end the run empty, with no error
-        configs = [small_config(policy=PortabilityPolicy.COLD_START), small_config()]
-        trail = AuditTrail()
-        with pytest.raises(ConfigError, match="'coldstart' names no scenario"):
-            run_experiment_suite(configs, small_data(), audits={"coldstart": trail})
-        assert trail.lines == []
-
-    def test_one_trail_for_two_scenarios_is_refused(self):
-        # Else it would hold both branches, and the prefix twice
-        configs = [small_config(policy=PortabilityPolicy.COLD_START), small_config()]
-        trail = AuditTrail()
-        audits = {"cold_start": trail, "universal": trail}
-        with pytest.raises(ConfigError, match="'universal' and 'cold_start' share one trail"):
-            run_experiment_suite(configs, small_data(), audits=audits)
-        assert trail.lines == []
-
     def test_csv_emitters_are_line_stable(self):
         data = small_data()
         report = run_scenario(small_config(), data)
@@ -597,23 +578,21 @@ def run_alone_and_in_suite(configs, data):
     """Each config's report, day rows, switch events and audit lines: run
     from scratch by the oracle, through ``run_scenario`` and in one suite."""
 
-    def outputs(report, trail):
+    def outputs(report):
         return (
             json.dumps(report.to_json_dict(), sort_keys=True),
             report.day_utilities,
             report.switch_events,
-            trail.lines,
+            report.audit.lines,
         )
 
-    runs = {run_from_scratch: [], run_scenario: []}
-    for run, got in runs.items():
-        for config in configs:
-            trail = AuditTrail()
-            got.append(outputs(run(config, data, trail, collect_day_rows=True), trail))
-    trails = {c.scenario_name: AuditTrail() for c in configs}
-    result = run_experiment_suite(configs, data, audits=trails, collect_day_rows=True)
-    in_suite = [outputs(r, trails[r.scenario]) for r in result.reports]
-    return runs[run_from_scratch], runs[run_scenario], in_suite
+    alone = {
+        run: [outputs(run(config, data, audit=True, collect_day_rows=True)) for config in configs]
+        for run in (run_from_scratch, run_scenario)
+    }
+    result = run_experiment_suite(configs, data, audit=True, collect_day_rows=True)
+    in_suite = [outputs(r) for r in result.reports]
+    return alone[run_from_scratch], alone[run_scenario], in_suite
 
 
 def count_train_calls(monkeypatch):

@@ -422,25 +422,29 @@ class TestColumnTrail:
 
         # A branch holds the prefix's events, then its own
         store = ProfileStore.create(UO, RECS, [], [], audit=prefix)
-        branch = AuditTrail()
-        store.branch(UO, RECS, "generic", branch)
+        branch = store.branch(UO, RECS, "generic").audit
         expected_own = write_events(branch, own_events)
         assert branch.lines == jsonl(expected_prefix + expected_own)
         assert branch.events == expected_prefix + expected_own
         assert prefix.lines == jsonl(expected_prefix)
 
-    def test_a_branch_trail_starts_from_a_parent_trail_of_its_own(self):
-        # Without a parent trail the branch's would lack the events behind
-        # the home profiles it copies; the parent's own would include itself.
-        with pytest.raises(ValueError, match="audit trail"):
-            store_for(UO).branch(UO, RECS, "generic", AuditTrail())
+    @pytest.mark.parametrize("policy", list(PortabilityPolicy))
+    def test_a_branch_has_a_new_trail_exactly_when_its_parent_has_one(self, policy):
+        # Without one the branch's trail would lack the events behind the
+        # home profiles it copies; with the parent's own, the parent's
+        # trail would hold the branch's events
+        assert store_for(UO).branch(policy, RECS, "generic").audit is None
         trail = AuditTrail()
-        trail.clicks([1], "generic", [2], 0)
         store = ProfileStore.create(UO, RECS, range(10), range(128), audit=trail)
-        with pytest.raises(ValueError, match="audit trail"):
-            store.branch(UO, RECS, "generic", trail)
-        assert trail.lines == jsonl(
-            [{"event": "click", "consumer": 1, "recommender": "generic", "item": 2, "day": 0}]
+        record_click(store, 1, "generic", 2, 0)
+        branch = store.branch(policy, RECS, "generic")
+        assert branch.audit is not None and branch.audit is not trail
+        assert branch.audit.parent is trail
+        record_click(branch, 3, "niche", 4, 1)
+        click = {"event": "click", "consumer": 1, "recommender": "generic", "item": 2, "day": 0}
+        assert trail.lines == jsonl([click])
+        assert branch.audit.lines == jsonl(
+            [click, {"event": "click", "consumer": 3, "recommender": "niche", "item": 4, "day": 1}]
         )
 
     def test_a_bulk_click_write_refuses_columns_of_different_lengths(self):
@@ -456,24 +460,24 @@ class TestColumnTrail:
             "event": "click", "consumer": 5, "recommender": "generic", "item": 6, "day": 1
         }
 
-    def test_a_255th_recommender_is_refused(self):
+    def test_a_256th_recommender_is_refused(self):
         trail, expected = AuditTrail(), []
-        for k in range(253):
+        for k in range(254):
             trail.clicks([k], f"r{k}", [k], 0)
             expected.append(
                 {"event": "click", "consumer": k, "recommender": f"r{k}", "item": k, "day": 0}
             )
-        # A refused click takes no code, so the 254th recommender still fits
+        # A refused click takes no code, so the 255th recommender still fits
         with pytest.raises(ValueError, match="int64"):
             trail.clicks([1], "refused", [2**63], 0)
-        trail.clicks([1, 2], "r253", [3, 4], 5)
+        trail.clicks([1, 2], "r254", [3, 4], 5)
         expected += [
-            {"event": "click", "consumer": c, "recommender": "r253", "item": i, "day": 5}
+            {"event": "click", "consumer": c, "recommender": "r254", "item": i, "day": 5}
             for c, i in ((1, 3), (2, 4))
         ]
         assert trail.lines == jsonl(expected)
-        for recommender in ("r254", "refused"):
-            with pytest.raises(ValueError, match="at most 254 recommenders"):
+        for recommender in ("r255", "refused"):
+            with pytest.raises(ValueError, match="at most 255 recommenders"):
                 trail.clicks([1], recommender, [2], 0)
         assert trail.lines == jsonl(expected)
         # The recommenders it holds still write
@@ -525,10 +529,6 @@ class TestColumnTrail:
             "event": "click", "consumer": 2, "recommender": recommender, "item": 0, "day": 1
         }
         assert store.visible[recommender][store.consumer_rows[2], store.item_rows[0]]
-
-    def test_an_empty_trail_is_truthy(self):
-        # run_experiment_suite audits the prefix when any scenario has a trail
-        assert AuditTrail() and any({"s": AuditTrail()}.values())
 
     def test_a_click_is_held_in_at_most_48_bytes(self):
         trail = AuditTrail()
